@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -289,6 +290,14 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+def _parse_finite_float(literal: str) -> float:
+    # a literal such as 1e400 overflows to inf, which encode() cannot write back
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"float literal {literal} overflows")
+    return value
+
+
 def decode(frame: bytes) -> Envelope:
     """Parse exactly one frame; any malformed input raises ProtocolError."""
     if not isinstance(frame, (bytes, bytearray)) or len(frame) < 4:
@@ -302,7 +311,11 @@ def decode(frame: bytes) -> Envelope:
     if len(body) > declared:
         raise ProtocolError("malformed", "trailing bytes after frame body")
     try:
-        doc = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
+        doc = json.loads(
+            body.decode("utf-8"),
+            parse_float=_parse_finite_float,
+            parse_constant=_reject_constant,
+        )
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError("malformed", f"body is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

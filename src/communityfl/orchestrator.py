@@ -177,13 +177,17 @@ def guard_update(
     """Baseline negative-transfer detection.
 
     Flags an update when the incoming shared model degraded the client's
-    holdout loss by more than ``epsilon``, or when its weights are not finite.
+    holdout loss by more than ``epsilon``, when its weights are not finite, or
+    when either reported loss is not finite (a NaN or infinite delta never
+    compares greater than ``epsilon``, so it must be refused explicitly).
     ``cohort_history`` is part of the interface for future predictive guards;
     the baseline verdict is a pure function of the update and epsilon.
     """
     del cohort_history
     if not update.weights.is_finite():
         return GuardVerdict(False, "non_finite")
+    if not (math.isfinite(update.pre_metrics.loss) and math.isfinite(update.post_metrics.loss)):
+        return GuardVerdict(False, "non_finite_loss")
     if update.post_metrics.loss - update.pre_metrics.loss > epsilon:
         return GuardVerdict(False, "loss_regression")
     return GuardVerdict(True)

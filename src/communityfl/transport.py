@@ -136,6 +136,18 @@ class SimNetwork:
 # -- TCP socket transport ----------------------------------------------------------
 
 
+def _set_nodelay(sock: socket.socket):
+    """Send small frames at once instead of coalescing them (Nagle's algorithm).
+
+    In rounds the coordinator writes a MetricsAck and, a round later, the next
+    TrainRequest with no frame from the client in between. The client delays
+    its ACK of the MetricsAck (about 40 ms on Linux), and Nagle holds the
+    TrainRequest until that ACK arrives, so every round would wait out the
+    delayed-ACK timer.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class SocketChannel:
     """Blocking request/response channel over one TCP connection."""
 
@@ -303,6 +315,7 @@ class SocketCoordinatorServer:
             except OSError:
                 break
             conn.settimeout(self.recv_timeout_s)
+            _set_nodelay(conn)
             thread = threading.Thread(
                 target=self._serve_registration, args=(conn, f"{addr[0]}:{addr[1]}"), daemon=True
             )
@@ -352,6 +365,12 @@ class SocketCoordinatorServer:
 
     def close(self):
         self._stopping.set()
+        # shutdown wakes the accept thread out of its blocking accept() at once;
+        # close() alone would leave it waiting out the poll timeout
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -380,6 +399,7 @@ def run_socket_client(
     """
     sock = socket.create_connection((host, port), timeout=connect_timeout_s)
     sock.settimeout(None)
+    _set_nodelay(sock)
     channel = SocketChannel(sock)
     rounds = 0
     try:

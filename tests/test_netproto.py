@@ -22,7 +22,7 @@ from communityfl.netproto import (
 )
 from communityfl.tinylearn import WeightVector, make_arch
 
-from conftest import make_community, make_metadata, make_task
+from conftest import make_community, make_metadata, make_task, make_update
 
 
 def _register_env(correlation_id: int = 42) -> Envelope:
@@ -156,6 +156,23 @@ def test_nan_constant_rejected():
     doc["payload"]["metadata"]["data_signature"]["quality_score"] = float("nan")
     body = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=True).encode()
     assert b"NaN" in body
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+
+
+def test_overflowing_float_literal_rejected():
+    # 1e400 parses to inf, which encode() refuses, so accepting it would break
+    # encode(decode(frame)) == frame
+    update = make_update("t", [0.0, 0.0], post_loss=0.25)
+    env = Envelope(
+        MsgType.MODEL_UPDATE,
+        3,
+        {"update": netproto.update_to_doc(update), "session_token": "tok"},
+    )
+    body = encode(env)[4:]
+    assert body.count(b'"loss":0.25') == 1
+    body = body.replace(b'"loss":0.25', b'"loss":1e400')
     with pytest.raises(ProtocolError) as exc:
         decode(struct.pack(">I", len(body)) + body)
     assert exc.value.code == "malformed"

@@ -305,6 +305,15 @@ def test_guard_flags_regression_beyond_epsilon():
     assert guard_update(update, [], epsilon=0.6).accepted
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("which", ["pre_loss", "post_loss"])
+def test_guard_flags_nonfinite_loss(bad, which):
+    # a NaN or -inf delta never compares greater than epsilon, so the loss
+    # regression test alone would accept these updates
+    update = make_update("t", [0.0, 0.0], **{which: bad})
+    assert guard_update(update, [], epsilon=0.5) == GuardVerdict(False, "non_finite_loss")
+
+
 def test_poisoned_client_flagged_within_three_rounds():
     spec = builtin_scenarios()["poison"]
     run = run_simulation(spec, mode="cohort")

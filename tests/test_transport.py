@@ -3,6 +3,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 
@@ -89,6 +90,20 @@ def test_sim_drop_fault_three_attempts_then_dropout(rng):
 # -- sockets -----------------------------------------------------------------------
 
 
+def _bundle_client(bundle, client_id, client_cls=FlClient):
+    data_doc = json.loads((bundle / f"{client_id}.data.json").read_text())
+    dataset = Dataset(
+        features=np.array(data_doc["features"]),
+        labels=np.array(data_doc["labels"]),
+        n_classes=data_doc["n_classes"],
+    )
+    metadata = netproto.metadata_from_doc(
+        json.loads((bundle / f"{client_id}.metadata.json").read_text())
+    )
+    task = netproto.task_from_doc(json.loads((bundle / f"{client_id}.task.json").read_text()))
+    return client_cls(client_id, dataset, metadata), task
+
+
 def _start_socket_run(tmp_path, spec, drop_client=None):
     bundle = tmp_path / "bundle"
     export_socket_bundle(spec, bundle)
@@ -102,17 +117,7 @@ def _start_socket_run(tmp_path, spec, drop_client=None):
     host, port = server.address
 
     def client_main(client_id):
-        data_doc = json.loads((bundle / f"{client_id}.data.json").read_text())
-        dataset = Dataset(
-            features=np.array(data_doc["features"]),
-            labels=np.array(data_doc["labels"]),
-            n_classes=data_doc["n_classes"],
-        )
-        metadata = netproto.metadata_from_doc(
-            json.loads((bundle / f"{client_id}.metadata.json").read_text())
-        )
-        task = netproto.task_from_doc(json.loads((bundle / f"{client_id}.task.json").read_text()))
-        client = FlClient(client_id, dataset, metadata)
+        client, task = _bundle_client(bundle, client_id)
         if client_id == drop_client:
             # register and submit, then vanish before serving any round
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -275,3 +280,54 @@ def test_socket_run_reproduces_simulation_weights_bit_exactly(tmp_path):
         for c in population["cohorts"]
     }
     assert socket_digests == sim_digests
+
+
+def _nodelay(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_round_connections_disable_nagle_on_both_ends(tmp_path):
+    # rounds write MetricsAck then, a round later, TrainRequest with no frame
+    # back in between; with Nagle on, each round waits out a delayed ACK
+    spec = builtin_scenarios()["uniform"]
+    spec = dataclasses.replace(spec, clients=spec.clients[:1], tasks=spec.tasks[:1])
+    bundle = tmp_path / "bundle"
+    export_socket_bundle(spec, bundle)
+    config = json.loads((bundle / "server_config.json").read_text())
+    coordinator = Coordinator(
+        SchedulerConfig(**config["scheduler"]),
+        [netproto.community_from_doc(c) for c in config["communities"]],
+    )
+    server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
+    host, port = server.address
+    client_nodelay = []
+
+    class RecordingClient(FlClient):
+        def submit_task(self, channel, task):
+            population_id = super().submit_task(channel, task)
+            client_nodelay.append(_nodelay(channel.sock))
+            return population_id
+
+    client, task = _bundle_client(bundle, spec.clients[0], RecordingClient)
+    thread = threading.Thread(
+        target=run_socket_client, args=(client, host, port, task), daemon=True
+    )
+    thread.start()
+    try:
+        assert server.wait_ready(timeout=5.0)
+        assert _nodelay(server.session_for_task(task.task_id).sock) != 0
+    finally:
+        server.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(client_nodelay) == 1 and client_nodelay[0] != 0
+
+
+def test_server_close_stops_accept_thread_at_once():
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
+    start = time.perf_counter()
+    server.close()
+    elapsed = time.perf_counter() - start
+    assert not server._accept_thread.is_alive()
+    assert elapsed < 0.1  # well under the listener's 0.2 s accept poll
