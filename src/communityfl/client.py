@@ -117,7 +117,7 @@ class FlClient:
         )
         self.session_token: str | None = None
         self._correlation = 0
-        self._split_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._split_cache: dict[float, tuple[Dataset, Dataset]] = {}
         # task_id -> (cohort_id, last locally trained weights); the pre/post
         # degradation baseline only makes sense within one cohort's trajectory
         self._prev_local: dict[str, tuple[str, WeightVector]] = {}
@@ -135,16 +135,21 @@ class FlClient:
         self._split_cache.clear()
 
     def split(self, holdout_fraction: float) -> tuple[Dataset, Dataset]:
-        """Deterministic train/holdout split, stable for a fixed client seed."""
+        """Deterministic train/holdout split, stable for a fixed client seed.
+
+        The pair is built once per fraction; repeat calls return the same
+        (read-only) datasets until :meth:`set_dataset` replaces the data.
+        """
         key = float(holdout_fraction)
-        if key not in self._split_cache:
-            n = self.state.local_data.n_samples
-            rng = np.random.default_rng(stable_u64("split", self.client_id))
-            perm = rng.permutation(n)
-            n_holdout = min(n - 1, max(1, int(round(key * n))))
-            self._split_cache[key] = (np.sort(perm[n_holdout:]), np.sort(perm[:n_holdout]))
-        train_idx, holdout_idx = self._split_cache[key]
+        cached = self._split_cache.get(key)
+        if cached is not None:
+            return cached
         data = self.state.local_data
+        n = data.n_samples
+        rng = np.random.default_rng(stable_u64("split", self.client_id))
+        perm = rng.permutation(n)
+        n_holdout = min(n - 1, max(1, int(round(key * n))))
+        train_idx, holdout_idx = np.sort(perm[n_holdout:]), np.sort(perm[:n_holdout])
         train = Dataset(
             features=data.features[train_idx],
             labels=data.labels[train_idx],
@@ -155,6 +160,7 @@ class FlClient:
             labels=data.labels[holdout_idx],
             n_classes=data.n_classes,
         )
+        self._split_cache[key] = (train, holdout)
         return train, holdout
 
     # -- coordinator dialogue -----------------------------------------------

@@ -16,7 +16,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -172,14 +172,15 @@ class RoundTransport(Protocol):
 
 
 def guard_update(
-    update: ModelUpdate, cohort_history: list[RoundReport], epsilon: float
+    update: ModelUpdate, cohort_history: Sequence[RoundReport], epsilon: float
 ) -> GuardVerdict:
     """Baseline negative-transfer detection.
 
     Flags an update when the incoming shared model degraded the client's
-    holdout loss by more than ``epsilon``, when its weights are not finite, or
+    holdout loss by more than ``epsilon``, when its weights are not finite,
     when either reported loss is not finite (a NaN or infinite delta never
-    compares greater than ``epsilon``, so it must be refused explicitly).
+    compares greater than ``epsilon``, so it must be refused explicitly), or
+    when either metric set is out of range (accuracy outside [0, 1], loss < 0).
     ``cohort_history`` is part of the interface for future predictive guards;
     the baseline verdict is a pure function of the update and epsilon.
     """
@@ -188,6 +189,10 @@ def guard_update(
         return GuardVerdict(False, "non_finite")
     if not (math.isfinite(update.pre_metrics.loss) and math.isfinite(update.post_metrics.loss)):
         return GuardVerdict(False, "non_finite_loss")
+    for metrics in (update.pre_metrics, update.post_metrics):
+        # written so that a NaN accuracy fails the range test too
+        if not 0.0 <= metrics.accuracy <= 1.0 or metrics.loss < 0.0:
+            return GuardVerdict(False, "metric_out_of_range")
     if update.post_metrics.loss - update.pre_metrics.loss > epsilon:
         return GuardVerdict(False, "loss_regression")
     return GuardVerdict(True)
@@ -427,16 +432,19 @@ class Coordinator:
                 executors[task_id] = update.executor_id
 
             verdicts: dict[str, GuardVerdict] = {}
-            history = [r for r in self.reports if r.cohort_id == cohort.cohort_id]
             for task_id, update in received:
                 if update.task_id != task_id or update.cohort_id != cohort.cohort_id:
                     verdicts[task_id] = GuardVerdict(False, "cohort_mismatch")
                 elif update.round != cohort.round:
                     verdicts[task_id] = GuardVerdict(False, "round_mismatch")
+                elif update.n_samples > self.registry.tasks[task_id].data_signature.n_samples:
+                    # n_samples sets the aggregation weight; a client trains on
+                    # a subset of the data its signature counts
+                    verdicts[task_id] = GuardVerdict(False, "n_samples_exceeds_signature")
                 elif self.config.guard_epsilon is None:
                     verdicts[task_id] = GuardVerdict(True)
                 else:
-                    verdicts[task_id] = guard_update(update, history, self.config.guard_epsilon)
+                    verdicts[task_id] = guard_update(update, (), self.config.guard_epsilon)
 
             quorum_needed = max(1, math.ceil(self.config.min_updates_quorum * len(selected) - 1e-9))
             status, reason = "committed", None

@@ -16,7 +16,8 @@ A run produces four artifacts in the output directory:
 ``run_summary.json`` additionally records wall time, which is not.
 
 In simulation the runner is omniscient: it evaluates the fresh global model
-on every member's holdout right after each round. The socket server cannot
+on every member's holdout right after each round, in one forward pass over
+the members' stacked holdouts. The socket server cannot
 see client holdouts, so there the same column is filled from the next round's
 client-reported metrics and left empty for the final round.
 """
@@ -30,14 +31,17 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import netproto
 from .client import FlClient, ResourceProfile
 from .errors import ConfigError
-from .flcore import FlCohort, FlTask
+from .flcore import FlCohort
 from .hashing import digest_hex, weights_digest
 from .orchestrator import Coordinator, RoundReport, SchedulerConfig
 from .scenarios import ScenarioData, ScenarioSpec, apply_drift, generate
-from .tinylearn import evaluate
+from .tinylearn import evaluate  # noqa: F401  (perfbench's traced run patches runner.evaluate)
+from .tinylearn import grouped_hits
 from .transport import SimNetwork
 
 logger = logging.getLogger(__name__)
@@ -127,22 +131,38 @@ class SimulationRun:
     summary: RunSummary | None = None
 
 
-def _holdout_of(client: FlClient, task: FlTask):
-    return client.split(task.plan.eval_holdout_fraction)[1]
-
-
-def _cohort_holdout_accuracy(
+def _member_holdout_accuracy(
     cohort: FlCohort, coordinator: Coordinator, clients: dict[str, FlClient]
-) -> float:
-    """Sample-weighted mean accuracy of the cohort model on member holdouts."""
+) -> list[tuple[str, float, int]]:
+    """(task_id, accuracy, holdout size) of the cohort model on each member's
+    holdout, in task-id order, from one forward pass over the stacked holdouts.
+
+    ``hits / n`` is bit-equal to ``evaluate(...).accuracy`` on that holdout.
+    """
+    task_ids = sorted(cohort.member_task_ids)
+    if not task_ids:
+        return []
+    holdouts = []
+    for task_id in task_ids:
+        task = coordinator.registry.tasks[task_id]
+        holdouts.append(clients[task.client_id].split(task.plan.eval_holdout_fraction)[1])
+    sizes = [h.n_samples for h in holdouts]
+    hits = grouped_hits(
+        cohort.global_weights,
+        np.concatenate([h.features for h in holdouts]),
+        np.concatenate([h.labels for h in holdouts]),
+        np.cumsum([0] + sizes[:-1]),
+    )
+    return [(t, int(h) / n, n) for t, h, n in zip(task_ids, hits, sizes)]
+
+
+def _cohort_holdout_accuracy(members: list[tuple[str, float, int]]) -> float:
+    """Sample-weighted mean of per-member holdout accuracies."""
     total = 0
     acc = 0.0
-    for task_id in sorted(cohort.member_task_ids):
-        task = coordinator.registry.tasks[task_id]
-        holdout = _holdout_of(clients[task.client_id], task)
-        metrics = evaluate(cohort.global_weights, holdout)
-        acc += metrics.accuracy * metrics.n_samples
-        total += metrics.n_samples
+    for _, accuracy, n in members:
+        acc += accuracy * n
+        total += n
     return acc / total if total else 0.0
 
 
@@ -230,7 +250,9 @@ def run_simulation(
                     "n_updates": report.received_updates,
                     "mean_local_acc": _fmt(_mean_local_accuracy(report, pre_accuracy)),
                     "global_holdout_acc": _fmt(
-                        _cohort_holdout_accuracy(cohort, coordinator, run.clients)
+                        _cohort_holdout_accuracy(
+                            _member_holdout_accuracy(cohort, coordinator, run.clients)
+                        )
                     ),
                     "flag_rate": _fmt(report.flag_rate),
                 }
@@ -268,19 +290,17 @@ def _summarize(run: SimulationRun, started: float) -> RunSummary:
     per_cohort: dict[str, dict] = {}
     aborted = []
     for cohort in coordinator.all_cohorts():
-        accuracy = _cohort_holdout_accuracy(cohort, coordinator, run.clients)
+        members = _member_holdout_accuracy(cohort, coordinator, run.clients)
         per_cohort[cohort.cohort_id] = {
             "rounds": cohort.round,
             "members": sorted(cohort.member_task_ids),
-            "final_holdout_accuracy": accuracy,
+            "final_holdout_accuracy": _cohort_holdout_accuracy(members),
             "weights_digest": digest_hex(weights_digest(cohort.global_weights.values)),
         }
         if cohort.round == 0:
             aborted.append(cohort.cohort_id)
-        for task_id in sorted(cohort.member_task_ids):
-            task = coordinator.registry.tasks[task_id]
-            holdout = _holdout_of(run.clients[task.client_id], task)
-            per_task[task_id] = evaluate(cohort.global_weights, holdout).accuracy
+        for task_id, accuracy, _ in members:
+            per_task[task_id] = accuracy
 
     per_client: dict[str, list[float]] = {}
     for task_id, accuracy in per_task.items():

@@ -12,7 +12,7 @@ vector. All arithmetic is float64 with summations in fixed index order.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,7 @@ class WeightVector:
     values: np.ndarray
     arch_id: str
     check_finite: InitVar[bool] = True
+    _arch: ModelArch = field(init=False, repr=False)
 
     def __post_init__(self, check_finite: bool):
         # own a copy so freezing it never flips flags on a caller's array
@@ -106,10 +107,11 @@ class WeightVector:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        self._arch = arch
 
     @property
     def arch(self) -> ModelArch:
-        return arch_from_id(self.arch_id)
+        return self._arch
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
@@ -299,6 +301,22 @@ def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> tuple[Weight
             )
     final_loss, _ = loss_and_gradient(current, data)
     return current, TrainStats(final_loss=final_loss, n_samples=n)
+
+
+def grouped_hits(
+    w: WeightVector, features: np.ndarray, labels: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Top-1 hit count of each group of rows in one forward pass.
+
+    ``features``/``labels`` stack the groups; ``offsets`` holds the row where
+    each group starts (ascending, first 0, every group non-empty). ``hits[g] /
+    n_g`` equals :func:`evaluate`'s accuracy on group ``g`` alone.
+    """
+    arch = w.arch
+    if features.ndim != 2 or features.shape[1] != arch.n_features:
+        raise ShapeError(f"features of shape {features.shape} do not match {w.arch_id}")
+    logits, _ = _forward(w.values, arch, features)
+    return np.add.reduceat(logits.argmax(axis=1) == labels, offsets, dtype=np.int64)
 
 
 def evaluate(w: WeightVector, data: Dataset) -> EvalMetrics:

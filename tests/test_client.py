@@ -125,6 +125,18 @@ def test_split_differs_across_clients():
     assert not np.array_equal(h_a.features, h_b.features)
 
 
+def test_split_cached_until_set_dataset():
+    client = _client()
+    first = client.split(0.25)
+    again = client.split(0.25)
+    assert again[0] is first[0] and again[1] is first[1]
+    assert client.split(0.5)[1] is not first[1]
+    client.set_dataset(separable_dataset(n=40, gap=4.0, seed=99))
+    fresh = client.split(0.25)
+    assert fresh[0] is not first[0] and fresh[1] is not first[1]
+    assert not fresh[1].features.flags.writeable
+
+
 def test_set_dataset_invalidates_split():
     client = _client()
     before = client.split(0.25)[1]

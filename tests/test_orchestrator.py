@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from communityfl.client import FlClient
-from communityfl.community import CollaborationCriteria
+from communityfl.community import CollaborationCriteria, signature_from_dataset
 from communityfl.errors import (
     AdmissionRefused,
     ConfigError,
@@ -22,7 +23,7 @@ from communityfl.orchestrator import (
 )
 from communityfl.runner import run_simulation
 from communityfl.scenarios import builtin_scenarios
-from communityfl.tinylearn import Dataset, WeightVector, evaluate
+from communityfl.tinylearn import Dataset, EvalMetrics, WeightVector, evaluate
 from communityfl.transport import SimNetwork
 
 from conftest import (
@@ -166,7 +167,7 @@ def test_single_member_round_adopts_trained_weights():
     coordinator = _coordinator()
     data = separable_dataset(n=40, gap=4.0, seed=1)
     network, channel = _wire_clients(coordinator, {"solo": data})
-    task = make_task("solo-t", client_id="solo")
+    task = make_task("solo-t", client_id="solo", signature=signature_from_dataset(data))
     network.clients["solo"].submit_task(channel, task)
     network.bind_task("solo-t", "solo")
     coordinator.ensure_cohorts()
@@ -181,8 +182,9 @@ def test_two_identical_clients_global_beats_initial_on_pooled_data():
     coordinator = _coordinator()
     data = separable_dataset(n=60, gap=3.0, seed=8)
     network, channel = _wire_clients(coordinator, {"a": data, "b": data})
+    signature = signature_from_dataset(data)
     for client_id in ("a", "b"):
-        task = make_task(f"{client_id}-t", client_id=client_id)
+        task = make_task(f"{client_id}-t", client_id=client_id, signature=signature)
         network.clients[client_id].submit_task(channel, task)
         network.bind_task(f"{client_id}-t", client_id)
     coordinator.ensure_cohorts()
@@ -240,43 +242,65 @@ def test_clients_per_round_subselection(rng):
     assert len(set(selections)) > 1  # the seeded shuffle rotates participants
 
 
-def test_cross_cohort_update_flagged_and_excluded():
-    class MislabelingTransport:
-        """Returns an update claiming a different cohort."""
+class _RewritingTransport:
+    """Delivers each update with some of its wire fields overwritten."""
 
-        def __init__(self, network):
-            self.network = network
+    def __init__(self, network, **update_fields):
+        self.network = network
+        self.update_fields = update_fields
 
-        def exchange_round(self, items, sched_round):
-            arrivals, transferred = self.network.exchange_round(items, sched_round)
-            import communityfl.netproto as netproto
+    def exchange_round(self, items, sched_round):
+        arrivals, transferred = self.network.exchange_round(items, sched_round)
+        import communityfl.netproto as netproto
 
-            patched = []
-            for task_id, env in arrivals:
-                doc = dict(env.payload)
-                update_doc = dict(doc["update"])
-                update_doc["cohort_id"] = "pop-other-c999"
-                doc["update"] = update_doc
-                patched.append(
-                    (task_id, netproto.Envelope(env.msg_type, env.correlation_id, doc))
-                )
-            return patched, transferred
+        patched = []
+        for task_id, env in arrivals:
+            doc = dict(env.payload)
+            doc["update"] = {**doc["update"], **self.update_fields}
+            patched.append((task_id, netproto.Envelope(env.msg_type, env.correlation_id, doc)))
+        return patched, transferred
 
-    coordinator = _coordinator(min_updates_quorum=0.5)
-    data = separable_dataset(n=40, gap=4.0, seed=1)
+
+def _single_member_cohort(coordinator, data: Dataset):
     network, channel = _wire_clients(coordinator, {"a": data})
-    task = make_task("a-t", client_id="a")
+    task = make_task("a-t", client_id="a", signature=signature_from_dataset(data))
     network.clients["a"].submit_task(channel, task)
     network.bind_task("a-t", "a")
     coordinator.ensure_cohorts()
-    cohort = coordinator.all_cohorts()[0]
+    return network, coordinator.all_cohorts()[0]
+
+
+def test_cross_cohort_update_flagged_and_excluded():
+    coordinator = _coordinator(min_updates_quorum=0.5)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
     before = cohort.global_weights.values.copy()
-    report = coordinator.run_round(cohort, MislabelingTransport(network), sched_round=1)
+    transport = _RewritingTransport(network, cohort_id="pop-other-c999")
+    report = coordinator.run_round(cohort, transport, sched_round=1)
     assert report.guard_verdicts["a-t"] == "flag:cohort_mismatch"
     assert report.status == "aborted"
     assert report.reason == "no_accepted_updates"
     assert np.array_equal(cohort.global_weights.values, before)
     assert cohort.round == 0
+
+
+@pytest.mark.parametrize("guard_epsilon", [0.5, None])
+def test_update_claiming_more_samples_than_signature_flagged(guard_epsilon):
+    # n_samples sets the aggregation weight, so an inflated claim is refused
+    # whether or not the loss guard is on
+    coordinator = _coordinator(guard_epsilon=guard_epsilon)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
+    before = cohort.global_weights.values.copy()
+    transport = _RewritingTransport(network, n_samples=41)
+    report = coordinator.run_round(cohort, transport, sched_round=1)
+    assert report.guard_verdicts["a-t"] == "flag:n_samples_exceeds_signature"
+    assert report.status == "aborted"
+    assert np.array_equal(cohort.global_weights.values, before)
+    # a claim equal to the signature's count is within the limit
+    honest = coordinator.run_round(cohort, _RewritingTransport(network, n_samples=40), 2)
+    assert honest.guard_verdicts["a-t"] == "accept"
+    assert honest.status == "committed"
 
 
 # -- the negative-transfer guard -------------------------------------------------------
@@ -312,6 +336,30 @@ def test_guard_flags_nonfinite_loss(bad, which):
     # regression test alone would accept these updates
     update = make_update("t", [0.0, 0.0], **{which: bad})
     assert guard_update(update, [], epsilon=0.5) == GuardVerdict(False, "non_finite_loss")
+
+
+@pytest.mark.parametrize(
+    "which, loss, accuracy",
+    [
+        ("pre_metrics", 1.0, -0.1),
+        ("post_metrics", 1.0, 1.5),
+        ("post_metrics", 1.0, float("nan")),
+        ("pre_metrics", -0.5, 0.5),
+        ("post_metrics", -1e-12, 0.5),
+    ],
+)
+def test_guard_flags_metric_out_of_range(which, loss, accuracy):
+    update = make_update("t", [0.0, 0.0])
+    update = dataclasses.replace(update, **{which: EvalMetrics(loss, accuracy, 10)})
+    assert guard_update(update, [], epsilon=10.0) == GuardVerdict(False, "metric_out_of_range")
+
+
+def test_guard_accepts_metrics_at_range_limits():
+    update = make_update("t", [0.0, 0.0])
+    update = dataclasses.replace(
+        update, pre_metrics=EvalMetrics(0.0, 0.0, 10), post_metrics=EvalMetrics(0.0, 1.0, 10)
+    )
+    assert guard_update(update, [], epsilon=0.0).accepted
 
 
 def test_poisoned_client_flagged_within_three_rounds():

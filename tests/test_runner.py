@@ -6,7 +6,9 @@ import sys
 
 from communityfl import runner, scenarios
 from communityfl.cli import main as cli_main
+from communityfl.client import FlClient
 from communityfl.scenarios import FaultSpec, builtin_scenarios
+from communityfl.tinylearn import evaluate
 
 
 def test_rounds_csv_has_exact_columns(tmp_path):
@@ -122,3 +124,28 @@ def test_socket_mode_csv_lags_global_holdout_column(tmp_path):
     runner.run_simulation(spec, mode="cohort", out_dir=tmp_path)
     rows = (tmp_path / "rounds.csv").read_text().strip().splitlines()[1:]
     assert all(row.split(",")[4] != "" for row in rows)
+
+
+def test_summary_accuracy_equals_direct_evaluate_after_drift(tmp_path):
+    # each member's holdout is rebuilt from the client's current data, so a
+    # drifted client still scored on its pre-drift holdout would not match
+    spec = builtin_scenarios()["drift"]
+    run = runner.run_simulation(spec, mode="cohort", out_dir=tmp_path)
+    doc = json.loads((tmp_path / "run_summary.json").read_text())
+    drifted = {event.client_id for event in spec.drift_events}
+    seen_drifted = False
+    for cohort in run.coordinator.all_cohorts():
+        total = correct = 0.0
+        for task_id in sorted(cohort.member_task_ids):
+            task = run.coordinator.registry.tasks[task_id]
+            generated = run.data.client(task.client_id)
+            fresh = FlClient(task.client_id, generated.dataset, generated.metadata)
+            holdout = fresh.split(task.plan.eval_holdout_fraction)[1]
+            metrics = evaluate(cohort.global_weights, holdout)
+            assert doc["per_task_holdout_accuracy"][task_id] == metrics.accuracy
+            correct += metrics.accuracy * metrics.n_samples
+            total += metrics.n_samples
+            seen_drifted |= task.client_id in drifted
+        final = doc["per_cohort"][cohort.cohort_id]["final_holdout_accuracy"]
+        assert final == correct / total
+    assert seen_drifted

@@ -8,6 +8,7 @@ from communityfl.tinylearn import (
     WeightVector,
     arch_from_id,
     evaluate,
+    grouped_hits,
     init_weights,
     loss_and_gradient,
     make_arch,
@@ -71,6 +72,9 @@ def test_weight_vector_rejects_nonfinite_and_bad_length():
         values=np.array([np.inf, 0, 0, 0, 0, 0]), arch_id=arch.arch_id, check_finite=False
     )
     assert not lenient.is_finite()
+    with pytest.raises(ShapeError):
+        WeightVector(values=np.zeros(6), arch_id="logreg:2x")
+    assert lenient.arch == arch and lenient.arch is lenient.arch
 
 
 def test_train_separable_reaches_full_accuracy():
@@ -213,3 +217,30 @@ def test_mlp_trains_on_nonlinear_boundary(rng):
     mlp, _ = train_local(init_weights(make_arch(2, 2, hidden_units=8), 3), data, hp)
     assert evaluate(logreg, data).accuracy < 0.75
     assert evaluate(mlp, data).accuracy > 0.9
+
+
+@pytest.mark.parametrize("hidden_units", [0, 5])
+def test_grouped_hits_match_per_group_evaluate(rng, hidden_units):
+    arch = make_arch(3, 4, hidden_units=hidden_units)
+    w = WeightVector(values=rng.normal(0, 1.5, arch.param_count), arch_id=arch.arch_id)
+    groups = [
+        Dataset(features=rng.normal(0, 2, (n, 3)), labels=rng.integers(0, 4, n), n_classes=4)
+        for n in (7, 1, 12, 3)
+    ]
+    sizes = [g.n_samples for g in groups]
+    hits = grouped_hits(
+        w,
+        np.concatenate([g.features for g in groups]),
+        np.concatenate([g.labels for g in groups]),
+        np.cumsum([0] + sizes[:-1]),
+    )
+    assert hits.tolist() == [round(evaluate(w, g).accuracy * g.n_samples) for g in groups]
+    for g, h in zip(groups, hits):
+        assert int(h) / g.n_samples == evaluate(w, g).accuracy  # bit-equal, not approximate
+    assert 0 < hits.sum() < sum(sizes)  # both hits and misses exercised
+
+
+def test_grouped_hits_rejects_feature_mismatch():
+    w = init_weights(make_arch(3, 2), 0)
+    with pytest.raises(ShapeError):
+        grouped_hits(w, np.zeros((4, 2)), np.zeros(4, dtype=np.int64), np.array([0]))
