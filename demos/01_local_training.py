@@ -34,12 +34,12 @@ w0 = init_weights(arch, seed=7)
 print(f"initial holdout metrics: {evaluate(w0, data)}")
 
 hp = HyperParams(epochs=10, batch_size=16, learning_rate=0.5, shuffle_seed=3)
-trained, stats = train_local(w0, data, hp)
-print(f"after {hp.epochs} epochs: loss={stats.final_loss:.4f} "
-      f"accuracy={evaluate(trained, data).accuracy:.3f}")
+trained = train_local(w0, data, hp)
+metrics = evaluate(trained, data)
+print(f"after {hp.epochs} epochs: loss={metrics.loss:.4f} accuracy={metrics.accuracy:.3f}")
 
 # determinism: the same inputs reproduce the same weights, bit for bit
-again, _ = train_local(w0, data, hp)
+again = train_local(w0, data, hp)
 print("bit-identical retrain:", bool(np.array_equal(trained.values, again.values)))
 
 # gradient sanity: central finite differences agree with the analytic form

@@ -36,7 +36,6 @@ from .tinylearn import (
     EvalMetrics,
     HyperParams,
     ModelArch,
-    TrainStats,
     WeightVector,
     arch_from_id,
     evaluate,
@@ -69,7 +68,6 @@ __all__ = [
     "PopulationRegistry",
     "RoundReport",
     "SchedulerConfig",
-    "TrainStats",
     "WeightVector",
     "admit",
     "aggregate",

@@ -250,7 +250,7 @@ class FlClient:
             learning_rate=req.plan.learning_rate,
             shuffle_seed=stable_u64(req.plan.shuffle_seed, req.task_id, req.round) % 2**63,
         )
-        trained, _stats = train_local(req.weights, train, hp)
+        trained = train_local(req.weights, train, hp)
         self._prev_local[req.task_id] = (req.cohort_id, trained)
         update = ModelUpdate(
             task_id=req.task_id,

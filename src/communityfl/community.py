@@ -297,6 +297,11 @@ def recluster(
     data-poor clients would hand them a model trained mostly on someone
     else's distribution. Blocks with no inherited cohort are brand-new and
     start from ``init_weights``. A task "migrated" when its cohort id changed.
+
+    A brand-new cohort is numbered past every index the population has ever
+    issued, so the id of a removed cohort is never reused: its former members
+    would otherwise answer the new cohort's round 0 from their cached update
+    for the old one.
     """
     _validate_threshold(threshold)
     blocks = _greedy_blocks(new_signatures, threshold)
@@ -325,7 +330,7 @@ def recluster(
         assigned_old[b_index] = old_id
         used_old.add(old_id)
 
-    next_index = 0
+    next_index = population.next_cohort_index
     for cohort_id in old_cohorts:
         suffix = cohort_id.rsplit("-c", 1)[-1]
         if suffix.isdigit():
@@ -364,6 +369,7 @@ def recluster(
             if old_home is not None and old_home != cohort.cohort_id:
                 report.migrated[tid] = (old_home, cohort.cohort_id)
 
+    population.next_cohort_index = next_index
     kept = {c.cohort_id for c in new_cohorts}
     report.removed_cohort_ids = sorted(set(old_cohorts) - kept)
     new_cohorts.sort(key=lambda c: c.cohort_id)

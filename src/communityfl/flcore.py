@@ -114,6 +114,9 @@ class FlPopulation:
     config: ConfigSignature
     member_task_ids: set[str] = field(default_factory=set)
     cohorts: list[FlCohort] = field(default_factory=list)
+    # recluster numbers new cohorts from at least this index and advances it
+    # past every id it has seen or issued, so no cohort id is reused
+    next_cohort_index: int = 0
 
 
 @dataclass(eq=False)

@@ -50,7 +50,7 @@ from .flcore import (
 )
 from .hashing import digest_hex, stable_u64, weights_digest
 from .netproto import Envelope, MsgType
-from .tinylearn import init_weights
+from .tinylearn import EvalMetrics, init_weights
 
 logger = logging.getLogger(__name__)
 
@@ -122,6 +122,9 @@ class RoundReport:
     reason: str | None
     executors: dict[str, str]
     bytes_transferred: int
+    # task id -> (pre, post) metrics of each received update whose task,
+    # cohort and round match this round, in arrival order; not serialized
+    update_metrics: dict[str, tuple[EvalMetrics, EvalMetrics]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.received_updates > len(self.selected_task_ids):
@@ -162,12 +165,13 @@ class CohortStats:
 
 
 class RoundTransport(Protocol):
-    """Delivers train requests and collects update envelopes for one round."""
+    """Delivers train requests and hands back the updates of one round, each
+    decoded and recorded once by :meth:`Coordinator.receive_update`."""
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
-    ) -> tuple[list[tuple[str, Envelope | None]], int]:
-        """Return ((task_id, update envelope or None) in arrival order, bytes)."""
+    ) -> tuple[list[tuple[str, ModelUpdate | None]], int]:
+        """Return ((task_id, update or None) in arrival order, bytes)."""
         ...
 
 
@@ -385,14 +389,24 @@ class Coordinator:
         chosen = list(rng.permutation(members)[:k])
         return sorted(str(t) for t in chosen)
 
-    def record_update(self, update: ModelUpdate) -> str:
-        """Idempotent server-side storage of one (task, round) update."""
+    def receive_update(self, env: Envelope) -> tuple[ModelUpdate, Envelope]:
+        """Decode one ModelUpdateMsg and store it, idempotently per (task,
+        cohort, round); returns the update and its MetricsAck. Every transport
+        turns a wire update into a stored one here.
+        """
+        if env.msg_type != MsgType.MODEL_UPDATE:
+            raise ProtocolError("protocol_state", f"expected ModelUpdateMsg, got {env.msg_type}")
+        update = netproto.update_from_doc(env.payload["update"])
+        key = (update.task_id, update.cohort_id, update.round)
         with self._lock:
-            key = (update.task_id, update.cohort_id, update.round)
-            if key in self._received:
-                return "duplicate"
-            self._received[key] = update
-            return "stored"
+            status = "duplicate" if key in self._received else "stored"
+            self._received.setdefault(key, update)
+        ack = Envelope(
+            msg_type=MsgType.METRICS_ACK,
+            correlation_id=env.correlation_id,
+            payload={"task_id": update.task_id, "round": update.round, "status": status},
+        )
+        return update, ack
 
     def run_round(
         self,
@@ -422,15 +436,7 @@ class Coordinator:
         arrivals, bytes_transferred = transport.exchange_round(items, sched_round)
 
         with self._lock:
-            received: list[tuple[str, ModelUpdate]] = []
-            executors: dict[str, str] = {}
-            for task_id, env in arrivals:
-                if env is None:
-                    continue
-                update = netproto.update_from_doc(env.payload["update"])
-                received.append((task_id, update))
-                executors[task_id] = update.executor_id
-
+            received = [(t, u) for t, u in arrivals if u is not None]
             verdicts: dict[str, GuardVerdict] = {}
             for task_id, update in received:
                 if update.task_id != task_id or update.cohort_id != cohort.cohort_id:
@@ -456,6 +462,13 @@ class Coordinator:
             elif not accepted:
                 status, reason = "aborted", "no_accepted_updates"
 
+            # the updates that answer this round's requests, before the commit
+            # advances the round counter
+            metrics = {
+                t: (u.pre_metrics, u.post_metrics)
+                for t, u in received
+                if (u.task_id, u.cohort_id, u.round) == (t, cohort.cohort_id, cohort.round)
+            }
             if status == "committed":
                 cohort.global_weights = aggregate(
                     accepted, weighted=self.config.weighted_aggregation
@@ -474,8 +487,9 @@ class Coordinator:
                 new_global_weights_hash=weights_digest(cohort.global_weights.values),
                 status=status,
                 reason=reason,
-                executors=executors,
+                executors={t: u.executor_id for t, u in received},
                 bytes_transferred=bytes_transferred,
+                update_metrics=metrics,
             )
             self.reports.append(report)
             if status == "aborted":
@@ -562,13 +576,7 @@ class Coordinator:
                     payload={"task_id": task.task_id, "population_id": population_id},
                 )
             if env.msg_type == MsgType.MODEL_UPDATE:
-                update = netproto.update_from_doc(env.payload["update"])
-                status = self.record_update(update)
-                return Envelope(
-                    msg_type=MsgType.METRICS_ACK,
-                    correlation_id=env.correlation_id,
-                    payload={"task_id": update.task_id, "round": update.round, "status": status},
-                )
+                return self.receive_update(env)[1]
             return self._error(env, "protocol_state", f"{env.msg_type.value} is not a request")
         except ProtocolError as exc:
             return self._error(env, exc.code, exc.message)

@@ -15,11 +15,15 @@ A run produces four artifacts in the output directory:
 ``rounds.csv`` is byte-identical across runs with the same scenario and seed;
 ``run_summary.json`` additionally records wall time, which is not.
 
-In simulation the runner is omniscient: it evaluates the fresh global model
-on every member's holdout right after each round, in one forward pass over
-the members' stacked holdouts. The socket server cannot
+One round driver serves both in-process simulation and socket runs; the two
+differ only in set-up, the simulation's scripted drift, and how the holdout
+column is filled. In simulation the runner is omniscient: it evaluates the
+fresh global model on every member's holdout right after each round, in one
+forward pass over the members' stacked holdouts. The socket server cannot
 see client holdouts, so there the same column is filled from the next round's
-client-reported metrics and left empty for the final round.
+client-reported metrics and left empty for the final round. Either way the
+runner reads client metrics from ``RoundReport.update_metrics``, which the
+transports fill with decoded, recorded updates.
 """
 
 from __future__ import annotations
@@ -166,9 +170,52 @@ def _cohort_holdout_accuracy(members: list[tuple[str, float, int]]) -> float:
     return acc / total if total else 0.0
 
 
-def _mean_local_accuracy(report: RoundReport, arrivals_accuracy: dict[str, float]) -> float | None:
-    values = [arrivals_accuracy[t] for t in report.guard_verdicts if t in arrivals_accuracy]
-    return sum(values) / len(values) if values else None
+class _OmniscientHoldout:
+    """Simulation: the runner sees every client, so it scores each fresh cohort
+    model on all members' holdouts and fills that round's own row."""
+
+    def __init__(self, coordinator: Coordinator, clients: dict[str, FlClient]):
+        self._coordinator = coordinator
+        self._clients = clients
+
+    def fill(self, cohort: FlCohort, report: RoundReport, rows: list[dict]):
+        members = _member_holdout_accuracy(cohort, self._coordinator, self._clients)
+        rows[-1]["global_holdout_acc"] = _fmt(_cohort_holdout_accuracy(members))
+
+    def final(self, reports: list[RoundReport]) -> tuple[dict[str, float], dict[str, float]]:
+        """Per-task and per-cohort accuracy of the final cohort models."""
+        per_task: dict[str, float] = {}
+        per_cohort: dict[str, float] = {}
+        for cohort in self._coordinator.all_cohorts():
+            members = _member_holdout_accuracy(cohort, self._coordinator, self._clients)
+            per_cohort[cohort.cohort_id] = _cohort_holdout_accuracy(members)
+            for task_id, accuracy, _ in members:
+                per_task[task_id] = accuracy
+        return per_task, per_cohort
+
+
+class _ReportedHoldout:
+    """Socket: the server cannot see client holdouts. A cohort's row for round
+    r gets the mean post accuracy its clients report in round r+1, i.e. the
+    round-r model on their holdouts; the final row stays empty."""
+
+    def __init__(self):
+        self._last_row: dict[str, int] = {}
+
+    def fill(self, cohort: FlCohort, report: RoundReport, rows: list[dict]):
+        post = [post.accuracy for _, post in report.update_metrics.values()]
+        previous = self._last_row.get(cohort.cohort_id)
+        if post and previous is not None:
+            rows[previous]["global_holdout_acc"] = _fmt(sum(post) / len(post))
+        self._last_row[cohort.cohort_id] = len(rows) - 1
+
+    def final(self, reports: list[RoundReport]) -> tuple[dict[str, float], dict[str, float]]:
+        """Each task's latest reported post accuracy; no per-cohort score."""
+        per_task: dict[str, float] = {}
+        for report in reports:
+            for task_id, (_, post) in report.update_metrics.items():
+                per_task[task_id] = post.accuracy
+        return per_task, {}
 
 
 def run_simulation(
@@ -209,12 +256,10 @@ def run_simulation(
         network.bind_task(task.task_id, task.client_id)
     coordinator.ensure_cohorts()
 
-    drift_by_round: dict[int, list] = {}
-    for event in spec.drift_events:
-        drift_by_round.setdefault(event.round, []).append(event)
-
-    for sched_round in range(1, config.rounds + 1):
-        for event in drift_by_round.get(sched_round, ()):
+    def drift(sched_round: int):
+        for event in spec.drift_events:
+            if event.round != sched_round:
+                continue
             dataset = apply_drift(data, event)
             run.clients[event.client_id].set_dataset(dataset)
             generated = data.client(event.client_id)
@@ -228,8 +273,52 @@ def run_simulation(
                     task.data_signature = generated.metadata.data_signature
             logger.info("round %d: client %s drifted", sched_round, event.client_id)
 
+    holdout = _OmniscientHoldout(coordinator, run.clients)
+    _drive_rounds(coordinator, network, config.rounds, holdout, run.rows, run.reports, drift)
+    run.summary = _finish(
+        coordinator, holdout, spec.name, mode, config.rounds, run.rows, run.reports, started, out_dir
+    )
+    return run
+
+
+def run_socket_rounds(
+    server,
+    rounds: int,
+    out_dir: Path | None,
+    scenario_name: str = "socket",
+    mode: str = MODE_COHORT,
+    ready_timeout_s: float = 60.0,
+) -> tuple[list[dict], list[RoundReport]]:
+    """Drive rounds over live socket sessions and write the same artifacts.
+
+    The server cannot evaluate client holdouts, so ``global_holdout_acc`` for
+    round r is filled from round r+1's client-reported post metrics and the
+    final row is left empty.
+    """
+    coordinator = server.coordinator
+    if not server.wait_ready(ready_timeout_s):
+        raise ConfigError("expected clients did not register and submit tasks in time")
+    started = time.perf_counter()
+    coordinator.ensure_cohorts()
+    rows: list[dict] = []
+    reports: list[RoundReport] = []
+    holdout = _ReportedHoldout()
+    try:
+        _drive_rounds(coordinator, server.round_transport(), rounds, holdout, rows, reports)
+    finally:
+        # a signal-driven shutdown still flushes whatever completed
+        _finish(coordinator, holdout, scenario_name, mode, rounds, rows, reports, started, out_dir)
+    return rows, reports
+
+
+def _drive_rounds(coordinator, transport, rounds, holdout, rows, reports, before_round=None):
+    """The round loop of both modes: each scheduler round runs every cohort
+    once, appends its report and csv row, then reclusters marked cohorts."""
+    for sched_round in range(1, rounds + 1):
+        if before_round is not None:
+            before_round(sched_round)
         for cohort in coordinator.all_cohorts():
-            report = coordinator.run_round(cohort, network, sched_round)
+            report = coordinator.run_round(cohort, transport, sched_round)
             logger.debug(
                 "round %d cohort %s: %s (%d updates)",
                 sched_round,
@@ -237,70 +326,41 @@ def run_simulation(
                 report.status,
                 report.received_updates,
             )
-            run.reports.append(report)
+            reports.append(report)
             coordinator.ingest_metrics(report)
-            pre_accuracy = {
-                task_id: update.pre_metrics.accuracy
-                for task_id, update in _updates_of(report, coordinator)
-            }
-            run.rows.append(
+            pre = [pre.accuracy for pre, _ in report.update_metrics.values()]
+            rows.append(
                 {
                     "cohort_id": cohort.cohort_id,
                     "round": sched_round,
                     "n_updates": report.received_updates,
-                    "mean_local_acc": _fmt(_mean_local_accuracy(report, pre_accuracy)),
-                    "global_holdout_acc": _fmt(
-                        _cohort_holdout_accuracy(
-                            _member_holdout_accuracy(cohort, coordinator, run.clients)
-                        )
-                    ),
+                    "mean_local_acc": _fmt(sum(pre) / len(pre) if pre else None),
+                    "global_holdout_acc": "",
                     "flag_rate": _fmt(report.flag_rate),
                 }
             )
+            holdout.fill(cohort, report, rows)
         coordinator.recluster_marked()
-
-    run.summary = _summarize(run, started)
-    if out_dir is not None:
-        write_artifacts(
-            Path(out_dir),
-            run.rows,
-            run.reports,
-            run.coordinator,
-            run.summary,
-            run.spec.name,
-            run.mode,
-        )
-    return run
-
-
-def _updates_of(report: RoundReport, coordinator: Coordinator):
-    for task_id in report.guard_verdicts:
-        update = coordinator._received.get((task_id, report.cohort_id, report.round))
-        if update is not None:
-            yield task_id, update
 
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else repr(round(float(value), 6))
 
 
-def _summarize(run: SimulationRun, started: float) -> RunSummary:
-    coordinator = run.coordinator
-    per_task: dict[str, float] = {}
+def _finish(coordinator, holdout, scenario, mode, rounds, rows, reports, started, out_dir):
+    """Summarize the run and, given an output directory, write its artifacts."""
+    per_task, cohort_accuracy = holdout.final(reports)
     per_cohort: dict[str, dict] = {}
     aborted = []
     for cohort in coordinator.all_cohorts():
-        members = _member_holdout_accuracy(cohort, coordinator, run.clients)
         per_cohort[cohort.cohort_id] = {
             "rounds": cohort.round,
             "members": sorted(cohort.member_task_ids),
-            "final_holdout_accuracy": _cohort_holdout_accuracy(members),
+            "final_holdout_accuracy": cohort_accuracy.get(cohort.cohort_id),
             "weights_digest": digest_hex(weights_digest(cohort.global_weights.values)),
         }
         if cohort.round == 0:
             aborted.append(cohort.cohort_id)
-        for task_id, accuracy, _ in members:
-            per_task[task_id] = accuracy
 
     per_client: dict[str, list[float]] = {}
     for task_id, accuracy in per_task.items():
@@ -311,12 +371,12 @@ def _summarize(run: SimulationRun, started: float) -> RunSummary:
         sum(client_accuracy.values()) / len(client_accuracy) if client_accuracy else 0.0
     )
 
-    return RunSummary(
-        scenario=run.spec.name,
-        mode=run.mode,
-        seed=run.coordinator.config.seed,
-        rounds_scheduled=run.coordinator.config.rounds,
-        rounds_committed=sum(1 for r in run.reports if r.status == "committed"),
+    summary = RunSummary(
+        scenario=scenario,
+        mode=mode,
+        seed=coordinator.config.seed,
+        rounds_scheduled=rounds,
+        rounds_committed=sum(1 for r in reports if r.status == "committed"),
         per_task_holdout_accuracy=per_task,
         per_client_holdout_accuracy=client_accuracy,
         per_cohort=per_cohort,
@@ -327,6 +387,9 @@ def _summarize(run: SimulationRun, started: float) -> RunSummary:
         aborted_cohorts=aborted,
         wall_time_s=round(time.perf_counter() - started, 3),
     )
+    if out_dir is not None:
+        write_artifacts(Path(out_dir), rows, reports, coordinator, summary, scenario, mode)
+    return summary
 
 
 # -- artifact writing ------------------------------------------------------------
@@ -421,103 +484,6 @@ def write_artifacts(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
     (out_dir / "run_summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def run_socket_rounds(
-    server,
-    rounds: int,
-    out_dir: Path | None,
-    scenario_name: str = "socket",
-    mode: str = MODE_COHORT,
-    ready_timeout_s: float = 60.0,
-) -> tuple[list[dict], list[RoundReport]]:
-    """Drive rounds over live socket sessions and write the same artifacts.
-
-    The server cannot evaluate client holdouts, so ``global_holdout_acc`` for
-    round r is filled from round r+1's client-reported post metrics and the
-    final row is left empty.
-    """
-    coordinator = server.coordinator
-    if not server.wait_ready(ready_timeout_s):
-        raise ConfigError("expected clients did not register and submit tasks in time")
-    started = time.perf_counter()
-    coordinator.ensure_cohorts()
-    rows: list[dict] = []
-    reports: list[RoundReport] = []
-    last_row_of: dict[str, int] = {}
-    try:
-        for sched_round in range(1, rounds + 1):
-            for cohort in coordinator.all_cohorts():
-                report = coordinator.run_round(cohort, server.round_transport(), sched_round)
-                reports.append(report)
-                coordinator.ingest_metrics(report)
-                updates = list(_updates_of(report, coordinator))
-                if updates and cohort.cohort_id in last_row_of:
-                    lagged = sum(u.post_metrics.accuracy for _, u in updates) / len(updates)
-                    rows[last_row_of[cohort.cohort_id]]["global_holdout_acc"] = _fmt(lagged)
-                pre_accuracy = {t: u.pre_metrics.accuracy for t, u in updates}
-                rows.append(
-                    {
-                        "cohort_id": cohort.cohort_id,
-                        "round": sched_round,
-                        "n_updates": report.received_updates,
-                        "mean_local_acc": _fmt(_mean_local_accuracy(report, pre_accuracy)),
-                        "global_holdout_acc": "",
-                        "flag_rate": _fmt(report.flag_rate),
-                    }
-                )
-                last_row_of[cohort.cohort_id] = len(rows) - 1
-            coordinator.recluster_marked()
-    finally:
-        # a signal-driven shutdown still flushes whatever completed
-        _finish_socket_run(
-            server, rounds, out_dir, scenario_name, mode, rows, reports, started
-        )
-    return rows, reports
-
-
-def _finish_socket_run(server, rounds, out_dir, scenario_name, mode, rows, reports, started):
-    coordinator = server.coordinator
-    per_cohort = {}
-    aborted = []
-    latest_post: dict[str, float] = {}
-    for report in reports:
-        for task_id, update in _updates_of(report, coordinator):
-            latest_post[task_id] = update.post_metrics.accuracy
-    for cohort in coordinator.all_cohorts():
-        per_cohort[cohort.cohort_id] = {
-            "rounds": cohort.round,
-            "members": sorted(cohort.member_task_ids),
-            "final_holdout_accuracy": None,
-            "weights_digest": digest_hex(weights_digest(cohort.global_weights.values)),
-        }
-        if cohort.round == 0:
-            aborted.append(cohort.cohort_id)
-    per_client: dict[str, list[float]] = {}
-    for task_id, accuracy in latest_post.items():
-        client_id = coordinator.registry.tasks[task_id].client_id
-        per_client.setdefault(client_id, []).append(accuracy)
-    client_accuracy = {cid: sum(v) / len(v) for cid, v in per_client.items()}
-    summary = RunSummary(
-        scenario=scenario_name,
-        mode=mode,
-        seed=coordinator.config.seed,
-        rounds_scheduled=rounds,
-        rounds_committed=sum(1 for r in reports if r.status == "committed"),
-        per_task_holdout_accuracy=latest_post,
-        per_client_holdout_accuracy=client_accuracy,
-        per_cohort=per_cohort,
-        mean_holdout_accuracy=(
-            sum(client_accuracy.values()) / len(client_accuracy) if client_accuracy else 0.0
-        ),
-        comparison={MODE_COHORT: None, MODE_GLOBAL: None, "delta_points": None},
-        recluster_events=list(coordinator.migration_log),
-        warnings=list(coordinator.warnings),
-        aborted_cohorts=aborted,
-        wall_time_s=round(time.perf_counter() - started, 3),
-    )
-    if out_dir is not None:
-        write_artifacts(Path(out_dir), rows, reports, coordinator, summary, scenario_name, mode)
 
 
 def _merge_comparison(out_dir: Path, mode: str, mean_accuracy: float) -> dict:

@@ -173,12 +173,6 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class TrainStats:
-    final_loss: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class EvalMetrics:
     loss: float
     accuracy: float
@@ -281,7 +275,7 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
     return loss, grad
 
 
-def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> tuple[WeightVector, TrainStats]:
+def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector:
     """Mini-batch SGD on cross-entropy; deterministic given ``hp.shuffle_seed``."""
     arch = _check_shapes(w, data)
     rng = np.random.default_rng(hp.shuffle_seed)
@@ -299,8 +293,7 @@ def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> tuple[Weight
             current = WeightVector(
                 values=current.values - hp.learning_rate * grad, arch_id=arch.arch_id
             )
-    final_loss, _ = loss_and_gradient(current, data)
-    return current, TrainStats(final_loss=final_loss, n_samples=n)
+    return current
 
 
 def grouped_hits(

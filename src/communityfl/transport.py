@@ -2,9 +2,12 @@
 
 Both carry the same length-prefixed frames and drive the same coordinator
 logic, so a zero-fault socket run reproduces the simulated run bit-exactly.
-The simulated network executes on a single thread in a fixed order (requests
-dispatched in ascending task id, delayed deliveries appended last) and applies
-scenario-scripted drop/delay faults to update delivery.
+Each decodes a received update frame once and hands it to
+``Coordinator.receive_update``, so a round's arrivals come back as decoded,
+recorded ``ModelUpdate``s. The simulated network executes on a single thread
+in a fixed order (requests dispatched in ascending task id, delayed deliveries
+appended last) and applies scenario-scripted drop/delay faults to update
+delivery.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import netproto
 from .client import FlClient, train_request_from_env
 from .community import admit
 from .errors import DeliveryError, ProtocolError
-from .flcore import ConfigSignature, FlTask
+from .flcore import ConfigSignature, FlTask, ModelUpdate
 from .netproto import Envelope, MsgType
 from .orchestrator import Coordinator
 
@@ -61,7 +64,7 @@ class _RoundChannel:
         self._network = network
         self._sched_round = sched_round
         self._client_id = client_id
-        self.delivered: Envelope | None = None
+        self.delivered: ModelUpdate | None = None
         self.delayed = False
 
     def request(self, frame: bytes) -> bytes:
@@ -74,9 +77,9 @@ class _RoundChannel:
             raise DeliveryError(f"scripted drop of {self._client_id} in round {self._sched_round}")
         if fault == "delay":
             self.delayed = True
-        response = network.coordinator.handle_frame(frame)
+        self.delivered, ack = network.coordinator.receive_update(netproto.decode(frame))
+        response = netproto.encode(ack)
         network.bytes_transferred += len(response)
-        self.delivered = netproto.decode(frame)
         return response
 
 
@@ -105,11 +108,11 @@ class SimNetwork:
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
-    ) -> tuple[list[tuple[str, Envelope | None]], int]:
+    ) -> tuple[list[tuple[str, ModelUpdate | None]], int]:
         """Deliver train requests in order; collect updates, delayed ones last."""
         bytes_before = self.bytes_transferred
-        prompt: list[tuple[str, Envelope | None]] = []
-        delayed: list[tuple[str, Envelope | None]] = []
+        prompt: list[tuple[str, ModelUpdate | None]] = []
+        delayed: list[tuple[str, ModelUpdate | None]] = []
         for task_id, env in items:
             frame = netproto.encode(env)
             self.bytes_transferred += len(frame)
@@ -224,9 +227,9 @@ class SocketRoundTransport:
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
-    ) -> tuple[list[tuple[str, Envelope | None]], int]:
+    ) -> tuple[list[tuple[str, ModelUpdate | None]], int]:
         coordinator = self._server.coordinator
-        arrivals: list[tuple[str, Envelope | None]] = []
+        arrivals: list[tuple[str, ModelUpdate | None]] = []
         bytes_transferred = 0
         for task_id, env in items:
             session = self._server.session_for_task(task_id)
@@ -241,23 +244,11 @@ class SocketRoundTransport:
                 if reply is None:
                     raise ProtocolError("truncated", "client closed connection")
                 bytes_transferred += len(reply)
-                response = netproto.decode(reply)
-                if response.msg_type != MsgType.MODEL_UPDATE:
-                    raise ProtocolError(
-                        "protocol_state", f"expected ModelUpdateMsg, got {response.msg_type}"
-                    )
-                update = netproto.update_from_doc(response.payload["update"])
-                status = coordinator.record_update(update)
-                ack = netproto.encode(
-                    Envelope(
-                        msg_type=MsgType.METRICS_ACK,
-                        correlation_id=response.correlation_id,
-                        payload={"task_id": task_id, "round": update.round, "status": status},
-                    )
-                )
-                session.send(ack)
-                bytes_transferred += len(ack)
-                arrivals.append((task_id, response))
+                update, ack = coordinator.receive_update(netproto.decode(reply))
+                ack_frame = netproto.encode(ack)
+                session.send(ack_frame)
+                bytes_transferred += len(ack_frame)
+                arrivals.append((task_id, update))
             except (OSError, ProtocolError) as exc:
                 logger.warning("round %s: client for %s dropped (%s)", sched_round, task_id, exc)
                 session.close()

@@ -13,6 +13,7 @@ from communityfl.community import (
     ParticipantMetadata,
 )
 from communityfl.flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate
+from communityfl.hashing import stable_u64
 from communityfl.tinylearn import Dataset, EvalMetrics, WeightVector, make_arch
 
 ARCH_2X2 = make_arch(2, 2)
@@ -82,7 +83,7 @@ def make_task(
     device_type: str = "tracker",
     overrides: dict | None = None,
 ) -> FlTask:
-    rng = np.random.default_rng(abs(hash(task_id)) % 2**32)
+    rng = np.random.default_rng(stable_u64("task", task_id))
     return FlTask(
         task_id=task_id,
         client_id=client_id,
@@ -120,7 +121,7 @@ def make_metadata(
     quality: float = 1.0,
     criteria: CollaborationCriteria | None = None,
 ) -> ParticipantMetadata:
-    rng = np.random.default_rng(abs(hash(participant_id)) % 2**32)
+    rng = np.random.default_rng(stable_u64("metadata", participant_id))
     sig = rand_signature(rng)
     sig = DataSignature(
         per_feature_mean=sig.per_feature_mean,

@@ -4,7 +4,7 @@ import pytest
 from communityfl.client import FlClient, TrainRequest
 from communityfl.errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from communityfl.orchestrator import Coordinator, SchedulerConfig
-from communityfl.runner import _updates_of, run_simulation
+from communityfl.runner import run_simulation
 from communityfl.scenarios import (
     ClusterSpec,
     CommunitySpec,
@@ -353,6 +353,5 @@ def test_matched_cohort_model_beats_own_local_model():
     for report in run.reports:
         if report.sched_round == 1:
             continue
-        updates = dict(_updates_of(report, run.coordinator))
-        small = updates["s-small-t"]
-        assert small.post_metrics.loss < small.pre_metrics.loss
+        pre, post = report.update_metrics["s-small-t"]
+        assert post.loss < pre.loss

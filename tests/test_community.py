@@ -371,3 +371,30 @@ def test_recluster_brand_new_cohort_initialized_from_seed(rng):
     assert fresh.round == 0
     expected = init_weights(population.config.model_arch, 9)
     assert np.array_equal(fresh.global_weights.values, expected.values)
+
+
+def test_recluster_never_reissues_a_removed_cohort_id():
+    far_a = fixed_signature([0.0, 0.0], [1.0, 1.0], [0.5, 0.5], n_samples=200)
+    far_b = fixed_signature([9.0, 9.0], [1.0, 1.0], [0.5, 0.5], n_samples=200)
+    far_c = fixed_signature([-9.0, -9.0], [1.0, 1.0], [0.5, 0.5], n_samples=50)
+    signatures = {"a": far_a, "b": far_b, "c": far_c}
+    population = _population_with(signatures)
+    population.cohorts = form_cohorts(population, signatures, threshold=0.8, seed=4)
+    assert [c.cohort_id for c in population.cohorts] == [
+        "pop-test-c000",
+        "pop-test-c001",
+        "pop-test-c002",
+    ]
+    # c joins a's cohort, so c002 is removed
+    population.cohorts, report = recluster(
+        population, {**signatures, "c": far_a}, threshold=0.8, seed=4
+    )
+    assert report.removed_cohort_ids == ["pop-test-c002"]
+    # c drifts back: it opens a brand-new cohort, which must not be c002 again
+    population.cohorts, report = recluster(population, signatures, threshold=0.8, seed=4)
+    assert report.new_cohort_ids == ["pop-test-c003"]
+    assert {c.cohort_id for c in population.cohorts} == {
+        "pop-test-c000",
+        "pop-test-c001",
+        "pop-test-c003",
+    }

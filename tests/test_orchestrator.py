@@ -243,7 +243,7 @@ def test_clients_per_round_subselection(rng):
 
 
 class _RewritingTransport:
-    """Delivers each update with some of its wire fields overwritten."""
+    """Delivers each update with some of its fields overwritten."""
 
     def __init__(self, network, **update_fields):
         self.network = network
@@ -251,13 +251,7 @@ class _RewritingTransport:
 
     def exchange_round(self, items, sched_round):
         arrivals, transferred = self.network.exchange_round(items, sched_round)
-        import communityfl.netproto as netproto
-
-        patched = []
-        for task_id, env in arrivals:
-            doc = dict(env.payload)
-            doc["update"] = {**doc["update"], **self.update_fields}
-            patched.append((task_id, netproto.Envelope(env.msg_type, env.correlation_id, doc)))
+        patched = [(t, dataclasses.replace(u, **self.update_fields)) for t, u in arrivals]
         return patched, transferred
 
 
@@ -282,6 +276,23 @@ def test_cross_cohort_update_flagged_and_excluded():
     assert report.reason == "no_accepted_updates"
     assert np.array_equal(cohort.global_weights.values, before)
     assert cohort.round == 0
+
+
+def test_report_metrics_cover_only_updates_that_answer_the_round():
+    # a mismatched update is received and flagged, but its metrics are not
+    # this cohort's round, so the runner never sees them
+    coordinator = _coordinator(min_updates_quorum=0.5)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
+    mismatched = coordinator.run_round(
+        cohort, _RewritingTransport(network, cohort_id="pop-other-c999"), sched_round=1
+    )
+    assert mismatched.received_updates == 1
+    assert mismatched.update_metrics == {}
+    honest = coordinator.run_round(cohort, network, sched_round=2)
+    update = coordinator._received[("a-t", cohort.cohort_id, 0)]
+    assert honest.update_metrics == {"a-t": (update.pre_metrics, update.post_metrics)}
+    assert "update_metrics" not in honest.to_doc()
 
 
 @pytest.mark.parametrize("guard_epsilon", [0.5, None])

@@ -82,10 +82,9 @@ def test_train_separable_reaches_full_accuracy():
     arch = make_arch(2, 2)
     w0 = init_weights(arch, 0)
     hp = HyperParams(epochs=50, batch_size=4, learning_rate=0.5, shuffle_seed=11)
-    trained, stats = train_local(w0, data, hp)
+    trained = train_local(w0, data, hp)
     metrics = evaluate(trained, data)
     assert metrics.accuracy == 1.0
-    assert stats.n_samples == 20
 
 
 def test_train_epochs_zero_rejected():
@@ -146,7 +145,7 @@ def test_evaluate_random_weights_near_chance(rng):
 
 def test_evaluate_after_fit_low_loss():
     data = separable_dataset(n=20, gap=4.0, seed=5)
-    trained, _ = train_local(
+    trained = train_local(
         init_weights(make_arch(2, 2), 1),
         data,
         HyperParams(epochs=50, batch_size=4, learning_rate=0.5, shuffle_seed=2),
@@ -170,17 +169,16 @@ def test_train_deterministic_bit_identical():
     data = separable_dataset(n=30, gap=2.0, seed=9)
     w0 = init_weights(make_arch(2, 2), 4)
     hp = HyperParams(epochs=3, batch_size=8, learning_rate=0.2, shuffle_seed=77)
-    a, stats_a = train_local(w0, data, hp)
-    b, stats_b = train_local(w0, data, hp)
+    a = train_local(w0, data, hp)
+    b = train_local(w0, data, hp)
     assert np.array_equal(a.values, b.values)
-    assert stats_a == stats_b
 
 
 def test_different_shuffle_seed_changes_trajectory():
     data = separable_dataset(n=30, gap=2.0, seed=9)
     w0 = init_weights(make_arch(2, 2), 4)
-    a, _ = train_local(w0, data, HyperParams(2, 8, 0.2, shuffle_seed=1))
-    b, _ = train_local(w0, data, HyperParams(2, 8, 0.2, shuffle_seed=2))
+    a = train_local(w0, data, HyperParams(2, 8, 0.2, shuffle_seed=1))
+    b = train_local(w0, data, HyperParams(2, 8, 0.2, shuffle_seed=2))
     assert np.any(a.values != b.values)
 
 
@@ -213,8 +211,8 @@ def test_mlp_trains_on_nonlinear_boundary(rng):
         n_classes=2,
     )
     hp = HyperParams(epochs=120, batch_size=16, learning_rate=0.4, shuffle_seed=5)
-    logreg, _ = train_local(init_weights(make_arch(2, 2), 3), data, hp)
-    mlp, _ = train_local(init_weights(make_arch(2, 2, hidden_units=8), 3), data, hp)
+    logreg = train_local(init_weights(make_arch(2, 2), 3), data, hp)
+    mlp = train_local(init_weights(make_arch(2, 2, hidden_units=8), 3), data, hp)
     assert evaluate(logreg, data).accuracy < 0.75
     assert evaluate(mlp, data).accuracy > 0.9
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import socket
@@ -85,6 +86,29 @@ def test_sim_drop_fault_three_attempts_then_dropout(rng):
     # next round is fault-free and everyone is back
     report2 = coordinator.run_round(cohort, network, sched_round=2)
     assert report2.received_updates == 3
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_sim_round_decodes_each_update_frame_once(rng, monkeypatch):
+    coordinator, network, cohort = _sim_round_setup(rng)
+    decodes = _count_calls(monkeypatch, netproto, "decode")
+    conversions = _count_calls(monkeypatch, netproto, "update_from_doc")
+    report = coordinator.run_round(cohort, network, sched_round=1)
+    assert report.received_updates == 3
+    # per update: the train request, the update itself, and its MetricsAck
+    assert len(decodes) == 3 * report.received_updates
+    assert len(conversions) == report.received_updates
 
 
 # -- sockets -----------------------------------------------------------------------
@@ -331,3 +355,49 @@ def test_server_close_stops_accept_thread_at_once():
     elapsed = time.perf_counter() - start
     assert not server._accept_thread.is_alive()
     assert elapsed < 0.1  # well under the listener's 0.2 s accept poll
+
+
+def test_socket_round_converts_each_update_once(tmp_path, monkeypatch):
+    spec = builtin_scenarios()["uniform"]
+    conversions = _count_calls(monkeypatch, netproto, "update_from_doc")
+    server, threads = _start_socket_run(tmp_path, spec)
+    try:
+        _rows, reports = runner.run_socket_rounds(server, 2, None, scenario_name=spec.name)
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    received = sum(r.received_updates for r in reports)
+    assert received == 2 * len(spec.clients)
+    assert len(conversions) == received
+
+
+def test_socket_holdout_column_lags_one_round(tmp_path):
+    # the server cannot see holdouts: row r carries the mean post accuracy
+    # the cohort's clients report in round r+1, i.e. the round-r model scored
+    # on their holdouts, and the final row of each cohort stays empty
+    spec = builtin_scenarios()["uniform"]
+    server, threads = _start_socket_run(tmp_path, spec)
+    out = tmp_path / "out"
+    try:
+        _rows, reports = runner.run_socket_rounds(server, 4, out, scenario_name=spec.name)
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    with (out / "rounds.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    coordinator = server.coordinator
+    for cohort_id in {r.cohort_id for r in reports}:
+        cohort_rows = [row for row in rows if row["cohort_id"] == cohort_id]
+        cohort_reports = [r for r in reports if r.cohort_id == cohort_id]
+        assert len(cohort_rows) == len(cohort_reports) == 4
+        for row, later in zip(cohort_rows, cohort_reports[1:]):
+            post = [
+                coordinator._received[(t, cohort_id, later.round)].post_metrics.accuracy
+                for t in later.guard_verdicts
+            ]
+            assert row["global_holdout_acc"] == repr(round(sum(post) / len(post), 6))
+        assert cohort_rows[-1]["global_holdout_acc"] == ""
