@@ -29,7 +29,9 @@ import numpy as np
 
 from . import netproto, runner, scenarios, transport
 from .client import FlClient
+from .community import Community, ParticipantMetadata
 from .errors import CommunityFlError, ConfigError, ProtocolError
+from .flcore import FlTask
 from .orchestrator import Coordinator, SchedulerConfig
 from .tinylearn import Dataset
 
@@ -92,9 +94,7 @@ def cmd_serve(args) -> int:
     try:
         config_doc = json.loads(Path(args.config).read_text())
         scheduler = SchedulerConfig(**config_doc["scheduler"])
-        communities = [
-            netproto.community_from_doc(doc) for doc in config_doc["communities"]
-        ]
+        communities = [netproto.from_doc(Community, doc) for doc in config_doc["communities"]]
         expected_tasks = int(config_doc["expected_tasks"])
         recv_timeout = float(config_doc.get("recv_timeout_s", 30.0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -147,13 +147,15 @@ def cmd_client(args) -> int:
     host, port = _parse_addr(args.connect)
     dataset = _load_dataset(args.data)
     try:
-        metadata = netproto.metadata_from_doc(json.loads(Path(args.metadata).read_text()))
+        metadata = netproto.from_doc(
+            ParticipantMetadata, json.loads(Path(args.metadata).read_text())
+        )
     except (OSError, ValueError, KeyError, TypeError, CommunityFlError) as exc:
         raise ConfigError(f"cannot read metadata file {args.metadata}: {exc}") from exc
     task = None
     if args.task:
         try:
-            task = netproto.task_from_doc(json.loads(Path(args.task).read_text()))
+            task = netproto.from_doc(FlTask, json.loads(Path(args.task).read_text()))
         except (OSError, ValueError, KeyError, TypeError, CommunityFlError) as exc:
             raise ConfigError(f"cannot read task file {args.task}: {exc}") from exc
     client = FlClient(metadata.participant_id, dataset, metadata)

@@ -24,9 +24,9 @@ from typing import Callable, Protocol
 import numpy as np
 
 from . import netproto
-from .community import ParticipantMetadata
+from .community import Community, ParticipantMetadata
 from .errors import DelegationError, DeliveryError, ProtocolError, ShapeError
-from .flcore import FlPlan, FlTask, ModelUpdate
+from .flcore import FlTask, ModelUpdate, TrainRequest
 from .hashing import stable_u64
 from .netproto import Envelope, MsgType
 from .tinylearn import Dataset, HyperParams, WeightVector, evaluate, train_local
@@ -45,42 +45,7 @@ class RequestChannel(Protocol):
 
 @dataclass(frozen=True)
 class ResourceProfile:
-    cpu_score: float = 1.0
     battery: float = 1.0
-
-
-@dataclass(frozen=True)
-class TrainRequest:
-    task_id: str
-    cohort_id: str
-    round: int
-    plan: FlPlan
-    weights: WeightVector
-
-
-def train_request_to_env(req: TrainRequest, correlation_id: int) -> Envelope:
-    return Envelope(
-        msg_type=MsgType.TRAIN_REQUEST,
-        correlation_id=correlation_id,
-        payload={
-            "task_id": req.task_id,
-            "cohort_id": req.cohort_id,
-            "round": req.round,
-            "plan": netproto.plan_to_doc(req.plan),
-            "weights": netproto.weights_to_wire(req.weights),
-        },
-    )
-
-
-def train_request_from_env(env: Envelope) -> TrainRequest:
-    p = env.payload
-    return TrainRequest(
-        task_id=p["task_id"],
-        cohort_id=p["cohort_id"],
-        round=p["round"],
-        plan=netproto.plan_from_doc(p["plan"]),
-        weights=netproto.wire_to_weights(p["weights"]),
-    )
 
 
 @dataclass(eq=False)
@@ -92,7 +57,6 @@ class ClientState:
     neighbors: list[str] = field(default_factory=list)
     trusted_neighbors: frozenset[str] = frozenset()
     registered: bool = False
-    current_tasks: dict[str, FlTask] = field(default_factory=dict)
 
 
 class FlClient:
@@ -130,9 +94,12 @@ class FlClient:
         return self.state.client_id
 
     def set_dataset(self, dataset: Dataset):
-        """Replace local data (drift); invalidates the cached holdout split."""
+        """Replace local data (drift); invalidates the cached holdout split and
+        the cached updates, which were trained and measured on the old data.
+        The previous local weights stay: they are the guard's baseline."""
         self.state.local_data = dataset
         self._split_cache.clear()
+        self._update_cache.clear()
 
     def split(self, holdout_fraction: float) -> tuple[Dataset, Dataset]:
         """Deterministic train/holdout split, stable for a fixed client seed.
@@ -187,7 +154,7 @@ class FlClient:
         env = Envelope(
             msg_type=MsgType.REGISTER,
             correlation_id=self._next_correlation(),
-            payload={"metadata": netproto.metadata_to_doc(self.state.metadata)},
+            payload={"metadata": netproto.to_doc(self.state.metadata)},
         )
         ack = self._exchange(channel, env)
         self.session_token = ack.payload["session_token"]
@@ -201,7 +168,7 @@ class FlClient:
             payload={"participant_id": self.client_id},
         )
         response = self._exchange(channel, env)
-        return [netproto.community_from_doc(doc) for doc in response.payload["communities"]]
+        return [netproto.from_doc(Community, doc) for doc in response.payload["communities"]]
 
     def submit_task(self, channel: RequestChannel, task: FlTask) -> str:
         if not self.state.registered or self.session_token is None:
@@ -210,12 +177,11 @@ class FlClient:
             msg_type=MsgType.SUBMIT_TASK,
             correlation_id=self._next_correlation(),
             payload={
-                "task": netproto.task_to_doc(task),
+                "task": netproto.to_doc(task),
                 "session_token": self.session_token,
             },
         )
         ack = self._exchange(channel, env)
-        self.state.current_tasks[task.task_id] = task
         return ack.payload["population_id"]
 
     # -- plan execution -------------------------------------------------------
@@ -314,7 +280,7 @@ class FlClient:
             msg_type=MsgType.MODEL_UPDATE,
             correlation_id=correlation_id,
             payload={
-                "update": netproto.update_to_doc(update),
+                "update": netproto.to_doc(update),
                 "session_token": self.session_token or "",
             },
         )

@@ -9,23 +9,13 @@ cohort boundary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DuplicateTaskError, EmptyAggregationError, PlanError, ShapeError
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
-
-PLAN_FIELDS = (
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "shuffle_seed",
-    "eval_holdout_fraction",
-    "rounds_target",
-)
-
 
 @dataclass(frozen=True)
 class ConfigSignature:
@@ -77,6 +67,9 @@ class FlPlan:
             )
         if self.rounds_target < 1:
             raise PlanError(f"rounds_target must be >= 1, got {self.rounds_target}")
+
+
+PLAN_FIELDS = tuple(f.name for f in fields(FlPlan))
 
 
 @dataclass(eq=False)
@@ -138,6 +131,18 @@ class ModelUpdate:
             raise ShapeError(f"n_samples must be >= 1, got {self.n_samples}")
         if not self.executor_id:
             self.executor_id = self.task_id
+
+
+@dataclass(frozen=True)
+class TrainRequest:
+    """The coordinator's instruction for one task's local round: the task's
+    plan and the cohort's current global weights."""
+
+    task_id: str
+    cohort_id: str
+    round: int
+    plan: FlPlan
+    weights: WeightVector
 
 
 class PopulationRegistry:

@@ -6,9 +6,11 @@ every well-formed frame. The decoder is strict and total: any malformed input
 raises :class:`ProtocolError` and nothing else.
 
 Every message type's payload is validated against an explicit schema; unknown
-fields are rejected. No schema declares a field that can carry raw feature or
-label arrays - model weights travel as base64-encoded float64 blobs and data
-is only ever described by its statistical signature.
+fields are rejected. The same schemas drive :func:`to_doc` and
+:func:`from_doc`, which convert domain records to and from documents. No
+schema declares a field that can carry raw feature or label arrays - model
+weights travel as base64-encoded float64 blobs and data is only ever
+described by its statistical signature.
 
 See ``docs/PROTOCOL.md`` for the normative schema reference.
 """
@@ -21,7 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .community import (
     ParticipantMetadata,
 )
 from .errors import ProtocolError, ShapeError
-from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate
+from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
 
 PROTOCOL_VERSION = 1
@@ -69,6 +71,7 @@ class Field:
     kind: str  # str | int | float | bool | number | list | doc | map
     item: "Field | None" = None
     schema: dict | None = None
+    record: type | None = None  # the domain class a "doc" field converts to
 
 
 F_STR = Field("str")
@@ -81,29 +84,34 @@ def f_list(item: Field) -> Field:
     return Field("list", item=item)
 
 
-def f_doc(schema: dict) -> Field:
-    return Field("doc", schema=schema)
+def f_doc(record: type) -> Field:
+    return Field("doc", schema=RECORD_SCHEMAS[record], record=record)
 
 
 def f_map(value: Field) -> Field:
     return Field("map", item=value)
 
 
-CRITERIA_SCHEMA = {
+# Wire records: each domain class that travels as a document, with its schema.
+# The schema validates frames and drives to_doc / from_doc; its fields are the
+# class's constructor arguments. A record is declared after those it nests.
+RECORD_SCHEMAS: dict[type, dict] = {}
+
+RECORD_SCHEMAS[CollaborationCriteria] = {
     "required_tags": f_list(F_STR),
     "forbidden_tags": f_list(F_STR),
     "min_data_quality": F_FLOAT,
     "min_samples": F_INT,
 }
 
-DEVICE_SCHEMA = {
+RECORD_SCHEMAS[DeviceDescriptor] = {
     "manufacturer": F_STR,
     "model": F_STR,
     "device_type": F_STR,
     "firmware": F_STR,
 }
 
-SIGNATURE_SCHEMA = {
+RECORD_SCHEMAS[DataSignature] = {
     "per_feature_mean": f_list(F_FLOAT),
     "per_feature_std": f_list(F_FLOAT),
     "label_histogram": f_list(F_FLOAT),
@@ -111,23 +119,23 @@ SIGNATURE_SCHEMA = {
     "quality_score": F_FLOAT,
 }
 
-METADATA_SCHEMA = {
+RECORD_SCHEMAS[ParticipantMetadata] = {
     "participant_id": F_STR,
-    "device": f_doc(DEVICE_SCHEMA),
+    "device": f_doc(DeviceDescriptor),
     "interests": f_list(F_STR),
     "expertise": f_list(F_STR),
-    "data_signature": f_doc(SIGNATURE_SCHEMA),
-    "criteria": f_doc(CRITERIA_SCHEMA),
+    "data_signature": f_doc(DataSignature),
+    "criteria": f_doc(CollaborationCriteria),
 }
 
-ARCH_SCHEMA = {
+RECORD_SCHEMAS[ModelArch] = {
     "arch_id": F_STR,
     "n_features": F_INT,
     "n_classes": F_INT,
     "hidden_units": F_INT,
 }
 
-PLAN_SCHEMA = {
+RECORD_SCHEMAS[FlPlan] = {
     "epochs": F_INT,
     "batch_size": F_INT,
     "learning_rate": F_FLOAT,
@@ -136,70 +144,73 @@ PLAN_SCHEMA = {
     "rounds_target": F_INT,
 }
 
-CONFIG_SCHEMA = {
+RECORD_SCHEMAS[ConfigSignature] = {
     "device_type": F_STR,
     "fl_algorithm": F_STR,
-    "model_arch": f_doc(ARCH_SCHEMA),
+    "model_arch": f_doc(ModelArch),
     "objective": F_STR,
 }
 
-TASK_SCHEMA = {
+RECORD_SCHEMAS[FlTask] = {
     "task_id": F_STR,
     "client_id": F_STR,
     "community_id": F_STR,
-    "config": f_doc(CONFIG_SCHEMA),
-    "data_signature": f_doc(SIGNATURE_SCHEMA),
+    "config": f_doc(ConfigSignature),
+    "data_signature": f_doc(DataSignature),
     "targeted_device": F_STR,
     "plan_overrides": f_map(F_NUMBER),
 }
 
-COMMUNITY_SCHEMA = {
+RECORD_SCHEMAS[Community] = {
     "community_id": F_STR,
     "creator_id": F_STR,
     "purpose": F_STR,
     "objective": F_STR,
-    "criteria": f_doc(CRITERIA_SCHEMA),
-    "base_model": f_doc(ARCH_SCHEMA),
-    "default_plan": f_doc(PLAN_SCHEMA),
+    "criteria": f_doc(CollaborationCriteria),
+    "base_model": f_doc(ModelArch),
+    "default_plan": f_doc(FlPlan),
 }
 
-WIRE_WEIGHTS_SCHEMA = {
+# converted by weights_to_wire / wire_to_weights, not field by field
+RECORD_SCHEMAS[WeightVector] = {
     "arch_id": F_STR,
     "values": F_STR,  # base64 of little-endian float64
 }
 
-METRICS_SCHEMA = {
+RECORD_SCHEMAS[EvalMetrics] = {
     "loss": F_FLOAT,
     "accuracy": F_FLOAT,
     "n_samples": F_INT,
 }
 
-UPDATE_SCHEMA = {
+RECORD_SCHEMAS[ModelUpdate] = {
     "task_id": F_STR,
     "cohort_id": F_STR,
     "round": F_INT,
-    "weights": f_doc(WIRE_WEIGHTS_SCHEMA),
+    "weights": f_doc(WeightVector),
     "n_samples": F_INT,
-    "pre_metrics": f_doc(METRICS_SCHEMA),
-    "post_metrics": f_doc(METRICS_SCHEMA),
+    "pre_metrics": f_doc(EvalMetrics),
+    "post_metrics": f_doc(EvalMetrics),
     "executor_id": F_STR,
 }
 
+RECORD_SCHEMAS[TrainRequest] = {
+    "task_id": F_STR,
+    "cohort_id": F_STR,
+    "round": F_INT,
+    "plan": f_doc(FlPlan),
+    "weights": f_doc(WeightVector),
+}
+
 PAYLOAD_SCHEMAS: dict[MsgType, dict] = {
-    MsgType.REGISTER: {"metadata": f_doc(METADATA_SCHEMA)},
+    MsgType.REGISTER: {"metadata": f_doc(ParticipantMetadata)},
     MsgType.REGISTER_ACK: {"participant_id": F_STR, "session_token": F_STR},
     MsgType.LIST_COMMUNITIES: {"participant_id": F_STR},
-    MsgType.COMMUNITY_LIST: {"communities": f_list(f_doc(COMMUNITY_SCHEMA))},
-    MsgType.SUBMIT_TASK: {"task": f_doc(TASK_SCHEMA), "session_token": F_STR},
+    MsgType.COMMUNITY_LIST: {"communities": f_list(f_doc(Community))},
+    MsgType.SUBMIT_TASK: {"task": f_doc(FlTask), "session_token": F_STR},
     MsgType.TASK_ACK: {"task_id": F_STR, "population_id": F_STR},
-    MsgType.TRAIN_REQUEST: {
-        "task_id": F_STR,
-        "cohort_id": F_STR,
-        "round": F_INT,
-        "plan": f_doc(PLAN_SCHEMA),
-        "weights": f_doc(WIRE_WEIGHTS_SCHEMA),
-    },
-    MsgType.MODEL_UPDATE: {"update": f_doc(UPDATE_SCHEMA), "session_token": F_STR},
+    MsgType.TRAIN_REQUEST: RECORD_SCHEMAS[TrainRequest],
+    MsgType.MODEL_UPDATE: {"update": f_doc(ModelUpdate), "session_token": F_STR},
     MsgType.METRICS_ACK: {"task_id": F_STR, "round": F_INT, "status": F_STR},
     MsgType.ERROR: {"code": F_STR, "message": F_STR},
 }
@@ -393,212 +404,72 @@ def wire_to_weights(doc: dict) -> WeightVector:
         raise ProtocolError("malformed", str(exc)) from exc
 
 
-def metrics_to_doc(m: EvalMetrics) -> dict:
-    return {"loss": float(m.loss), "accuracy": float(m.accuracy), "n_samples": int(m.n_samples)}
+_TO_DOC: dict[type, Callable] = {WeightVector: weights_to_wire}
+_FROM_DOC: dict[type, Callable] = {WeightVector: wire_to_weights}
 
 
-def metrics_from_doc(doc: dict) -> EvalMetrics:
-    return EvalMetrics(loss=doc["loss"], accuracy=doc["accuracy"], n_samples=doc["n_samples"])
+def to_doc(obj) -> dict:
+    """Document form of a wire record (a class in ``RECORD_SCHEMAS``)."""
+    return _TO_DOC[type(obj)](obj)
 
 
-def criteria_to_doc(c: CollaborationCriteria) -> dict:
-    return {
-        "required_tags": sorted(c.required_tags),
-        "forbidden_tags": sorted(c.forbidden_tags),
-        "min_data_quality": float(c.min_data_quality),
-        "min_samples": int(c.min_samples),
-    }
-
-
-def criteria_from_doc(doc: dict) -> CollaborationCriteria:
-    return CollaborationCriteria(
-        required_tags=frozenset(doc["required_tags"]),
-        forbidden_tags=frozenset(doc["forbidden_tags"]),
-        min_data_quality=doc["min_data_quality"],
-        min_samples=doc["min_samples"],
-    )
-
-
-def signature_to_doc(s: DataSignature) -> dict:
-    return {
-        "per_feature_mean": [float(x) for x in s.per_feature_mean],
-        "per_feature_std": [float(x) for x in s.per_feature_std],
-        "label_histogram": [float(x) for x in s.label_histogram],
-        "n_samples": int(s.n_samples),
-        "quality_score": float(s.quality_score),
-    }
-
-
-def signature_from_doc(doc: dict) -> DataSignature:
-    return DataSignature(
-        per_feature_mean=np.array(doc["per_feature_mean"], dtype=np.float64),
-        per_feature_std=np.array(doc["per_feature_std"], dtype=np.float64),
-        label_histogram=np.array(doc["label_histogram"], dtype=np.float64),
-        n_samples=doc["n_samples"],
-        quality_score=doc["quality_score"],
-    )
-
-
-def metadata_to_doc(meta: ParticipantMetadata) -> dict:
-    return {
-        "participant_id": meta.participant_id,
-        "device": {
-            "manufacturer": meta.device.manufacturer,
-            "model": meta.device.model,
-            "device_type": meta.device.device_type,
-            "firmware": meta.device.firmware,
-        },
-        "interests": sorted(meta.interests),
-        "expertise": sorted(meta.expertise),
-        "data_signature": signature_to_doc(meta.data_signature),
-        "criteria": criteria_to_doc(meta.criteria),
-    }
-
-
-def metadata_from_doc(doc: dict) -> ParticipantMetadata:
-    dev = doc["device"]
-    return ParticipantMetadata(
-        participant_id=doc["participant_id"],
-        device=DeviceDescriptor(
-            manufacturer=dev["manufacturer"],
-            model=dev["model"],
-            device_type=dev["device_type"],
-            firmware=dev["firmware"],
-        ),
-        interests=frozenset(doc["interests"]),
-        expertise=frozenset(doc["expertise"]),
-        data_signature=signature_from_doc(doc["data_signature"]),
-        criteria=criteria_from_doc(doc["criteria"]),
-    )
-
-
-def arch_to_doc(arch: ModelArch) -> dict:
-    return {
-        "arch_id": arch.arch_id,
-        "n_features": arch.n_features,
-        "n_classes": arch.n_classes,
-        "hidden_units": arch.hidden_units,
-    }
-
-
-def arch_from_doc(doc: dict) -> ModelArch:
-    return ModelArch(
-        arch_id=doc["arch_id"],
-        n_features=doc["n_features"],
-        n_classes=doc["n_classes"],
-        hidden_units=doc["hidden_units"],
-    )
-
-
-def plan_to_doc(plan: FlPlan) -> dict:
-    return {
-        "epochs": int(plan.epochs),
-        "batch_size": int(plan.batch_size),
-        "learning_rate": float(plan.learning_rate),
-        "shuffle_seed": int(plan.shuffle_seed),
-        "eval_holdout_fraction": float(plan.eval_holdout_fraction),
-        "rounds_target": int(plan.rounds_target),
-    }
-
-
-def plan_from_doc(doc: dict) -> FlPlan:
-    return FlPlan(
-        epochs=doc["epochs"],
-        batch_size=doc["batch_size"],
-        learning_rate=doc["learning_rate"],
-        shuffle_seed=doc["shuffle_seed"],
-        eval_holdout_fraction=doc["eval_holdout_fraction"],
-        rounds_target=doc["rounds_target"],
-    )
-
-
-def config_to_doc(config: ConfigSignature) -> dict:
-    return {
-        "device_type": config.device_type,
-        "fl_algorithm": config.fl_algorithm,
-        "model_arch": arch_to_doc(config.model_arch),
-        "objective": config.objective,
-    }
-
-
-def config_from_doc(doc: dict) -> ConfigSignature:
-    return ConfigSignature(
-        device_type=doc["device_type"],
-        fl_algorithm=doc["fl_algorithm"],
-        model_arch=arch_from_doc(doc["model_arch"]),
-        objective=doc["objective"],
-    )
-
-
-def task_to_doc(task: FlTask) -> dict:
-    return {
-        "task_id": task.task_id,
-        "client_id": task.client_id,
-        "community_id": task.community_id,
-        "config": config_to_doc(task.config),
-        "data_signature": signature_to_doc(task.data_signature),
-        "targeted_device": task.targeted_device,
-        "plan_overrides": dict(task.plan_overrides),
-    }
-
-
-def task_from_doc(doc: dict) -> FlTask:
-    return FlTask(
-        task_id=doc["task_id"],
-        client_id=doc["client_id"],
-        community_id=doc["community_id"],
-        config=config_from_doc(doc["config"]),
-        data_signature=signature_from_doc(doc["data_signature"]),
-        targeted_device=doc["targeted_device"],
-        plan_overrides=dict(doc["plan_overrides"]),
-    )
-
-
-def community_to_doc(community: Community) -> dict:
-    return {
-        "community_id": community.community_id,
-        "creator_id": community.creator_id,
-        "purpose": community.purpose,
-        "objective": community.objective,
-        "criteria": criteria_to_doc(community.criteria),
-        "base_model": arch_to_doc(community.base_model),
-        "default_plan": plan_to_doc(community.default_plan),
-    }
-
-
-def community_from_doc(doc: dict) -> Community:
-    return Community(
-        community_id=doc["community_id"],
-        creator_id=doc["creator_id"],
-        purpose=doc["purpose"],
-        objective=doc["objective"],
-        criteria=criteria_from_doc(doc["criteria"]),
-        base_model=arch_from_doc(doc["base_model"]),
-        default_plan=plan_from_doc(doc["default_plan"]),
-    )
-
-
-def update_to_doc(update: ModelUpdate) -> dict:
-    return {
-        "task_id": update.task_id,
-        "cohort_id": update.cohort_id,
-        "round": int(update.round),
-        "weights": weights_to_wire(update.weights),
-        "n_samples": int(update.n_samples),
-        "pre_metrics": metrics_to_doc(update.pre_metrics),
-        "post_metrics": metrics_to_doc(update.post_metrics),
-        "executor_id": update.executor_id,
-    }
+def from_doc(cls: type, doc: dict):
+    """Build a ``cls`` record from its document; the class's ``__post_init__``
+    turns lists back into frozensets and arrays."""
+    return _FROM_DOC[cls](doc)
 
 
 def update_from_doc(doc: dict) -> ModelUpdate:
-    return ModelUpdate(
-        task_id=doc["task_id"],
-        cohort_id=doc["cohort_id"],
-        round=doc["round"],
-        weights=wire_to_weights(doc["weights"]),
-        n_samples=doc["n_samples"],
-        pre_metrics=metrics_from_doc(doc["pre_metrics"]),
-        post_metrics=metrics_from_doc(doc["post_metrics"]),
-        executor_id=doc["executor_id"],
-    )
+    """``from_doc(ModelUpdate, doc)``, named so that tracing can wrap the one
+    conversion every received update goes through."""
+    return from_doc(ModelUpdate, doc)
+
+
+# numeric fields are cast so numpy scalars go out as JSON numbers; strings are
+# not, so a non-string still fails validation in encode()
+_CASTS = {"int": int, "float": float}
+
+
+def _value_writer(spec: Field) -> Callable:
+    if spec.kind == "doc":
+        return _TO_DOC[spec.record]
+    if spec.kind == "list":
+        if spec.item.kind == "str":
+            return sorted  # every string list on the wire holds a tag set
+        item = _value_writer(spec.item)
+        return lambda values: [item(v) for v in values]
+    if spec.kind == "map":
+        item = _value_writer(spec.item)
+        return lambda mapping: {k: item(v) for k, v in mapping.items()}
+    return _CASTS.get(spec.kind, _same)
+
+
+def _value_reader(spec: Field) -> Callable:
+    if spec.kind == "doc":
+        return _FROM_DOC[spec.record]
+    if spec.kind == "map":
+        return dict
+    return _same
+
+
+def _same(value):
+    return value
+
+
+def _record_converters(cls: type, schema: dict) -> tuple[Callable, Callable]:
+    writers = [(name, _value_writer(spec)) for name, spec in schema.items()]
+    readers = [(name, _value_reader(spec)) for name, spec in schema.items()]
+
+    def write(obj) -> dict:
+        return {name: convert(getattr(obj, name)) for name, convert in writers}
+
+    def read(doc: dict):
+        return cls(**{name: convert(doc[name]) for name, convert in readers})
+
+    return write, read
+
+
+# declaration order puts nested records first, so their converters exist
+for _cls, _schema in RECORD_SCHEMAS.items():
+    if _cls not in _TO_DOC:
+        _TO_DOC[_cls], _FROM_DOC[_cls] = _record_converters(_cls, _schema)

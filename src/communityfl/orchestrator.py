@@ -16,12 +16,11 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 import numpy as np
 
 from . import netproto
-from .client import TrainRequest, train_request_to_env
 from .community import (
     Community,
     ParticipantMetadata,
@@ -45,6 +44,7 @@ from .flcore import (
     FlTask,
     ModelUpdate,
     PopulationRegistry,
+    TrainRequest,
     aggregate,
     merge_plan,
 )
@@ -175,9 +175,7 @@ class RoundTransport(Protocol):
         ...
 
 
-def guard_update(
-    update: ModelUpdate, cohort_history: Sequence[RoundReport], epsilon: float
-) -> GuardVerdict:
+def guard_update(update: ModelUpdate, epsilon: float) -> GuardVerdict:
     """Baseline negative-transfer detection.
 
     Flags an update when the incoming shared model degraded the client's
@@ -185,10 +183,8 @@ def guard_update(
     when either reported loss is not finite (a NaN or infinite delta never
     compares greater than ``epsilon``, so it must be refused explicitly), or
     when either metric set is out of range (accuracy outside [0, 1], loss < 0).
-    ``cohort_history`` is part of the interface for future predictive guards;
-    the baseline verdict is a pure function of the update and epsilon.
+    The verdict is a pure function of the update and epsilon.
     """
-    del cohort_history
     if not update.weights.is_finite():
         return GuardVerdict(False, "non_finite")
     if not (math.isfinite(update.pre_metrics.loss) and math.isfinite(update.post_metrics.loss)):
@@ -431,7 +427,8 @@ class Coordinator:
                     weights=cohort.global_weights,
                 )
                 correlation = stable_u64("train", cohort.cohort_id, sched_round, task_id) % 2**64
-                items.append((task_id, train_request_to_env(request, correlation)))
+                env = Envelope(MsgType.TRAIN_REQUEST, correlation, netproto.to_doc(request))
+                items.append((task_id, env))
 
         arrivals, bytes_transferred = transport.exchange_round(items, sched_round)
 
@@ -450,7 +447,7 @@ class Coordinator:
                 elif self.config.guard_epsilon is None:
                     verdicts[task_id] = GuardVerdict(True)
                 else:
-                    verdicts[task_id] = guard_update(update, (), self.config.guard_epsilon)
+                    verdicts[task_id] = guard_update(update, self.config.guard_epsilon)
 
             quorum_needed = max(1, math.ceil(self.config.min_updates_quorum * len(selected) - 1e-9))
             status, reason = "committed", None
@@ -544,7 +541,7 @@ class Coordinator:
         """Serve one request envelope; domain failures become Error responses."""
         try:
             if env.msg_type == MsgType.REGISTER:
-                metadata = netproto.metadata_from_doc(env.payload["metadata"])
+                metadata = netproto.from_doc(ParticipantMetadata, env.payload["metadata"])
                 token = self.register_client(metadata)
                 return Envelope(
                     msg_type=MsgType.REGISTER_ACK,
@@ -556,7 +553,7 @@ class Coordinator:
                 )
             if env.msg_type == MsgType.LIST_COMMUNITIES:
                 docs = [
-                    netproto.community_to_doc(self.communities[cid])
+                    netproto.to_doc(self.communities[cid])
                     for cid in sorted(self.communities)
                 ]
                 return Envelope(
@@ -565,7 +562,7 @@ class Coordinator:
                     payload={"communities": docs},
                 )
             if env.msg_type == MsgType.SUBMIT_TASK:
-                task = netproto.task_from_doc(env.payload["task"])
+                task = netproto.from_doc(FlTask, env.payload["task"])
                 expected = self.session_tokens.get(task.client_id)
                 if expected is None or env.payload["session_token"] != expected:
                     return self._error(env, "unregistered_client", "bad or missing session token")

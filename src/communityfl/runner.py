@@ -32,7 +32,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,24 +81,7 @@ class RunSummary:
     wall_time_s: float
 
     def to_doc(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "rounds_scheduled": self.rounds_scheduled,
-            "rounds_committed": self.rounds_committed,
-            "per_task_holdout_accuracy": dict(sorted(self.per_task_holdout_accuracy.items())),
-            "per_client_holdout_accuracy": dict(
-                sorted(self.per_client_holdout_accuracy.items())
-            ),
-            "per_cohort": dict(sorted(self.per_cohort.items())),
-            "mean_holdout_accuracy": self.mean_holdout_accuracy,
-            "comparison": self.comparison,
-            "recluster_events": self.recluster_events,
-            "warnings": self.warnings,
-            "aborted_cohorts": self.aborted_cohorts,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def scheduler_for_mode(config: SchedulerConfig, mode: str, seed: int | None) -> SchedulerConfig:
@@ -108,15 +91,10 @@ def scheduler_for_mode(config: SchedulerConfig, mode: str, seed: int | None) -> 
     """
     if mode not in (MODE_COHORT, MODE_GLOBAL):
         raise ConfigError(f"mode must be '{MODE_COHORT}' or '{MODE_GLOBAL}', got {mode!r}")
-    threshold = 0.0 if mode == MODE_GLOBAL else config.cohort_threshold
-    return SchedulerConfig(
-        clients_per_round=config.clients_per_round,
-        rounds=config.rounds,
-        cohort_threshold=threshold,
-        min_updates_quorum=config.min_updates_quorum,
-        guard_epsilon=config.guard_epsilon,
+    return replace(
+        config,
+        cohort_threshold=0.0 if mode == MODE_GLOBAL else config.cohort_threshold,
         seed=config.seed if seed is None else seed,
-        weighted_aggregation=config.weighted_aggregation,
     )
 
 
@@ -239,9 +217,7 @@ def run_simulation(
             client_id=generated.client_id,
             dataset=generated.dataset,
             metadata=generated.metadata,
-            resource_profile=ResourceProfile(
-                cpu_score=generated.resources.cpu_score, battery=generated.resources.battery
-            ),
+            resource_profile=ResourceProfile(battery=generated.resources.battery),
             neighbors=list(generated.resources.neighbors),
             trusted_neighbors=frozenset(generated.resources.trusted),
         )
@@ -452,7 +428,7 @@ def build_cohorts_doc(
                 "population_id": population.population_id,
                 "display_name": f"FL population {display_index}",
                 "community_ids": community_ids,
-                "config": netproto.config_to_doc(population.config),
+                "config": netproto.to_doc(population.config),
                 "cohorts": cohorts,
             }
         )

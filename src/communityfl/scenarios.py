@@ -14,7 +14,7 @@ RNG streams from stable hashes of (seed, purpose, client).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,6 @@ class FaultSpec:
 @dataclass
 class ResourceSpec:
     battery: float = 1.0
-    cpu_score: float = 1.0
     neighbors: list[str] = field(default_factory=list)
     trusted: list[str] = field(default_factory=list)
 
@@ -432,41 +431,13 @@ def apply_drift(data: ScenarioData, event: DriftEvent) -> Dataset:
 def spec_to_doc(spec: ScenarioSpec) -> dict:
     doc = asdict(spec)
     doc["samples_per_client"] = list(spec.samples_per_client)
-    doc["scheduler"] = {
-        "clients_per_round": spec.scheduler.clients_per_round,
-        "rounds": spec.scheduler.rounds,
-        "cohort_threshold": spec.scheduler.cohort_threshold,
-        "min_updates_quorum": spec.scheduler.min_updates_quorum,
-        "guard_epsilon": spec.scheduler.guard_epsilon,
-        "seed": spec.scheduler.seed,
-        "weighted_aggregation": spec.scheduler.weighted_aggregation,
-    }
     for cluster in doc["clusters"]:
         if cluster["label_map"] is not None:
             cluster["label_map"] = {str(k): v for k, v in cluster["label_map"].items()}
     return doc
 
 
-_SPEC_KEYS = {
-    "name",
-    "seed",
-    "clients",
-    "clusters",
-    "n_features",
-    "n_classes",
-    "samples_per_client",
-    "scheduler",
-    "communities",
-    "tasks",
-    "class_sep",
-    "feature_std",
-    "label_prior",
-    "samples_override",
-    "drift_events",
-    "poison",
-    "faults",
-    "resources",
-}
+_SPEC_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 
 def spec_from_doc(doc: dict) -> ScenarioSpec:
@@ -795,7 +766,7 @@ def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, P
 
     server_config = {
         "scheduler": spec_to_doc(spec)["scheduler"],
-        "communities": [netproto.community_to_doc(c) for c in data.communities],
+        "communities": [netproto.to_doc(c) for c in data.communities],
         "expected_tasks": len(data.tasks),
         "recv_timeout_s": 30.0,
     }
@@ -816,11 +787,11 @@ def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, P
             json.dumps(data_doc, sort_keys=True) + "\n"
         )
         (base.parent / f"{client.client_id}.metadata.json").write_text(
-            json.dumps(netproto.metadata_to_doc(client.metadata), indent=2, sort_keys=True) + "\n"
+            json.dumps(netproto.to_doc(client.metadata), indent=2, sort_keys=True) + "\n"
         )
         tasks = tasks_by_client.get(client.client_id, [])
         if tasks:
             (base.parent / f"{client.client_id}.task.json").write_text(
-                json.dumps(netproto.task_to_doc(tasks[0]), indent=2, sort_keys=True) + "\n"
+                json.dumps(netproto.to_doc(tasks[0]), indent=2, sort_keys=True) + "\n"
             )
     return paths

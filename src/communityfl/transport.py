@@ -18,10 +18,10 @@ import threading
 from dataclasses import dataclass, field
 
 from . import netproto
-from .client import FlClient, train_request_from_env
+from .client import FlClient
 from .community import admit
 from .errors import DeliveryError, ProtocolError
-from .flcore import ConfigSignature, FlTask, ModelUpdate
+from .flcore import ConfigSignature, FlTask, ModelUpdate, TrainRequest
 from .netproto import Envelope, MsgType
 from .orchestrator import Coordinator
 
@@ -117,7 +117,7 @@ class SimNetwork:
             frame = netproto.encode(env)
             self.bytes_transferred += len(frame)
             client = self.clients[self.task_owner[task_id]]
-            request = train_request_from_env(netproto.decode(frame))
+            request = netproto.from_doc(TrainRequest, netproto.decode(frame).payload)
             try:
                 update = client.handle_train_request(request, self.resolve_neighbor)
             except Exception as exc:  # client-side task error -> round dropout
@@ -193,9 +193,6 @@ class ClientSession:
 
     sock: socket.socket
     file: object
-    peer: str
-    participant_id: str | None = None
-    task_ids: set[str] = field(default_factory=set)
     dead: bool = False
 
     def send(self, frame: bytes):
@@ -313,7 +310,7 @@ class SocketCoordinatorServer:
             thread.start()
 
     def _serve_registration(self, conn: socket.socket, peer: str):
-        session = ClientSession(sock=conn, file=conn.makefile("rb"), peer=peer)
+        session = ClientSession(sock=conn, file=conn.makefile("rb"))
         try:
             while not self._stopping.is_set():
                 frame = netproto.read_frame(session.file)
@@ -335,11 +332,8 @@ class SocketCoordinatorServer:
                     return
                 response = self.coordinator.handle_envelope(env)
                 session.send(netproto.encode(response))
-                if env.msg_type == MsgType.REGISTER and response.msg_type == MsgType.REGISTER_ACK:
-                    session.participant_id = response.payload["participant_id"]
                 if env.msg_type == MsgType.SUBMIT_TASK and response.msg_type == MsgType.TASK_ACK:
                     task_id = response.payload["task_id"]
-                    session.task_ids.add(task_id)
                     with self._sessions_lock:
                         self._sessions[task_id] = session
                         total = len(self._sessions)
@@ -427,7 +421,7 @@ def run_socket_client(
                 raise ProtocolError(env.payload["code"], env.payload["message"])
             if env.msg_type != MsgType.TRAIN_REQUEST:
                 raise ProtocolError("protocol_state", f"unexpected {env.msg_type}")
-            request = train_request_from_env(env)
+            request = netproto.from_doc(TrainRequest, env.payload)
             update = client.execute_train_request(request)
             reply = client.update_to_env(update, env.correlation_id)
             channel.sock.sendall(netproto.encode(reply))

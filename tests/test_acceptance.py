@@ -18,9 +18,15 @@ import pytest
 from communityfl import netproto, runner, scenarios, transport
 from communityfl.cli import main as cli_main
 from communityfl.client import FlClient
-from communityfl.community import form_cohorts
+from communityfl.community import Community, ParticipantMetadata, form_cohorts
 from communityfl.errors import ProtocolError
-from communityfl.flcore import FlPopulation, PopulationRegistry, aggregate, single_member_aggregate
+from communityfl.flcore import (
+    FlPopulation,
+    FlTask,
+    PopulationRegistry,
+    aggregate,
+    single_member_aggregate,
+)
 from communityfl.netproto import PAYLOAD_SCHEMAS, Envelope, MsgType, decode, encode
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.tinylearn import Dataset, WeightVector, loss_and_gradient, make_arch
@@ -286,7 +292,7 @@ def test_criterion_8_protocol_robustness(rng, tmp_path):
         config = json.loads((bundle / "server_config.json").read_text())
         coordinator = Coordinator(
             SchedulerConfig(**config["scheduler"]),
-            [netproto.community_from_doc(c) for c in config["communities"]],
+            [netproto.from_doc(Community, c) for c in config["communities"]],
         )
         server = transport.SocketCoordinatorServer(
             coordinator, "127.0.0.1", 0, config["expected_tasks"], recv_timeout_s=10.0
@@ -300,11 +306,12 @@ def test_criterion_8_protocol_robustness(rng, tmp_path):
                 labels=np.array(doc["labels"]),
                 n_classes=doc["n_classes"],
             )
-            metadata = netproto.metadata_from_doc(
-                json.loads((bundle / f"{client_id}.metadata.json").read_text())
+            metadata = netproto.from_doc(
+                ParticipantMetadata,
+                json.loads((bundle / f"{client_id}.metadata.json").read_text()),
             )
-            task = netproto.task_from_doc(
-                json.loads((bundle / f"{client_id}.task.json").read_text())
+            task = netproto.from_doc(
+                FlTask, json.loads((bundle / f"{client_id}.task.json").read_text())
             )
             transport.run_socket_client(
                 FlClient(client_id, dataset, metadata), host, port, task

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from communityfl.client import FlClient, TrainRequest
+from communityfl.client import FlClient
 from communityfl.errors import DelegationError, DeliveryError, ProtocolError, ShapeError
+from communityfl.flcore import TrainRequest
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.runner import run_simulation
 from communityfl.scenarios import (
@@ -12,7 +13,7 @@ from communityfl.scenarios import (
     ScenarioSpec,
     TaskSpec,
 )
-from communityfl.tinylearn import init_weights, make_arch
+from communityfl.tinylearn import evaluate, init_weights, make_arch
 from communityfl.transport import SimNetwork
 
 from conftest import default_plan, make_community, make_metadata, make_task, separable_dataset
@@ -74,7 +75,7 @@ def test_register_invalid_metadata_rejected_as_protocol_error():
     client.state.metadata = doc_safe
     import communityfl.netproto as netproto
 
-    doc = netproto.metadata_to_doc(doc_safe)
+    doc = netproto.to_doc(doc_safe)
     doc["criteria"]["required_tags"] = ["x"]
     doc["criteria"]["forbidden_tags"] = ["x"]
     env = netproto.Envelope(netproto.MsgType.REGISTER, 5, {"metadata": doc})
@@ -154,6 +155,20 @@ def test_first_round_pre_equals_post_fallback():
     assert update.pre_metrics == update.post_metrics
     assert update.n_samples == 30
     assert update.executor_id == "client-a"
+
+
+def test_set_dataset_drops_cached_updates_but_keeps_baseline():
+    # a request re-sent after a drift (its round aborted before it) must be
+    # answered on the new data, against the pre-drift local model
+    client = _client()
+    req = _request(round=2)
+    before = client.execute_train_request(req)
+    client.set_dataset(separable_dataset(n=40, gap=-4.0, seed=99))
+    after = client.execute_train_request(req)
+    holdout = client.split(req.plan.eval_holdout_fraction)[1]
+    assert after.post_metrics == evaluate(req.weights, holdout)
+    assert after.pre_metrics == evaluate(before.weights, holdout)
+    assert after.post_metrics != before.post_metrics
 
 
 def test_replay_returns_bit_identical_update():

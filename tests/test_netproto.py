@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from communityfl import netproto
+from communityfl.community import Community
 from communityfl.errors import ProtocolError
+from communityfl.flcore import FlTask
 from communityfl.netproto import (
     Envelope,
     Field,
@@ -29,7 +31,7 @@ def _register_env(correlation_id: int = 42) -> Envelope:
     return Envelope(
         msg_type=MsgType.REGISTER,
         correlation_id=correlation_id,
-        payload={"metadata": netproto.metadata_to_doc(make_metadata("client-z"))},
+        payload={"metadata": netproto.to_doc(make_metadata("client-z"))},
     )
 
 
@@ -168,7 +170,7 @@ def test_overflowing_float_literal_rejected():
     env = Envelope(
         MsgType.MODEL_UPDATE,
         3,
-        {"update": netproto.update_to_doc(update), "session_token": "tok"},
+        {"update": netproto.to_doc(update), "session_token": "tok"},
     )
     body = encode(env)[4:]
     assert body.count(b'"loss":0.25') == 1
@@ -288,7 +290,7 @@ def test_read_frame_midframe_eof():
 
 def test_encode_size_limit():
     big_tags = ["t" * 1000] * 20000  # ~20 MB payload
-    meta_doc = netproto.metadata_to_doc(make_metadata("big"))
+    meta_doc = netproto.to_doc(make_metadata("big"))
     meta_doc["interests"] = big_tags
     with pytest.raises(ProtocolError) as exc:
         encode(Envelope(MsgType.REGISTER, 1, {"metadata": meta_doc}))
@@ -326,12 +328,12 @@ def test_wire_weights_nonfinite_representable_for_guard():
 
 def test_task_and_community_doc_roundtrip():
     task = make_task("t1", overrides={"learning_rate": 0.05, "epochs": 3})
-    restored = netproto.task_from_doc(netproto.task_to_doc(task))
+    restored = netproto.from_doc(FlTask, netproto.to_doc(task))
     assert restored.task_id == task.task_id
     assert restored.config == task.config
     assert restored.plan_overrides == task.plan_overrides
     community = make_community()
-    again = netproto.community_from_doc(netproto.community_to_doc(community))
+    again = netproto.from_doc(Community, netproto.to_doc(community))
     assert again.community_id == community.community_id
     assert again.default_plan == community.default_plan
     assert again.criteria == community.criteria

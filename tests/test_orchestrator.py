@@ -324,20 +324,20 @@ def test_guard_flags_nonfinite_weights():
         "weights",
         WeightVector([np.nan] * 6, "logreg:2x2", check_finite=False),
     )
-    verdict = guard_update(update, [], epsilon=10.0)
+    verdict = guard_update(update, epsilon=10.0)
     assert verdict == GuardVerdict(False, "non_finite")
     assert verdict.label() == "flag:non_finite"
 
 
 def test_guard_accepts_improvement_at_zero_epsilon():
     update = make_update("t", [0.0, 0.0], pre_loss=0.9, post_loss=0.4)
-    assert guard_update(update, [], epsilon=0.0).accepted
+    assert guard_update(update, epsilon=0.0).accepted
 
 
 def test_guard_flags_regression_beyond_epsilon():
     update = make_update("t", [0.0, 0.0], pre_loss=0.4, post_loss=0.95)
-    assert guard_update(update, [], epsilon=0.5) == GuardVerdict(False, "loss_regression")
-    assert guard_update(update, [], epsilon=0.6).accepted
+    assert guard_update(update, epsilon=0.5) == GuardVerdict(False, "loss_regression")
+    assert guard_update(update, epsilon=0.6).accepted
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -346,7 +346,7 @@ def test_guard_flags_nonfinite_loss(bad, which):
     # a NaN or -inf delta never compares greater than epsilon, so the loss
     # regression test alone would accept these updates
     update = make_update("t", [0.0, 0.0], **{which: bad})
-    assert guard_update(update, [], epsilon=0.5) == GuardVerdict(False, "non_finite_loss")
+    assert guard_update(update, epsilon=0.5) == GuardVerdict(False, "non_finite_loss")
 
 
 @pytest.mark.parametrize(
@@ -362,7 +362,7 @@ def test_guard_flags_nonfinite_loss(bad, which):
 def test_guard_flags_metric_out_of_range(which, loss, accuracy):
     update = make_update("t", [0.0, 0.0])
     update = dataclasses.replace(update, **{which: EvalMetrics(loss, accuracy, 10)})
-    assert guard_update(update, [], epsilon=10.0) == GuardVerdict(False, "metric_out_of_range")
+    assert guard_update(update, epsilon=10.0) == GuardVerdict(False, "metric_out_of_range")
 
 
 def test_guard_accepts_metrics_at_range_limits():
@@ -370,7 +370,7 @@ def test_guard_accepts_metrics_at_range_limits():
     update = dataclasses.replace(
         update, pre_metrics=EvalMetrics(0.0, 0.0, 10), post_metrics=EvalMetrics(0.0, 1.0, 10)
     )
-    assert guard_update(update, [], epsilon=0.0).accepted
+    assert guard_update(update, epsilon=0.0).accepted
 
 
 def test_poisoned_client_flagged_within_three_rounds():

@@ -10,6 +10,8 @@ import numpy as np
 
 from communityfl import netproto, runner, transport
 from communityfl.client import FlClient
+from communityfl.community import Community, ParticipantMetadata
+from communityfl.flcore import FlTask
 from communityfl.netproto import MsgType
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.scenarios import FaultSpec, builtin_scenarios, export_socket_bundle
@@ -121,10 +123,10 @@ def _bundle_client(bundle, client_id, client_cls=FlClient):
         labels=np.array(data_doc["labels"]),
         n_classes=data_doc["n_classes"],
     )
-    metadata = netproto.metadata_from_doc(
-        json.loads((bundle / f"{client_id}.metadata.json").read_text())
+    metadata = netproto.from_doc(
+        ParticipantMetadata, json.loads((bundle / f"{client_id}.metadata.json").read_text())
     )
-    task = netproto.task_from_doc(json.loads((bundle / f"{client_id}.task.json").read_text()))
+    task = netproto.from_doc(FlTask, json.loads((bundle / f"{client_id}.task.json").read_text()))
     return client_cls(client_id, dataset, metadata), task
 
 
@@ -134,7 +136,7 @@ def _start_socket_run(tmp_path, spec, drop_client=None):
     config = json.loads((bundle / "server_config.json").read_text())
     coordinator = Coordinator(
         SchedulerConfig(**config["scheduler"]),
-        [netproto.community_from_doc(c) for c in config["communities"]],
+        [netproto.from_doc(Community, c) for c in config["communities"]],
     )
     expected = config["expected_tasks"]
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected, recv_timeout_s=5.0)
@@ -192,7 +194,7 @@ def test_socket_version_mismatch_clean_refusal(tmp_path):
     config = json.loads((bundle / "server_config.json").read_text())
     coordinator = Coordinator(
         SchedulerConfig(**config["scheduler"]),
-        [netproto.community_from_doc(c) for c in config["communities"]],
+        [netproto.from_doc(Community, c) for c in config["communities"]],
     )
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
     host, port = server.address
@@ -201,7 +203,7 @@ def test_socket_version_mismatch_clean_refusal(tmp_path):
         bad_doc = {
             "correlation_id": 9,
             "msg_type": "Register",
-            "payload": {"metadata": netproto.metadata_to_doc(make_metadata("v2"))},
+            "payload": {"metadata": netproto.to_doc(make_metadata("v2"))},
             "version": 2,
         }
         body = json.dumps(bad_doc, sort_keys=True, separators=(",", ":")).encode()
@@ -255,7 +257,7 @@ def test_socket_client_auto_derives_task_from_community_list(tmp_path):
     config = json.loads((bundle / "server_config.json").read_text())
     coordinator = Coordinator(
         SchedulerConfig(**config["scheduler"]),
-        [netproto.community_from_doc(c) for c in config["communities"]],
+        [netproto.from_doc(Community, c) for c in config["communities"]],
     )
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, config["expected_tasks"])
     host, port = server.address
@@ -267,8 +269,8 @@ def test_socket_client_auto_derives_task_from_community_list(tmp_path):
             labels=np.array(data_doc["labels"]),
             n_classes=data_doc["n_classes"],
         )
-        metadata = netproto.metadata_from_doc(
-            json.loads((bundle / f"{client_id}.metadata.json").read_text())
+        metadata = netproto.from_doc(
+            ParticipantMetadata, json.loads((bundle / f"{client_id}.metadata.json").read_text())
         )
         run_socket_client(FlClient(client_id, dataset, metadata), host, port, task=None)
 
@@ -320,7 +322,7 @@ def test_round_connections_disable_nagle_on_both_ends(tmp_path):
     config = json.loads((bundle / "server_config.json").read_text())
     coordinator = Coordinator(
         SchedulerConfig(**config["scheduler"]),
-        [netproto.community_from_doc(c) for c in config["communities"]],
+        [netproto.from_doc(Community, c) for c in config["communities"]],
     )
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
     host, port = server.address
