@@ -40,7 +40,7 @@ export_socket_bundle(spec, bundle)
 config = json.loads((bundle / "server_config.json").read_text())
 coordinator = Coordinator(
     SchedulerConfig(**config["scheduler"]),
-    [netproto.from_doc(Community, c) for c in config["communities"]],
+    [netproto.from_file_doc(Community, c) for c in config["communities"]],
 )
 server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, config["expected_tasks"])
 host, port = server.address
@@ -54,10 +54,12 @@ def client_main(client_id: str):
         labels=np.array(data_doc["labels"]),
         n_classes=data_doc["n_classes"],
     )
-    metadata = netproto.from_doc(
+    metadata = netproto.from_file_doc(
         ParticipantMetadata, json.loads((bundle / f"{client_id}.metadata.json").read_text())
     )
-    task = netproto.from_doc(FlTask, json.loads((bundle / f"{client_id}.task.json").read_text()))
+    task = netproto.from_file_doc(
+        FlTask, json.loads((bundle / f"{client_id}.task.json").read_text())
+    )
     rounds = run_socket_client(FlClient(client_id, dataset, metadata), host, port, task)
     print(f"    client {client_id} served {rounds} rounds")
 

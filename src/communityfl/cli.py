@@ -94,7 +94,7 @@ def cmd_serve(args) -> int:
     try:
         config_doc = json.loads(Path(args.config).read_text())
         scheduler = SchedulerConfig(**config_doc["scheduler"])
-        communities = [netproto.from_doc(Community, doc) for doc in config_doc["communities"]]
+        communities = [netproto.from_file_doc(Community, doc) for doc in config_doc["communities"]]
         expected_tasks = int(config_doc["expected_tasks"])
         recv_timeout = float(config_doc.get("recv_timeout_s", 30.0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -147,7 +147,7 @@ def cmd_client(args) -> int:
     host, port = _parse_addr(args.connect)
     dataset = _load_dataset(args.data)
     try:
-        metadata = netproto.from_doc(
+        metadata = netproto.from_file_doc(
             ParticipantMetadata, json.loads(Path(args.metadata).read_text())
         )
     except (OSError, ValueError, KeyError, TypeError, CommunityFlError) as exc:
@@ -155,7 +155,7 @@ def cmd_client(args) -> int:
     task = None
     if args.task:
         try:
-            task = netproto.from_doc(FlTask, json.loads(Path(args.task).read_text()))
+            task = netproto.from_file_doc(FlTask, json.loads(Path(args.task).read_text()))
         except (OSError, ValueError, KeyError, TypeError, CommunityFlError) as exc:
             raise ConfigError(f"cannot read task file {args.task}: {exc}") from exc
     client = FlClient(metadata.participant_id, dataset, metadata)

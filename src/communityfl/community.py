@@ -4,6 +4,19 @@ A data signature is a compact statistical summary of local data (per-feature
 moments plus a label histogram). Cohorts are formed by deterministic greedy
 agglomeration on signature similarity: tasks are visited in ascending task id
 and join the best-matching cohort above a threshold, otherwise open a new one.
+
+Cohort formation works on the signatures stacked once as rows of one matrix,
+``[mean | std | histogram | quality]``. Each task is scored against every
+cohort centroid in one row-wise pass, and a join recomputes that cohort's
+centroid from its member rows, so N tasks forming K cohorts cost O(N) numpy
+calls, O(N*K) scoring work and O(sum of squared cohort sizes) centroid work.
+Cohort membership feeds every later digest, so the centroids must not change
+in their last bits: a centroid is the sum of ``alpha * row`` over the members
+in member order, starting from 0, exactly as Python's ``sum`` adds them. It is
+computed with ``np.cumsum(axis=0)``, which adds rows one by one for any shape.
+``.sum(axis=0)`` does so only while the array has more than one column: on a
+one-column array numpy switches to pairwise summation (from 8 rows on), so
+summation order would hang on the stacked layout instead of being a rule.
 """
 
 from __future__ import annotations
@@ -63,11 +76,15 @@ class DataSignature:
         hist = np.array(self.label_histogram, dtype=np.float64)
         if mean.ndim != 1 or std.ndim != 1 or mean.shape != std.shape:
             raise ShapeError("per-feature mean/std must be 1-D vectors of equal length")
+        # a NaN fails every comparison, so it would pass the range checks
+        # below and make similarity NaN
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ShapeError("per-feature mean/std must be finite")
         if np.any(std < 0):
             raise ShapeError("per-feature std must be elementwise >= 0")
         if hist.ndim != 1 or hist.size < 1 or np.any(hist < 0):
             raise ShapeError("label histogram must be a non-negative 1-D vector")
-        if abs(float(hist.sum()) - 1.0) > 1e-9:
+        if not abs(float(hist.sum()) - 1.0) <= 1e-9:  # also refuses NaN
             raise ShapeError(f"label histogram must sum to 1, got {hist.sum()!r}")
         if self.n_samples < 1:
             raise ShapeError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -159,71 +176,117 @@ def _squash(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + x)
 
 
-def similarity(a: DataSignature, b: DataSignature) -> float:
-    """Similarity in [0, 1]: 1 minus the mean of a feature-moment distance and
-    the total-variation distance between label histograms."""
-    if a.per_feature_mean.shape != b.per_feature_mean.shape:
+def _stack(signatures: list[DataSignature]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows ``[mean | std | histogram | quality]`` and float sample counts,
+    one per signature in the given order, plus the feature count."""
+    if not signatures:
+        raise ShapeError("no signatures to stack")
+    n_features = signatures[0].per_feature_mean.size
+    n_classes = signatures[0].label_histogram.size
+    if any(s.per_feature_mean.size != n_features for s in signatures):
         raise ShapeError("signatures have different feature dimensions")
-    if a.label_histogram.shape != b.label_histogram.shape:
+    if any(s.label_histogram.size != n_classes for s in signatures):
         raise ShapeError("signatures have different label arities")
-    gaps = np.concatenate(
+    rows = np.hstack(
         [
-            _squash(np.abs(a.per_feature_mean - b.per_feature_mean)),
-            _squash(np.abs(a.per_feature_std - b.per_feature_std)),
+            np.array([s.per_feature_mean for s in signatures]),
+            np.array([s.per_feature_std for s in signatures]),
+            np.array([s.label_histogram for s in signatures]),
+            np.array([[s.quality_score] for s in signatures], dtype=np.float64),
         ]
     )
-    d_feat = float(gaps.mean())
-    d_lab = 0.5 * float(np.abs(a.label_histogram - b.label_histogram).sum())
+    weights = np.array([s.n_samples for s in signatures], dtype=np.float64)
+    return rows, weights, n_features
+
+
+def _similarities(row: np.ndarray, centroids: np.ndarray, n_features: int) -> np.ndarray:
+    """Similarity of one stacked row to each centroid row: 1 minus the mean of
+    a feature-moment distance and the total-variation distance between label
+    histograms, in [0, 1]."""
+    width = 2 * n_features
+    # a row-wise reduction of C-ordered rows repeats the 1-D reduction on each
+    # row, and the mean is that sum divided by the count, as np.mean does
+    d_feat = _squash(np.abs(row[:width] - centroids[:, :width])).sum(axis=1) / width
+    d_lab = 0.5 * np.abs(row[width:-1] - centroids[:, width:-1]).sum(axis=1)
     return 1.0 - (0.5 * d_feat + 0.5 * d_lab)
 
 
-def weighted_centroid(signatures: list[DataSignature]) -> DataSignature:
-    weights = np.array([s.n_samples for s in signatures], dtype=np.float64)
+def similarity(a: DataSignature, b: DataSignature) -> float:
+    """Similarity in [0, 1]: 1 minus the mean of a feature-moment distance and
+    the total-variation distance between label histograms."""
+    rows, _, n_features = _stack([a, b])
+    return float(_similarities(rows[0], rows[1:], n_features)[0])
+
+
+def _centroid_row(rows: np.ndarray, weights: np.ndarray, n_features: int) -> np.ndarray:
+    """Sample-weighted centroid of stacked rows, with a renormalised histogram
+    and quality capped at 1."""
     alphas = weights / weights.sum()
-    mean = sum(a * s.per_feature_mean for a, s in zip(alphas, signatures))
-    std = sum(a * s.per_feature_std for a, s in zip(alphas, signatures))
-    hist = sum(a * s.label_histogram for a, s in zip(alphas, signatures))
-    hist = np.maximum(hist, 0.0)
-    hist = hist / hist.sum()
-    quality = float(sum(a * s.quality_score for a, s in zip(alphas, signatures)))
+    # sequential, in row order, starting from 0 (so -0.0 comes out as 0.0);
+    # see the module docstring
+    row = 0.0 + np.cumsum(alphas[:, None] * rows, axis=0)[-1]
+    hist = np.maximum(row[2 * n_features : -1], 0.0)
+    row[2 * n_features : -1] = hist / hist.sum()
+    row[-1] = min(1.0, row[-1])
+    return row
+
+
+def _row_signature(row: np.ndarray, n_samples: float, n_features: int) -> DataSignature:
     return DataSignature(
-        per_feature_mean=mean,
-        per_feature_std=std,
-        label_histogram=hist,
-        n_samples=int(weights.sum()),
-        quality_score=min(1.0, quality),
+        per_feature_mean=row[:n_features],
+        per_feature_std=row[n_features : 2 * n_features],
+        label_histogram=row[2 * n_features : -1],
+        n_samples=int(n_samples),
+        quality_score=float(row[-1]),
     )
+
+
+def weighted_centroid(signatures: list[DataSignature]) -> DataSignature:
+    rows, weights, n_features = _stack(signatures)
+    return _row_signature(_centroid_row(rows, weights, n_features), weights.sum(), n_features)
 
 
 @dataclass
 class _Block:
     members: list[str]
-    signatures: list[DataSignature]
     centroid: DataSignature
 
 
 def _greedy_blocks(
     signatures: dict[str, DataSignature], threshold: float
 ) -> list[_Block]:
-    blocks: list[_Block] = []
-    for task_id in sorted(signatures):
-        sig = signatures[task_id]
-        best_index = -1
-        best_sim = -1.0
-        # ties resolve to the earliest block, i.e. the lexicographically
-        # smallest cohort id under zero-padded numbering
-        for index, block in enumerate(blocks):
-            sim = similarity(sig, block.centroid)
-            if sim >= threshold and sim > best_sim:
-                best_sim = sim
-                best_index = index
-        if best_index < 0:
-            blocks.append(_Block(members=[task_id], signatures=[sig], centroid=sig))
+    if not signatures:
+        return []
+    order = sorted(signatures)
+    rows, weights, n_features = _stack([signatures[t] for t in order])
+    # row k is block k's centroid; a block of one is its member's own row
+    centroids = np.empty_like(rows)
+    block_rows: list[list[int]] = []
+    for i, row in enumerate(rows):
+        best = -1
+        if block_rows:
+            sims = _similarities(row, centroids[: len(block_rows)], n_features)
+            sims = np.where(sims >= threshold, sims, -np.inf)
+            # argmax takes the first maximum, so ties resolve to the earliest
+            # block, i.e. the lexicographically smallest cohort id under
+            # zero-padded numbering
+            best = int(sims.argmax())
+            if sims[best] == -np.inf:
+                best = -1
+        if best < 0:
+            centroids[len(block_rows)] = row
+            block_rows.append([i])
         else:
-            block = blocks[best_index]
-            block.members.append(task_id)
-            block.signatures.append(sig)
-            block.centroid = weighted_centroid(block.signatures)
+            members = block_rows[best]
+            members.append(i)
+            centroids[best] = _centroid_row(rows[members], weights[members], n_features)
+    blocks = []
+    for k, members in enumerate(block_rows):
+        if len(members) == 1:
+            centroid = signatures[order[members[0]]]
+        else:
+            centroid = _row_signature(centroids[k], weights[members].sum(), n_features)
+        blocks.append(_Block(members=[order[i] for i in members], centroid=centroid))
     return blocks
 
 

@@ -34,7 +34,7 @@ from .community import (
     DeviceDescriptor,
     ParticipantMetadata,
 )
-from .errors import ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError, ShapeError
 from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
 
@@ -417,6 +417,18 @@ def from_doc(cls: type, doc: dict):
     """Build a ``cls`` record from its document; the class's ``__post_init__``
     turns lists back into frozensets and arrays."""
     return _FROM_DOC[cls](doc)
+
+
+def from_file_doc(cls: type, doc):
+    """``from_doc`` for a document read from a file rather than decoded from a
+    frame (``decode`` validates those): check it against the record's schema
+    first, so that a string where a tag list belongs is refused instead of
+    becoming a set of characters. Raises ``ConfigError``."""
+    try:
+        _validate_doc(doc, RECORD_SCHEMAS[cls], cls.__name__)
+    except ProtocolError as exc:
+        raise ConfigError(exc.message) from exc
+    return from_doc(cls, doc)
 
 
 def update_from_doc(doc: dict) -> ModelUpdate:

@@ -444,6 +444,10 @@ class Coordinator:
                     # n_samples sets the aggregation weight; a client trains on
                     # a subset of the data its signature counts
                     verdicts[task_id] = GuardVerdict(False, "n_samples_exceeds_signature")
+                elif not update.weights.is_finite():
+                    # aggregate refuses non-finite weights, so one such update
+                    # must not reach it even with the loss guard off
+                    verdicts[task_id] = GuardVerdict(False, "non_finite")
                 elif self.config.guard_epsilon is None:
                     verdicts[task_id] = GuardVerdict(True)
                 else:

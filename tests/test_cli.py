@@ -243,3 +243,42 @@ def test_client_connect_refused_exit_nonzero(tmp_path):
         "--metadata", str(bundle / "u-01.metadata.json"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [({"interests": "fitness"}, "interests: expected list"), ({"extra": 1}, "undeclared")],
+)
+def test_client_refuses_metadata_file_off_schema(tmp_path, capsys, fields, reason):
+    # a string where a tag list belongs would otherwise load as a set of characters
+    spec = scenarios.builtin_scenarios()["uniform"]
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    metadata_path = bundle / "u-01.metadata.json"
+    metadata_path.write_text(json.dumps({**json.loads(metadata_path.read_text()), **fields}))
+    code = run_cli(
+        "client",
+        "--connect", f"127.0.0.1:{_free_port()}",
+        "--data", str(bundle / "u-01.data.json"),
+        "--metadata", str(metadata_path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read metadata file" in err and reason in err
+    assert "cannot connect" not in err
+
+
+def test_serve_refuses_community_document_off_schema(tmp_path, capsys):
+    spec = scenarios.builtin_scenarios()["uniform"]
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    config_path = bundle / "server_config.json"
+    config = json.loads(config_path.read_text())
+    config["communities"][0]["criteria"]["required_tags"] = "fitness"
+    config["ready_timeout_s"] = 1.0  # a server that loads it anyway gives up quickly
+    config_path.write_text(json.dumps(config))
+    code = run_cli("serve", "--listen", f"127.0.0.1:{_free_port()}", "--config", str(config_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read server config" in err
+    assert "Community.criteria.required_tags: expected list" in err

@@ -1,14 +1,23 @@
+import dataclasses
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from communityfl.community import (
     CollaborationCriteria,
+    DataSignature,
+    _centroid_row,
     admit,
     form_cohorts,
     recluster,
     similarity,
+    weighted_centroid,
 )
 from communityfl.errors import ConfigError, ShapeError
 from communityfl.flcore import FlPopulation
@@ -137,6 +146,260 @@ def test_similarity_shape_mismatch():
     c = fixed_signature([0.0], [1.0], [0.3, 0.3, 0.4])
     with pytest.raises(ShapeError):
         similarity(a, c)
+
+
+@pytest.mark.parametrize("field", ["mean", "std", "hist"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_signature_refuses_non_finite_moments(field, bad):
+    # NaN passes the range checks and would make similarity NaN
+    parts = {"mean": [0.0, 1.0], "std": [0.5, 1.0], "hist": [0.5, 0.5]}
+    parts[field] = [bad, parts[field][1]]
+    with pytest.raises(ShapeError):
+        fixed_signature(parts["mean"], parts["std"], parts["hist"])
+
+
+# -- bit-exact cohort formation -----------------------------------------------------
+#
+# The reference functions below are the Python-order implementation that cohort
+# formation had before it worked on stacked arrays. They are oracles only: the
+# array version must reproduce their results bit for bit, because cohort
+# membership and centroids feed every later digest.
+
+
+def _reference_similarity(a, b) -> float:
+    def squash(x):
+        return x / (1.0 + x)
+
+    gaps = np.concatenate(
+        [
+            squash(np.abs(a.per_feature_mean - b.per_feature_mean)),
+            squash(np.abs(a.per_feature_std - b.per_feature_std)),
+        ]
+    )
+    d_feat = float(gaps.mean())
+    d_lab = 0.5 * float(np.abs(a.label_histogram - b.label_histogram).sum())
+    return 1.0 - (0.5 * d_feat + 0.5 * d_lab)
+
+
+def _reference_centroid(signatures):
+    weights = np.array([s.n_samples for s in signatures], dtype=np.float64)
+    alphas = weights / weights.sum()
+    mean = sum(a * s.per_feature_mean for a, s in zip(alphas, signatures))
+    std = sum(a * s.per_feature_std for a, s in zip(alphas, signatures))
+    hist = sum(a * s.label_histogram for a, s in zip(alphas, signatures))
+    hist = np.maximum(hist, 0.0)
+    hist = hist / hist.sum()
+    quality = float(sum(a * s.quality_score for a, s in zip(alphas, signatures)))
+    return DataSignature(
+        per_feature_mean=mean,
+        per_feature_std=std,
+        label_histogram=hist,
+        n_samples=int(weights.sum()),
+        quality_score=min(1.0, quality),
+    )
+
+
+def _reference_blocks(signatures, threshold):
+    """Returns [(members, centroid)] and the number of joins that had to break
+    a tie between equally similar blocks."""
+    blocks, ties = [], 0
+    for task_id in sorted(signatures):
+        sig = signatures[task_id]
+        sims = [_reference_similarity(sig, centroid) for _, _, centroid in blocks]
+        best_index, best_sim = -1, -1.0
+        for index, sim in enumerate(sims):
+            if sim >= threshold and sim > best_sim:
+                best_sim, best_index = sim, index
+        if best_index < 0:
+            blocks.append(([task_id], [sig], sig))
+        else:
+            ties += sims.count(best_sim) > 1
+            members, member_sigs, _ = blocks[best_index]
+            members.append(task_id)
+            member_sigs.append(sig)
+            blocks[best_index] = (members, member_sigs, _reference_centroid(member_sigs))
+    return [(members, centroid) for members, _, centroid in blocks], ties
+
+
+def _signature_bytes(sig) -> bytes:
+    return b"".join(
+        [
+            sig.per_feature_mean.tobytes(),
+            sig.per_feature_std.tobytes(),
+            sig.label_histogram.tobytes(),
+            struct.pack("<d", sig.quality_score),
+            struct.pack("<q", sig.n_samples),
+        ]
+    )
+
+
+def _population_of(signatures: dict) -> FlPopulation:
+    return FlPopulation(
+        population_id="pop-test",
+        config=make_task("config-only").config,
+        member_task_ids=set(signatures),
+    )
+
+
+_finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+# -0.0 is drawn often: a sum of signed zeros is where a start value of 0 matters
+_moment = st.one_of(st.just(-0.0), st.just(0.0), _finite)
+
+
+@st.composite
+def _signatures(draw, n_features, n_classes):
+    vector = arrays(np.float64, n_features, elements=_moment)
+    hist = draw(arrays(np.float64, n_classes, elements=st.floats(0.0, 1.0)))
+    hist = hist / hist.sum() if hist.sum() > 0 else np.full(n_classes, 1.0 / n_classes)
+    # -0.0 passes the non-negativity checks of std and histogram
+    std = draw(vector)
+    return DataSignature(
+        per_feature_mean=draw(vector),
+        per_feature_std=np.where(std == 0.0, std, np.abs(std)),
+        label_histogram=np.where(hist == 0.0, draw(st.sampled_from([0.0, -0.0])), hist),
+        n_samples=draw(st.integers(1, 10**6)),
+        quality_score=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def _member_lists(draw):
+    n_features = draw(st.sampled_from([1, 16]))
+    n_classes = draw(st.integers(1, 5))
+    return draw(st.lists(_signatures(n_features, n_classes), min_size=1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_member_lists())
+def test_centroid_equals_python_order_sum_bytewise(members):
+    assert _signature_bytes(weighted_centroid(members)) == _signature_bytes(
+        _reference_centroid(members)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 10**6), st.floats(0.0, 1.0)), min_size=1, max_size=40
+    )
+)
+def test_centroid_kernel_sums_one_column_in_member_order(members):
+    # numpy sums a one-column array along axis 0 pairwise (from 8 rows on), so
+    # the kernel must not rely on the stacked rows being wider than that
+    weights = np.array([n for n, _ in members], dtype=np.float64)
+    alphas = weights / weights.sum()
+    expected = min(1.0, float(sum(a * q for a, (_, q) in zip(alphas, members))))
+    quality = np.array([[q] for _, q in members])
+    row = _centroid_row(quality, weights, n_features=0)
+    assert struct.pack("<d", row[0]) == struct.pack("<d", expected)
+
+
+@st.composite
+def _signature_pairs(draw):
+    n_features = draw(st.sampled_from([1, 2, 3, 16]))
+    n_classes = draw(st.integers(1, 12))  # 8 and more sum pairwise
+    return draw(_signatures(n_features, n_classes)), draw(_signatures(n_features, n_classes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signature_pairs())
+def test_similarity_equals_reference_bitwise(pair):
+    a, b = pair
+    assert struct.pack("<d", similarity(a, b)) == struct.pack("<d", _reference_similarity(a, b))
+
+
+def _grid_signature(rng, n_features, n_classes) -> DataSignature:
+    # few distinct values, so that many scores coincide
+    hist = rng.choice([0.0, 1.0, 2.0], n_classes) + (rng.random() < 0.5)
+    if hist.sum() == 0:
+        hist[0] = 1.0
+    return DataSignature(
+        per_feature_mean=rng.choice([-1.0, 0.0, 1.0, 2.0], n_features),
+        per_feature_std=rng.choice([0.5, 1.0], n_features),
+        label_histogram=hist / hist.sum(),
+        n_samples=int(rng.choice([10, 30, 60])),
+        quality_score=float(rng.choice([0.25, 0.5, 1.0])),
+    )
+
+
+def test_form_cohorts_matches_python_order_oracle_with_ties():
+    rng = np.random.default_rng(7)
+    ties = 0
+    for _ in range(40):
+        n_features = int(rng.choice([1, 2, 16]))
+        n_classes = int(rng.integers(1, 5))
+        base = _grid_signature(rng, n_features, n_classes)
+        shift = rng.choice([0.5, 1.0, 2.0], n_features)
+
+        def at(mean):
+            return dataclasses.replace(base, per_feature_mean=mean)
+
+        # blocks at -shift and +shift are mirror images, so a task at 0 scores
+        # exactly alike against both; the threshold is that score
+        copies = int(rng.choice([1, 2, 4]))
+        signatures = {f"a{i}": at(-shift) for i in range(copies)}
+        signatures.update({f"b{i}": at(shift) for i in range(copies)})
+        signatures.update({f"c{i}": at(0.0 * shift) for i in range(int(rng.integers(1, 4)))})
+        threshold = _reference_similarity(
+            at(0.0 * shift), _reference_centroid([at(shift)] * copies)
+        )
+        signatures.update(
+            {
+                f"t{i:03d}": _grid_signature(rng, n_features, n_classes)
+                for i in range(int(rng.integers(0, 80)))
+            }
+        )
+        expected, trial_ties = _reference_blocks(signatures, threshold)
+        ties += trial_ties
+        cohorts = form_cohorts(_population_of(signatures), signatures, threshold, seed=0)
+        assert len(cohorts) == len(expected)
+        for cohort, (members, centroid) in zip(cohorts, expected):
+            assert sorted(cohort.member_task_ids) == members
+            assert _signature_bytes(cohort.centroid) == _signature_bytes(centroid)
+    assert ties >= 40  # every population made at least one join break a tie
+
+
+def _crowd_signatures(n_tasks: int = 1600, seed: int = 2023) -> dict[str, DataSignature]:
+    """Two planted clusters of small devices (60-80 samples, 2 features,
+    2 classes, labels flipped in the shifted cluster), as in crowd-cohort."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    signatures = {}
+    for i in range(n_tasks):
+        cluster = int(rng.integers(2))
+        n = int(rng.integers(60, 81))
+        labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
+        features = centers[labels] + rng.normal(0.0, 1.0, (n, 2)) + 5.0 * cluster
+        if cluster:
+            labels = 1 - labels
+        signatures[f"dev-{i:04d}-t0"] = DataSignature(
+            per_feature_mean=features.mean(axis=0),
+            per_feature_std=features.std(axis=0),
+            label_histogram=np.bincount(labels, minlength=2) / n,
+            n_samples=n,
+            quality_score=float(rng.uniform(0.5, 1.0)),
+        )
+    return signatures
+
+
+def test_crowd_population_cohorts_match_golden_digest():
+    # pinned on the Python-order implementation; any change to membership or to
+    # one bit of a centroid changes the digest
+    signatures = _crowd_signatures()
+    cohorts = form_cohorts(_population_of(signatures), signatures, threshold=0.88, seed=0)
+    digest = hashlib.sha256()
+    for cohort in cohorts:
+        s = cohort.centroid
+        digest.update(cohort.cohort_id.encode())
+        digest.update(",".join(sorted(cohort.member_task_ids)).encode())
+        for array in (s.per_feature_mean, s.per_feature_std, s.label_histogram):
+            digest.update(array.tobytes())
+        digest.update(np.float64(s.quality_score).tobytes())
+        digest.update(str(s.n_samples).encode())
+    assert len(cohorts) == 16
+    assert digest.hexdigest() == (
+        "d05f90da4b950378059b34aeb570b169c5f755039f67ddea9c95cd70a5cb02a1"
+    )
 
 
 # -- cohort formation --------------------------------------------------------------

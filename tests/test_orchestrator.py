@@ -314,6 +314,25 @@ def test_update_claiming_more_samples_than_signature_flagged(guard_epsilon):
     assert honest.status == "committed"
 
 
+@pytest.mark.parametrize("guard_epsilon", [0.5, None])
+def test_update_with_non_finite_weights_flagged(guard_epsilon):
+    # aggregate refuses non-finite weights, so one such update is flagged
+    # instead of raising out of run_round, whether or not the loss guard is on
+    coordinator = _coordinator(guard_epsilon=guard_epsilon)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
+    before = cohort.global_weights.values.copy()
+    weights = WeightVector(
+        np.full(before.size, np.nan), cohort.global_weights.arch_id, check_finite=False
+    )
+    report = coordinator.run_round(cohort, _RewritingTransport(network, weights=weights), 1)
+    assert report.guard_verdicts["a-t"] == "flag:non_finite"
+    assert report.status == "aborted"
+    assert report.reason == "no_accepted_updates"
+    assert np.array_equal(cohort.global_weights.values, before)
+    assert cohort.round == 0
+
+
 # -- the negative-transfer guard -------------------------------------------------------
 
 
