@@ -4,6 +4,8 @@ A data signature is a compact statistical summary of local data (per-feature
 moments plus a label histogram). Cohorts are formed by deterministic greedy
 agglomeration on signature similarity: tasks are visited in ascending task id
 and join the best-matching cohort above a threshold, otherwise open a new one.
+Every similarity is above 0, so threshold 0 forms one cohort per population:
+the global-model baseline is the degenerate cohorting, not a second code path.
 
 Cohort formation works on the signatures stacked once as rows of one matrix,
 ``[mean | std | histogram | quality]``. Each task is scored against every
@@ -259,6 +261,11 @@ def _greedy_blocks(
         return []
     order = sorted(signatures)
     rows, weights, n_features = _stack([signatures[t] for t in order])
+    if threshold == 0.0:
+        # every similarity is > 0, so every task would join block 0: compute
+        # its centroid once, over all rows in task-id order
+        centroid = _centroid_row(rows, weights, n_features)
+        return [_Block(members=order, centroid=_row_signature(centroid, weights.sum(), n_features))]
     # row k is block k's centroid; a block of one is its member's own row
     centroids = np.empty_like(rows)
     block_rows: list[list[int]] = []
@@ -291,8 +298,8 @@ def _greedy_blocks(
 
 
 def _validate_threshold(threshold: float):
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"cohort threshold must be in (0,1), got {threshold}")
+    if not 0.0 <= threshold < 1.0:
+        raise ConfigError(f"cohort threshold must be in [0,1), got {threshold}")
 
 
 def form_cohorts(
@@ -305,7 +312,8 @@ def form_cohorts(
 
     Deterministic: tasks are processed in ascending task id, join the existing
     cohort whose centroid is most similar (if at least ``threshold``), and
-    otherwise open a new cohort. Every cohort's first global model is
+    otherwise open a new cohort. Threshold 0 forms one cohort of every task,
+    the global-model baseline. Every cohort's first global model is
     ``init_weights(arch, seed)``, so all cohorts of one call start identically.
     """
     _validate_threshold(threshold)

@@ -1,9 +1,11 @@
 """Wire protocol: framing, message schemas, and domain/document converters.
 
 A frame is a 4-byte big-endian length prefix followed by a UTF-8 JSON body
-with lexicographically sorted keys, so ``encode(decode(frame)) == frame`` for
-every well-formed frame. The decoder is strict and total: any malformed input
-raises :class:`ProtocolError` and nothing else.
+in canonical form: sorted keys, no spaces, no escapes ``json`` does not need,
+and shortest round-trip number literals. The decoder refuses any other
+spelling, so ``encode(decode(frame)) == frame`` for every frame it accepts.
+The decoder is strict and total: any malformed input raises
+:class:`ProtocolError` and nothing else.
 
 Every message type's payload is validated against an explicit schema; unknown
 fields are rejected. The same schemas drive :func:`to_doc` and
@@ -286,15 +288,20 @@ def encode(env: Envelope) -> bytes:
         "payload": env.payload,
         "version": env.version,
     }
-    try:
-        body = json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-        ).encode("utf-8")
-    except ValueError as exc:
-        raise ProtocolError("malformed", f"payload not JSON-serializable: {exc}") from exc
+    body = _canonical_body(doc)
     if len(body) > MAX_BODY_BYTES:
         raise ProtocolError("size", f"body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
     return _PREFIX.pack(len(body)) + body
+
+
+def _canonical_body(doc: dict) -> bytes:
+    """The one spelling of a document that ``encode`` writes."""
+    try:
+        return json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        ).encode("utf-8")
+    except ValueError as exc:  # also a lone surrogate, which UTF-8 cannot carry
+        raise ProtocolError("malformed", f"payload not JSON-serializable: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -346,6 +353,11 @@ def decode(frame: bytes) -> Envelope:
     if not isinstance(cid, int) or isinstance(cid, bool) or not 0 <= cid < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
     _validate_doc(doc["payload"], PAYLOAD_SCHEMAS[msg_type], msg_type.value)
+    # any other spelling of the same document (spacing, key order, escapes,
+    # number forms such as 2.5e-1 or -0) is refused, so that every accepted
+    # frame re-encodes to itself
+    if _canonical_body(doc) != body:
+        raise ProtocolError("malformed", "body is not in canonical form")
     return Envelope(msg_type=msg_type, correlation_id=cid, payload=doc["payload"])
 
 

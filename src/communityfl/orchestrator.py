@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -27,7 +28,7 @@ from .community import (
     admit,
     form_cohorts,
     recluster,
-    weighted_centroid,
+    weighted_centroid,  # noqa: F401  (perfbench's traced run patches this name)
 )
 from .errors import (
     AdmissionRefused,
@@ -40,7 +41,6 @@ from .errors import (
 from .flcore import (
     FlCohort,
     FlPlan,
-    FlPopulation,
     FlTask,
     ModelUpdate,
     PopulationRegistry,
@@ -50,7 +50,7 @@ from .flcore import (
 )
 from .hashing import digest_hex, stable_u64, weights_digest
 from .netproto import Envelope, MsgType
-from .tinylearn import EvalMetrics, init_weights
+from .tinylearn import EvalMetrics
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +62,8 @@ RECLUSTER_FLAG_RATE = 0.5
 class SchedulerConfig:
     """Round scheduling knobs.
 
+    ``cohort_threshold`` is the similarity a task needs to join a cohort;
+    0 forms one cohort per population, the global-model baseline.
     ``guard_epsilon=None`` disables the guard; ``weighted_aggregation=False``
     switches to a plain unweighted mean for ablation runs.
     """
@@ -156,12 +158,11 @@ class RoundReport:
 
 @dataclass(eq=False)
 class CohortStats:
-    cohort_id: str
-    reports_ingested: int = 0
-    recent_flag_rate: float = 0.0
-    marked_for_recluster: bool = False
+    """What the recluster rule reads of a cohort's ingested reports."""
+
     last_sched_round: int = -1
-    flag_rates: list[float] = field(default_factory=list)
+    # the flag rates of the last RECLUSTER_WINDOW ingested reports
+    flag_rates: deque[float] = field(default_factory=lambda: deque(maxlen=RECLUSTER_WINDOW))
 
 
 class RoundTransport(Protocol):
@@ -263,102 +264,45 @@ class Coordinator:
     def _population_seed(self, population_id: str) -> int:
         return stable_u64(self.config.seed, population_id, "init")
 
-    def _single_cohort(self, population: FlPopulation) -> list[FlCohort]:
-        """Global mode: the whole population shares one model (threshold 0)."""
-        signatures = self.registry.signatures_of(population)
-        centroid = weighted_centroid([signatures[t] for t in sorted(signatures)])
-        if population.cohorts:
-            existing = population.cohorts[0]
-            existing.member_task_ids = set(signatures)
-            existing.centroid = centroid
-            return [existing]
-        return [
-            FlCohort(
-                cohort_id=f"{population.population_id}-c000",
-                population_id=population.population_id,
-                member_task_ids=set(signatures),
-                centroid=centroid,
-                global_weights=init_weights(
-                    population.config.model_arch, self._population_seed(population.population_id)
-                ),
-                round=0,
-            )
-        ]
-
-    @property
-    def global_mode(self) -> bool:
-        # threshold 0 is the definition of global mode: one cohort per population
-        return self.config.cohort_threshold == 0.0
-
     def ensure_cohorts(self):
-        """(Re)cohort every population marked dirty since the last round."""
+        """(Re)cohort every population marked dirty: form its cohorts on first
+        use, recluster them afterwards. This is the only code that builds
+        cohort structure."""
         with self._lock:
+            threshold = self.config.cohort_threshold
             for population_id in sorted(self.dirty_populations):
                 population = self.registry.populations[population_id]
+                signatures = self.registry.signatures_of(population)
                 seed = self._population_seed(population_id)
-                if self.global_mode:
-                    population.cohorts = self._single_cohort(population)
-                elif not population.cohorts:
-                    population.cohorts = form_cohorts(
-                        population,
-                        self.registry.signatures_of(population),
-                        self.config.cohort_threshold,
-                        seed,
-                    )
-                else:
-                    self._recluster_population(population)
-            self.dirty_populations.clear()
-
-    def _recluster_population(self, population: FlPopulation) -> dict:
-        cohorts, report = recluster(
-            population,
-            self.registry.signatures_of(population),
-            self.config.cohort_threshold,
-            self._population_seed(population.population_id),
-        )
-        population.cohorts = cohorts
-        event = {
-            "population_id": population.population_id,
-            "migrated": {t: list(move) for t, move in sorted(report.migrated.items())},
-            "new_cohort_ids": report.new_cohort_ids,
-            "removed_cohort_ids": report.removed_cohort_ids,
-        }
-        self.migration_log.append(event)
-        for cohort_id in report.removed_cohort_ids:
-            self.recluster_marks.discard(cohort_id)
-        return event
-
-    def recluster_marked(self) -> list[dict]:
-        """Recluster the populations of every cohort marked by ingest_metrics."""
-        with self._lock:
-            events = []
-            seen: set[str] = set()
-            for cohort_id in sorted(self.recluster_marks):
-                population = self._population_of_cohort(cohort_id)
-                if population is None:
+                if not population.cohorts:
+                    population.cohorts = form_cohorts(population, signatures, threshold, seed)
                     continue
-                if population.population_id in seen:
-                    continue
-                seen.add(population.population_id)
-                if self.global_mode:
-                    population.cohorts = self._single_cohort(population)
-                else:
-                    events.append(self._recluster_population(population))
+                population.cohorts, report = recluster(population, signatures, threshold, seed)
+                self.recluster_marks.difference_update(report.removed_cohort_ids)
                 # the new structure starts with a fresh flag-rate window
                 for cohort in population.cohorts:
                     stats = self.cohort_stats.get(cohort.cohort_id)
                     if stats is not None:
-                        stats.marked_for_recluster = False
                         stats.flag_rates.clear()
-            self.recluster_marks.clear()
-            return events
+                if report.migrated or report.new_cohort_ids or report.removed_cohort_ids:
+                    self.migration_log.append(
+                        {
+                            "population_id": population_id,
+                            "migrated": {t: list(m) for t, m in sorted(report.migrated.items())},
+                            "new_cohort_ids": report.new_cohort_ids,
+                            "removed_cohort_ids": report.removed_cohort_ids,
+                        }
+                    )
+            self.dirty_populations.clear()
 
-    def _population_of_cohort(self, cohort_id: str) -> FlPopulation | None:
-        for population in self.registry.populations.values():
-            for cohort in population.cohorts:
-                if cohort.cohort_id == cohort_id:
-                    return population
-        return None
+    def recluster_marked(self):
+        """Recluster the populations of every cohort marked by ingest_metrics."""
+        with self._lock:
+            for cohort_id in self.recluster_marks:
+                self.dirty_populations.add(self._find_cohort(cohort_id).population_id)
+            self.recluster_marks.clear()
+            if self.dirty_populations:
+                self.ensure_cohorts()
 
     def all_cohorts(self) -> list[FlCohort]:
         cohorts = []
@@ -503,9 +447,7 @@ class Coordinator:
         """Fold a round report into the cohort's time series and apply the
         recluster-marking rule."""
         with self._lock:
-            stats = self.cohort_stats.setdefault(
-                report.cohort_id, CohortStats(cohort_id=report.cohort_id)
-            )
+            stats = self.cohort_stats.setdefault(report.cohort_id, CohortStats())
             cohort = self._find_cohort(report.cohort_id)
             expected = {cohort.round, cohort.round - 1} if cohort else set()
             if (
@@ -521,22 +463,17 @@ class Coordinator:
                 logger.warning(message)
                 return stats
             stats.last_sched_round = report.sched_round
-            stats.reports_ingested += 1
             stats.flag_rates.append(report.flag_rate)
-            window = stats.flag_rates[-RECLUSTER_WINDOW:]
-            stats.recent_flag_rate = sum(window) / len(window)
-            if len(window) >= RECLUSTER_WINDOW and stats.recent_flag_rate > RECLUSTER_FLAG_RATE:
-                stats.marked_for_recluster = True
+            window = stats.flag_rates
+            if len(window) == RECLUSTER_WINDOW and sum(window) / len(window) > RECLUSTER_FLAG_RATE:
                 self.recluster_marks.add(report.cohort_id)
             return stats
 
     def _find_cohort(self, cohort_id: str) -> FlCohort | None:
-        population = self._population_of_cohort(cohort_id)
-        if population is None:
-            return None
-        for cohort in population.cohorts:
-            if cohort.cohort_id == cohort_id:
-                return cohort
+        for population in self.registry.populations.values():
+            for cohort in population.cohorts:
+                if cohort.cohort_id == cohort_id:
+                    return cohort
         return None
 
     # -- protocol dispatch -----------------------------------------------------------

@@ -255,7 +255,9 @@ def generate_client_dataset(
     if cluster.feature_shift is not None:
         features = features + np.asarray(cluster.feature_shift, dtype=np.float64)
     if cluster.label_map is not None:
-        labels = np.array([cluster.label_map.get(int(y), int(y)) for y in labels])
+        lut = np.arange(spec.n_classes)
+        lut[list(cluster.label_map)] = list(cluster.label_map.values())
+        labels = lut[labels]
     flip_rate = _flip_rate(spec, client_id)
     if flip_rate > 0.0:
         poison_rng = np.random.default_rng(stable_u64(spec.seed, "poison", client_id))

@@ -311,16 +311,16 @@ class SocketCoordinatorServer:
 
     def _serve_registration(self, conn: socket.socket, peer: str):
         session = ClientSession(sock=conn, file=conn.makefile("rb"))
+        handed_over = False
         try:
             while not self._stopping.is_set():
                 frame = netproto.read_frame(session.file)
                 if frame is None:
-                    session.close()
                     return
                 try:
                     env = netproto.decode(frame)
                 except ProtocolError as exc:
-                    # e.g. mismatched protocol version: refuse cleanly, keep serving
+                    # e.g. mismatched protocol version: refuse cleanly
                     logger.info("refusing %s: %s", peer, exc)
                     error = Envelope(
                         msg_type=MsgType.ERROR,
@@ -328,7 +328,6 @@ class SocketCoordinatorServer:
                         payload={"code": exc.code, "message": exc.message},
                     )
                     session.send(netproto.encode(error))
-                    session.close()
                     return
                 response = self.coordinator.handle_envelope(env)
                 session.send(netproto.encode(response))
@@ -337,13 +336,16 @@ class SocketCoordinatorServer:
                     with self._sessions_lock:
                         self._sessions[task_id] = session
                         total = len(self._sessions)
+                    handed_over = True  # the round driver owns the connection now
                     logger.info("task %s submitted by %s (%d total)", task_id, peer, total)
                     if total >= self.expected_tasks:
                         self._ready.set()
-                    return  # hand the connection over to the round driver
+                    return
         except (OSError, ProtocolError) as exc:
             logger.info("registration connection %s closed: %s", peer, exc)
-            session.close()
+        finally:
+            if not handed_over:
+                session.close()
 
     def round_transport(self) -> SocketRoundTransport:
         return SocketRoundTransport(self)

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from communityfl.community import (
     CollaborationCriteria,
     DataSignature,
+    MigrationReport,
     _centroid_row,
     admit,
     form_cohorts,
@@ -450,9 +451,20 @@ def test_identical_signatures_single_cohort_any_threshold():
 def test_threshold_validation():
     signatures = {"t0": fixed_signature([0.0], [1.0], [0.5, 0.5])}
     population = _population_with(signatures)
-    for tau in (0.0, 1.0, -0.2, 1.5):
+    for tau in (1.0, -0.2, 1.5):
         with pytest.raises(ConfigError):
             form_cohorts(population, signatures, threshold=tau, seed=0)
+
+
+def test_threshold_zero_forms_one_cohort_with_the_population_centroid():
+    # the global-model baseline: every task in one cohort, whose centroid is
+    # the weighted centroid of all signatures in task-id order, to the bit
+    signatures = _crowd_signatures()
+    cohorts = form_cohorts(_population_of(signatures), signatures, threshold=0.0, seed=0)
+    assert len(cohorts) == 1
+    assert cohorts[0].member_task_ids == set(signatures)
+    expected = weighted_centroid([signatures[t] for t in sorted(signatures)])
+    assert _signature_bytes(cohorts[0].centroid) == _signature_bytes(expected)
 
 
 def test_low_threshold_one_cohort_high_threshold_singletons(rng):
@@ -576,6 +588,21 @@ def test_recluster_no_change_zero_migrations(rng):
     assert [c.cohort_id for c in cohorts] == old_ids
     for cohort, weights in zip(cohorts, old_weights):
         assert np.array_equal(cohort.global_weights.values, weights)
+
+
+def test_recluster_at_threshold_zero_keeps_the_one_cohort(rng):
+    signatures = two_cluster_signatures(rng)
+    population = _population_with(signatures)
+    population.cohorts = form_cohorts(population, signatures, threshold=0.0, seed=3)
+    (old,) = population.cohorts
+    old.round = 4
+    drifted = dict(signatures)
+    drifted["M2.2a"] = near_signature(signatures["M2.1a"], rng)
+    (cohort,), report = recluster(population, drifted, threshold=0.0, seed=3)
+    assert report == MigrationReport()
+    assert (cohort.cohort_id, cohort.round) == (old.cohort_id, 4)
+    assert cohort.global_weights is old.global_weights
+    assert cohort.member_task_ids == set(signatures)
 
 
 def test_recluster_flipped_histogram_migrates_exactly_that_task(rng):

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from communityfl import netproto
 from communityfl.community import Community
@@ -337,3 +339,129 @@ def test_task_and_community_doc_roundtrip():
     assert again.community_id == community.community_id
     assert again.default_plan == community.default_plan
     assert again.criteria == community.criteria
+
+
+# -- decoder properties --------------------------------------------------------------
+
+
+def _values(spec: Field):
+    """Hypothesis strategy for any value the schema field accepts."""
+    if spec.kind == "str":
+        return st.text(max_size=6)
+    if spec.kind == "int":
+        return st.integers(-(2**70), 2**70)
+    if spec.kind == "float":
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if spec.kind == "number":
+        return st.one_of(st.integers(-(2**70), 2**70), _values(Field("float")))
+    if spec.kind == "list":
+        return st.lists(_values(spec.item), max_size=3)
+    if spec.kind == "map":
+        return st.dictionaries(st.text(max_size=4), _values(spec.item), max_size=3)
+    if spec.kind == "doc":
+        return st.fixed_dictionaries({name: _values(sub) for name, sub in spec.schema.items()})
+    raise AssertionError(spec.kind)
+
+
+@st.composite
+def _envelope_docs(draw):
+    msg_type = draw(st.sampled_from(sorted(MsgType, key=lambda t: t.value)))
+    return {
+        "correlation_id": draw(st.integers(0, 2**64 - 1)),
+        "msg_type": msg_type.value,
+        "payload": draw(_values(Field("doc", schema=PAYLOAD_SCHEMAS[msg_type]))),
+        "version": netproto.PROTOCOL_VERSION,
+    }
+
+
+def _frame(text: str) -> bytes:
+    body = text.encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
+@st.composite
+def _spelled_frames(draw):
+    """Schema-valid envelopes, written with or without sorted keys, spacing
+    and ASCII escapes; only one of these spellings is the canonical one."""
+    text = json.dumps(
+        draw(_envelope_docs()),
+        sort_keys=draw(st.booleans()),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    return _frame(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spelled_frames())
+def test_every_accepted_frame_reencodes_to_itself(frame):
+    try:
+        env = decode(frame)
+    except ProtocolError as exc:
+        assert exc.code == "malformed"
+        return
+    assert encode(env) == frame
+
+
+def _update_body() -> bytes:
+    update = make_update("t", [0.0, 0.0], post_loss=0.25)
+    payload = {"update": netproto.to_doc(update), "session_token": "tok"}
+    return encode(Envelope(MsgType.MODEL_UPDATE, 3, payload))[4:]
+
+
+@pytest.mark.parametrize(
+    "canonical, other",
+    [
+        # found by the property above: spacing after separators was accepted
+        (b'"version":1}', b'"version": 1}'),
+        (b'{"correlation_id":3,', b'{ "correlation_id":3,'),
+        (b'"loss":0.25', b'"loss":2.5e-1'),
+        (b'"loss":0.25', b'"loss":0.250'),
+        (b'"round":0', b'"round":-0'),
+        (b'"task_id":"t"', b'"task_id":"\\u0074"'),
+        # a lone surrogate parses, but no UTF-8 frame can carry it back
+        (b'"task_id":"t"', b'"task_id":"\\ud800"'),
+        (b'"session_token":"tok",', b'"session_token":"tok","session_token":"tok",'),
+    ],
+)
+def test_non_canonical_spellings_are_malformed(canonical, other):
+    body = _update_body()
+    assert body.count(canonical) == 1
+    body = body.replace(canonical, other)
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+
+
+def _numeric_leaves(value, spec: Field, path: tuple):
+    if spec.kind in ("int", "float", "number"):
+        yield path, spec.kind
+    elif spec.kind == "doc":
+        for name, sub in spec.schema.items():
+            yield from _numeric_leaves(value[name], sub, path + (name,))
+    elif spec.kind == "list":
+        for i, item in enumerate(value):
+            yield from _numeric_leaves(item, spec.item, path + (i,))
+    elif spec.kind == "map":
+        for key, item in value.items():
+            yield from _numeric_leaves(item, spec.item, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_envelope_docs(), st.data())
+def test_bool_in_an_integer_field_and_overflowing_floats_are_malformed(doc, data):
+    payload_schema = PAYLOAD_SCHEMAS[MsgType(doc["msg_type"])]
+    schema = {"correlation_id": Field("int"), "payload": Field("doc", schema=payload_schema)}
+    leaves = list(_numeric_leaves(doc, Field("doc", schema=schema), ()))
+    path, kind = data.draw(st.sampled_from(leaves))
+    bools, overflows = ["true", "false"], ["1e400", "-1e400"]
+    choices = {"int": bools, "float": overflows, "number": bools + overflows}[kind]
+    hostile = data.draw(st.sampled_from(choices))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@hostile@"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    with pytest.raises(ProtocolError) as exc:
+        decode(_frame(text.replace('"@hostile@"', hostile)))
+    assert exc.value.code == "malformed"

@@ -441,8 +441,8 @@ def _report(cohort_id: str, round: int, sched_round: int, flag_rate_one: bool) -
     )
 
 
-def _coordinator_with_cohort():
-    coordinator = _coordinator()
+def _coordinator_with_cohort(**config_overrides):
+    coordinator = _coordinator(**config_overrides)
     coordinator.register_client(make_metadata("client-a"))
     coordinator.submit_task(make_task("t1"))
     coordinator.ensure_cohorts()
@@ -457,7 +457,7 @@ def test_three_full_flag_reports_mark_cohort_for_recluster():
         stats = coordinator.ingest_metrics(
             _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=True)
         )
-    assert stats.marked_for_recluster
+    assert list(stats.flag_rates) == [1.0, 1.0, 1.0]
     assert cohort.cohort_id in coordinator.recluster_marks
 
 
@@ -468,7 +468,7 @@ def test_zero_flag_rate_never_marks():
         stats = coordinator.ingest_metrics(
             _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=False)
         )
-    assert not stats.marked_for_recluster
+    assert list(stats.flag_rates) == [0.0, 0.0, 0.0]  # the last RECLUSTER_WINDOW reports
     assert coordinator.recluster_marks == set()
 
 
@@ -477,8 +477,37 @@ def test_stale_report_ignored_with_warning():
     cohort.round = 1
     coordinator.ingest_metrics(_report(cohort.cohort_id, 0, 1, flag_rate_one=False))
     stats = coordinator.ingest_metrics(_report(cohort.cohort_id, 0, 1, flag_rate_one=True))
-    assert stats.reports_ingested == 1  # second one ignored
+    assert list(stats.flag_rates) == [0.0]  # second one ignored
     assert coordinator.warnings and "stale" in coordinator.warnings[0]
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.0])
+def test_recluster_of_a_marked_cohort_that_changes_nothing_logs_nothing(threshold):
+    coordinator, cohort = _coordinator_with_cohort(cohort_threshold=threshold)
+    for sched_round in (1, 2, 3):
+        cohort.round = sched_round
+        coordinator.ingest_metrics(
+            _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=True)
+        )
+    assert coordinator.recluster_marks == {cohort.cohort_id}
+    coordinator.recluster_marked()
+    (after,) = coordinator.all_cohorts()
+    assert (after.cohort_id, after.round) == (cohort.cohort_id, 3)
+    assert after.global_weights is cohort.global_weights
+    assert coordinator.recluster_marks == set()
+    assert coordinator.migration_log == []
+    # the rebuilt structure starts a fresh flag-rate window
+    assert list(coordinator.cohort_stats[cohort.cohort_id].flag_rates) == []
+
+
+def test_task_submitted_after_setup_is_cohorted_at_the_next_recluster():
+    coordinator, cohort = _coordinator_with_cohort()
+    coordinator.submit_task(make_task("t2"))
+    assert coordinator.dirty_populations == {cohort.population_id}
+    coordinator.recluster_marked()
+    assert coordinator.dirty_populations == set()
+    members = {t for c in coordinator.all_cohorts() for t in c.member_task_ids}
+    assert members == {"t1", "t2"}
 
 
 def test_recluster_resolves_planted_drift_within_two_points():

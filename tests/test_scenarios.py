@@ -179,6 +179,18 @@ def test_poison_flips_labels_at_full_rate():
     assert np.all(a.labels != b.labels)  # every label moved to the next class
 
 
+def test_label_map_relabels_like_dict_lookup():
+    label_map = {0: 2, 2: 0}  # label 1 stays unmapped
+    raw_spec = _basic_spec(n_classes=3)
+    mapped_spec = _basic_spec(n_classes=3, clusters=[ClusterSpec(weight=1.0, label_map=label_map)])
+    raw = scenarios.generate_client_dataset(raw_spec, "c-0", 0, 500, "data").labels
+    mapped = scenarios.generate_client_dataset(mapped_spec, "c-0", 0, 500, "data").labels
+    reference = np.array([label_map.get(int(y), int(y)) for y in raw])
+    assert set(raw.tolist()) == {0, 1, 2}
+    assert mapped.dtype == reference.dtype == np.int64
+    assert np.array_equal(mapped, reference)
+
+
 def test_uniform_builtin_single_cohort_up_to_090():
     spec = builtin_scenarios()["uniform"]
     data = generate(spec)

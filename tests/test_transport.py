@@ -359,6 +359,21 @@ def test_server_close_stops_accept_thread_at_once():
     assert elapsed < 0.1  # well under the listener's 0.2 s accept poll
 
 
+def test_registration_closes_its_session_when_the_server_is_stopping():
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
+    server_end, peer = socket.socketpair()
+    try:
+        server.close()  # sets _stopping before the first frame is read
+        server._serve_registration(server_end, "socketpair")
+        assert server_end.fileno() == -1
+        peer.settimeout(5.0)
+        assert peer.recv(1) == b""  # EOF, not a connection left hanging
+    finally:
+        server_end.close()
+        peer.close()
+
+
 def test_socket_round_converts_each_update_once(tmp_path, monkeypatch):
     spec = builtin_scenarios()["uniform"]
     conversions = _count_calls(monkeypatch, netproto, "update_from_doc")
