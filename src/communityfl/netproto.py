@@ -8,11 +8,12 @@ The decoder is strict and total: any malformed input raises
 :class:`ProtocolError` and nothing else.
 
 Every message type's payload is validated against an explicit schema; unknown
-fields are rejected. The same schemas drive :func:`to_doc` and
-:func:`from_doc`, which convert domain records to and from documents. No
-schema declares a field that can carry raw feature or label arrays - model
-weights travel as base64-encoded float64 blobs and data is only ever
-described by its statistical signature.
+fields are rejected. Each schema is compiled once, at import, into a checker
+that builds a field's path only when it reports an error. The same schemas
+drive :func:`to_doc` and :func:`from_doc`, which convert domain records to and
+from documents. No schema declares a field that can carry raw feature or label
+arrays - model weights travel as base64-encoded float64 blobs and data is only
+ever described by its statistical signature.
 
 See ``docs/PROTOCOL.md`` for the normative schema reference.
 """
@@ -70,7 +71,7 @@ RESPONSE_OF = {
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # str | int | float | bool | number | list | doc | map
+    kind: str  # str | int | float | number | list | doc | map
     item: "Field | None" = None
     schema: dict | None = None
     record: type | None = None  # the domain class a "doc" field converts to
@@ -218,51 +219,110 @@ PAYLOAD_SCHEMAS: dict[MsgType, dict] = {
 }
 
 
-def _validate_value(value, spec: Field, path: str):
+class _Fault(Exception):
+    """A value a compiled checker refuses. ``segments`` collects the path below
+    the checker's root, innermost first, as the fault propagates outwards."""
+
+    def __init__(self, what: str):
+        super().__init__(what)
+        self.what = what
+        self.segments: list[str] = []
+
+
+def _typed(types, what: str, refuse_bool: bool = False) -> Callable:
+    # bool is a subclass of int, but True is no integer on the wire
+    def check(value):
+        if not isinstance(value, types) or (refuse_bool and isinstance(value, bool)):
+            raise _Fault(what)
+
+    return check
+
+
+def _compile_value(spec: Field) -> Callable:
+    """A checker for one field: returns on success, raises ``_Fault``."""
     if spec.kind == "str":
-        if not isinstance(value, str):
-            raise ProtocolError("malformed", f"{path}: expected string")
-    elif spec.kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProtocolError("malformed", f"{path}: expected integer")
-    elif spec.kind == "float":
-        if not isinstance(value, float):
-            raise ProtocolError("malformed", f"{path}: expected real")
-    elif spec.kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProtocolError("malformed", f"{path}: expected number")
-    elif spec.kind == "bool":
-        if not isinstance(value, bool):
-            raise ProtocolError("malformed", f"{path}: expected boolean")
-    elif spec.kind == "list":
-        if not isinstance(value, list):
-            raise ProtocolError("malformed", f"{path}: expected list")
-        for i, item in enumerate(value):
-            _validate_value(item, spec.item, f"{path}[{i}]")
-    elif spec.kind == "doc":
-        _validate_doc(value, spec.schema, path)
-    elif spec.kind == "map":
-        if not isinstance(value, dict):
-            raise ProtocolError("malformed", f"{path}: expected object")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ProtocolError("malformed", f"{path}: non-string key")
-            _validate_value(item, spec.item, f"{path}.{key}")
-    else:  # pragma: no cover - schema definition bug
-        raise AssertionError(f"unknown field kind {spec.kind}")
+        return _typed(str, "expected string")
+    if spec.kind == "int":
+        return _typed(int, "expected integer", refuse_bool=True)
+    if spec.kind == "float":
+        return _typed(float, "expected real")
+    if spec.kind == "number":
+        return _typed((int, float), "expected number", refuse_bool=True)
+    if spec.kind == "doc":
+        return _compile_doc(spec.schema)
+    check_item = _compile_value(spec.item)
+    if spec.kind == "list":
+
+        def check_list(value):
+            if not isinstance(value, list):
+                raise _Fault("expected list")
+            for i, item in enumerate(value):
+                try:
+                    check_item(item)
+                except _Fault as fault:
+                    fault.segments.append(f"[{i}]")
+                    raise
+
+        return check_list
+    if spec.kind == "map":
+
+        def check_map(value):
+            if not isinstance(value, dict):
+                raise _Fault("expected object")
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise _Fault("non-string key")
+                try:
+                    check_item(item)
+                except _Fault as fault:
+                    fault.segments.append(f".{key}")
+                    raise
+
+        return check_map
+    raise AssertionError(f"unknown field kind {spec.kind}")  # pragma: no cover
 
 
-def _validate_doc(doc, schema: dict, path: str):
-    if not isinstance(doc, dict):
-        raise ProtocolError("malformed", f"{path}: expected object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise ProtocolError("malformed", f"{path}: undeclared fields {sorted(unknown)}")
-    missing = set(schema) - set(doc)
-    if missing:
-        raise ProtocolError("malformed", f"{path}: missing fields {sorted(missing)}")
-    for name, spec in schema.items():
-        _validate_value(doc[name], spec, f"{path}.{name}")
+def _compile_doc(schema: dict) -> Callable:
+    """A checker for a document: undeclared fields are reported before missing
+    ones, then each field is checked in declaration order."""
+    names = frozenset(schema)
+    fields = [(name, _compile_value(spec)) for name, spec in schema.items()]
+
+    def check_doc(doc):
+        if not isinstance(doc, dict):
+            raise _Fault("expected object")
+        if doc.keys() != names:
+            unknown = set(doc) - names
+            if unknown:
+                raise _Fault(f"undeclared fields {sorted(unknown)}")
+            raise _Fault(f"missing fields {sorted(names - set(doc))}")
+        for name, check in fields:
+            try:
+                check(doc[name])
+            except _Fault as fault:
+                fault.segments.append(f".{name}")
+                raise
+
+    return check_doc
+
+
+def _validator(schema: dict, root: str) -> Callable[[object], None]:
+    """Compile ``schema`` once; the returned function raises the
+    ``ProtocolError`` whose message names the dotted path from ``root``."""
+    check = _compile_doc(schema)
+
+    def validate(doc):
+        try:
+            check(doc)
+        except _Fault as fault:
+            path = root + "".join(reversed(fault.segments))
+            raise ProtocolError("malformed", f"{path}: {fault.what}") from None
+
+    return validate
+
+
+_VALIDATE_PAYLOAD = {t: _validator(schema, t.value) for t, schema in PAYLOAD_SCHEMAS.items()}
+_VALIDATE_RECORD = {cls: _validator(schema, cls.__name__) for cls, schema in RECORD_SCHEMAS.items()}
 
 
 @dataclass(frozen=True)
@@ -281,7 +341,7 @@ def encode(env: Envelope) -> bytes:
         raise ProtocolError("unsupported_version", f"cannot encode version {env.version}")
     if not isinstance(env.correlation_id, int) or not 0 <= env.correlation_id < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
-    _validate_doc(env.payload, PAYLOAD_SCHEMAS[env.msg_type], env.msg_type.value)
+    _VALIDATE_PAYLOAD[env.msg_type](env.payload)
     doc = {
         "correlation_id": env.correlation_id,
         "msg_type": env.msg_type.value,
@@ -294,12 +354,17 @@ def encode(env: Envelope) -> bytes:
     return _PREFIX.pack(len(body)) + body
 
 
+# one shared encoder: ``iterencode`` keeps no state between calls, so threads
+# may use it at once
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
+
+
 def _canonical_body(doc: dict) -> bytes:
     """The one spelling of a document that ``encode`` writes."""
     try:
-        return json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-        ).encode("utf-8")
+        return _CANONICAL.encode(doc).encode("utf-8")
     except ValueError as exc:  # also a lone surrogate, which UTF-8 cannot carry
         raise ProtocolError("malformed", f"payload not JSON-serializable: {exc}") from exc
 
@@ -352,7 +417,7 @@ def decode(frame: bytes) -> Envelope:
     cid = doc["correlation_id"]
     if not isinstance(cid, int) or isinstance(cid, bool) or not 0 <= cid < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
-    _validate_doc(doc["payload"], PAYLOAD_SCHEMAS[msg_type], msg_type.value)
+    _VALIDATE_PAYLOAD[msg_type](doc["payload"])
     # any other spelling of the same document (spacing, key order, escapes,
     # number forms such as 2.5e-1 or -0) is refused, so that every accepted
     # frame re-encodes to itself
@@ -437,7 +502,7 @@ def from_file_doc(cls: type, doc):
     first, so that a string where a tag list belongs is refused instead of
     becoming a set of characters. Raises ``ConfigError``."""
     try:
-        _validate_doc(doc, RECORD_SCHEMAS[cls], cls.__name__)
+        _VALIDATE_RECORD[cls](doc)
     except ProtocolError as exc:
         raise ConfigError(exc.message) from exc
     return from_doc(cls, doc)

@@ -279,6 +279,8 @@ class Coordinator:
                     continue
                 population.cohorts, report = recluster(population, signatures, threshold, seed)
                 self.recluster_marks.difference_update(report.removed_cohort_ids)
+                for cohort_id in report.removed_cohort_ids:
+                    self.cohort_stats.pop(cohort_id, None)
                 # the new structure starts with a fresh flag-rate window
                 for cohort in population.cohorts:
                     stats = self.cohort_stats.get(cohort.cohort_id)
@@ -447,13 +449,15 @@ class Coordinator:
         """Fold a round report into the cohort's time series and apply the
         recluster-marking rule."""
         with self._lock:
-            stats = self.cohort_stats.setdefault(report.cohort_id, CohortStats())
             cohort = self._find_cohort(report.cohort_id)
-            expected = {cohort.round, cohort.round - 1} if cohort else set()
+            if cohort is None:  # a removed or unknown cohort keeps no stats
+                stats = CohortStats()
+            else:
+                stats = self.cohort_stats.setdefault(report.cohort_id, CohortStats())
             if (
-                report.sched_round <= stats.last_sched_round
-                or cohort is None
-                or report.round not in expected
+                cohort is None
+                or report.sched_round <= stats.last_sched_round
+                or report.round not in (cohort.round, cohort.round - 1)
             ):
                 message = (
                     f"stale report for {report.cohort_id}: round {report.round}, "

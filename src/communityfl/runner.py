@@ -113,29 +113,16 @@ class SimulationRun:
     summary: RunSummary | None = None
 
 
-def _member_holdout_accuracy(
-    cohort: FlCohort, coordinator: Coordinator, clients: dict[str, FlClient]
-) -> list[tuple[str, float, int]]:
-    """(task_id, accuracy, holdout size) of the cohort model on each member's
-    holdout, in task-id order, from one forward pass over the stacked holdouts.
+@dataclass(frozen=True)
+class _HoldoutStack:
+    """A cohort's member holdouts stacked in task-id order, for one
+    :func:`grouped_hits` pass."""
 
-    ``hits / n`` is bit-equal to ``evaluate(...).accuracy`` on that holdout.
-    """
-    task_ids = sorted(cohort.member_task_ids)
-    if not task_ids:
-        return []
-    holdouts = []
-    for task_id in task_ids:
-        task = coordinator.registry.tasks[task_id]
-        holdouts.append(clients[task.client_id].split(task.plan.eval_holdout_fraction)[1])
-    sizes = [h.n_samples for h in holdouts]
-    hits = grouped_hits(
-        cohort.global_weights,
-        np.concatenate([h.features for h in holdouts]),
-        np.concatenate([h.labels for h in holdouts]),
-        np.cumsum([0] + sizes[:-1]),
-    )
-    return [(t, int(h) / n, n) for t, h, n in zip(task_ids, hits, sizes)]
+    task_ids: tuple[str, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    sizes: list[int]
 
 
 def _cohort_holdout_accuracy(members: list[tuple[str, float, int]]) -> float:
@@ -150,14 +137,56 @@ def _cohort_holdout_accuracy(members: list[tuple[str, float, int]]) -> float:
 
 class _OmniscientHoldout:
     """Simulation: the runner sees every client, so it scores each fresh cohort
-    model on all members' holdouts and fills that round's own row."""
+    model on all members' holdouts and fills that round's own row.
+
+    Each cohort's stacked holdouts are kept until its membership changes or
+    :meth:`drop_stacks` is called because a client's data drifted."""
 
     def __init__(self, coordinator: Coordinator, clients: dict[str, FlClient]):
         self._coordinator = coordinator
         self._clients = clients
+        self._stacks: dict[str, _HoldoutStack] = {}
+
+    def drop_stacks(self):
+        self._stacks.clear()
+
+    def _stack(self, cohort: FlCohort) -> _HoldoutStack:
+        task_ids = tuple(sorted(cohort.member_task_ids))
+        stack = self._stacks.get(cohort.cohort_id)
+        if stack is not None and stack.task_ids == task_ids:
+            return stack
+        # membership changed or the cohort is new: forget removed cohorts too
+        live = {c.cohort_id for c in self._coordinator.all_cohorts()}
+        self._stacks = {k: v for k, v in self._stacks.items() if k in live}
+        holdouts = []
+        for task_id in task_ids:
+            task = self._coordinator.registry.tasks[task_id]
+            client = self._clients[task.client_id]
+            holdouts.append(client.split(task.plan.eval_holdout_fraction)[1])
+        sizes = [h.n_samples for h in holdouts]
+        stack = _HoldoutStack(
+            task_ids=task_ids,
+            features=np.concatenate([h.features for h in holdouts]),
+            labels=np.concatenate([h.labels for h in holdouts]),
+            offsets=np.cumsum([0] + sizes[:-1]),
+            sizes=sizes,
+        )
+        self._stacks[cohort.cohort_id] = stack
+        return stack
+
+    def _member_accuracy(self, cohort: FlCohort) -> list[tuple[str, float, int]]:
+        """(task_id, accuracy, holdout size) of the cohort model on each
+        member's holdout, in task-id order, from one forward pass over the
+        stacked holdouts. ``hits / n`` is bit-equal to
+        ``evaluate(...).accuracy`` on that holdout."""
+        if not cohort.member_task_ids:
+            return []
+        stack = self._stack(cohort)
+        hits = grouped_hits(cohort.global_weights, stack.features, stack.labels, stack.offsets)
+        return [(t, int(h) / n, n) for t, h, n in zip(stack.task_ids, hits, stack.sizes)]
 
     def fill(self, cohort: FlCohort, report: RoundReport, rows: list[dict]):
-        members = _member_holdout_accuracy(cohort, self._coordinator, self._clients)
+        members = self._member_accuracy(cohort)
         rows[-1]["global_holdout_acc"] = _fmt(_cohort_holdout_accuracy(members))
 
     def final(self, reports: list[RoundReport]) -> tuple[dict[str, float], dict[str, float]]:
@@ -165,7 +194,7 @@ class _OmniscientHoldout:
         per_task: dict[str, float] = {}
         per_cohort: dict[str, float] = {}
         for cohort in self._coordinator.all_cohorts():
-            members = _member_holdout_accuracy(cohort, self._coordinator, self._clients)
+            members = self._member_accuracy(cohort)
             per_cohort[cohort.cohort_id] = _cohort_holdout_accuracy(members)
             for task_id, accuracy, _ in members:
                 per_task[task_id] = accuracy
@@ -232,12 +261,15 @@ def run_simulation(
         network.bind_task(task.task_id, task.client_id)
     coordinator.ensure_cohorts()
 
+    holdout = _OmniscientHoldout(coordinator, run.clients)
+
     def drift(sched_round: int):
         for event in spec.drift_events:
             if event.round != sched_round:
                 continue
             dataset = apply_drift(data, event)
             run.clients[event.client_id].set_dataset(dataset)
+            holdout.drop_stacks()
             generated = data.client(event.client_id)
             # refresh the signature both locally and in the coordinator's
             # registry so a later recluster sees the drifted distribution
@@ -249,7 +281,6 @@ def run_simulation(
                     task.data_signature = generated.metadata.data_signature
             logger.info("round %d: client %s drifted", sched_round, event.client_id)
 
-    holdout = _OmniscientHoldout(coordinator, run.clients)
     _drive_rounds(coordinator, network, config.rounds, holdout, run.rows, run.reports, drift)
     run.summary = _finish(
         coordinator, holdout, spec.name, mode, config.rounds, run.rows, run.reports, started, out_dir

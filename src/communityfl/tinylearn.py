@@ -8,6 +8,11 @@ given its explicit seeds.
 Weight layout is canonical so aggregation and serialization are unambiguous:
 for each layer, the row-major weight matrix comes first, then its bias
 vector. All arithmetic is float64 with summations in fixed index order.
+
+One private kernel, ``_loss_grad``, computes the loss and gradient on raw
+arrays. ``loss_and_gradient`` checks shapes and calls it; ``train_local``
+checks shapes once and runs its whole mini-batch SGD loop on raw arrays,
+building one ``WeightVector`` at the end.
 """
 
 from __future__ import annotations
@@ -243,9 +248,16 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
     and smooth enough for finite-difference checks.
     """
     arch = _check_shapes(w, data)
-    x, y = data.features, data.labels
-    n = data.n_samples
-    logits, hidden = _forward(w.values, arch, x)
+    return _loss_grad(w.values, arch, data.features, data.labels)
+
+
+def _loss_grad(
+    values: np.ndarray, arch: ModelArch, x: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The kernel of :func:`loss_and_gradient` on raw arrays whose shapes the
+    caller has checked."""
+    n = x.shape[0]
+    logits, hidden = _forward(values, arch, x)
     log_probs = _log_softmax(logits)
     loss = float(-log_probs[np.arange(n), y].mean())
 
@@ -253,13 +265,13 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    grad = np.empty_like(w.values)
+    grad = np.empty_like(values)
     f, c, h = arch.n_features, arch.n_classes, arch.hidden_units
     if h == 0:
         grad[: f * c] = (x.T @ dlogits).reshape(-1)
         grad[f * c :] = dlogits.sum(axis=0)
     else:
-        w1, b1, w2, b2 = _unpack(w.values, arch)
+        w1, b1, w2, b2 = _unpack(values, arch)
         dw2 = hidden.T @ dlogits
         db2 = dlogits.sum(axis=0)
         dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
@@ -276,24 +288,24 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
 
 
 def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector:
-    """Mini-batch SGD on cross-entropy; deterministic given ``hp.shuffle_seed``."""
+    """Mini-batch SGD on cross-entropy; deterministic given ``hp.shuffle_seed``.
+
+    A batch is rows of ``data``, which is already validated, so the loop runs
+    on raw arrays. Non-finite weights, incoming or from an overflowing step,
+    stay non-finite, and the final ``WeightVector`` refuses them.
+    """
     arch = _check_shapes(w, data)
     rng = np.random.default_rng(hp.shuffle_seed)
+    x, y = data.features, data.labels
     n = data.n_samples
-    values = w.values.copy()
-    current = WeightVector(values=values, arch_id=arch.arch_id)
+    values = w.values
     for _ in range(hp.epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            batch = Dataset(
-                features=data.features[idx], labels=data.labels[idx], n_classes=data.n_classes
-            )
-            _, grad = loss_and_gradient(current, batch)
-            current = WeightVector(
-                values=current.values - hp.learning_rate * grad, arch_id=arch.arch_id
-            )
-    return current
+            _, grad = _loss_grad(values, arch, x[idx], y[idx])
+            values = values - hp.learning_rate * grad
+    return WeightVector(values=values, arch_id=arch.arch_id)
 
 
 def grouped_hits(

@@ -1,4 +1,5 @@
 import base64
+import copy
 import io
 import json
 import struct
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 
 from communityfl import netproto
 from communityfl.community import Community
-from communityfl.errors import ProtocolError
+from communityfl.errors import ConfigError, ProtocolError
 from communityfl.flcore import FlTask
 from communityfl.netproto import (
     Envelope,
     Field,
     MsgType,
     PAYLOAD_SCHEMAS,
+    RECORD_SCHEMAS,
     RESPONSE_OF,
     decode,
     encode,
+    from_file_doc,
     read_frame,
     weights_to_wire,
     wire_to_weights,
@@ -465,3 +468,197 @@ def test_bool_in_an_integer_field_and_overflowing_floats_are_malformed(doc, data
     with pytest.raises(ProtocolError) as exc:
         decode(_frame(text.replace('"@hostile@"', hostile)))
     assert exc.value.code == "malformed"
+
+
+# -- compiled validators against the interpreted original ------------------------------
+
+
+def _oracle_validate_value(value, spec: Field, path: str):
+    """The original schema interpreter, kept as the oracle of the compiled
+    checkers."""
+    if spec.kind == "str":
+        if not isinstance(value, str):
+            raise ProtocolError("malformed", f"{path}: expected string")
+    elif spec.kind == "int":
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ProtocolError("malformed", f"{path}: expected integer")
+    elif spec.kind == "float":
+        if not isinstance(value, float):
+            raise ProtocolError("malformed", f"{path}: expected real")
+    elif spec.kind == "number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProtocolError("malformed", f"{path}: expected number")
+    elif spec.kind == "list":
+        if not isinstance(value, list):
+            raise ProtocolError("malformed", f"{path}: expected list")
+        for i, item in enumerate(value):
+            _oracle_validate_value(item, spec.item, f"{path}[{i}]")
+    elif spec.kind == "doc":
+        _oracle_validate_doc(value, spec.schema, path)
+    elif spec.kind == "map":
+        if not isinstance(value, dict):
+            raise ProtocolError("malformed", f"{path}: expected object")
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ProtocolError("malformed", f"{path}: non-string key")
+            _oracle_validate_value(item, spec.item, f"{path}.{key}")
+    else:
+        raise AssertionError(f"unknown field kind {spec.kind}")
+
+
+def _oracle_validate_doc(doc, schema: dict, path: str):
+    if not isinstance(doc, dict):
+        raise ProtocolError("malformed", f"{path}: expected object")
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ProtocolError("malformed", f"{path}: undeclared fields {sorted(unknown)}")
+    missing = set(schema) - set(doc)
+    if missing:
+        raise ProtocolError("malformed", f"{path}: missing fields {sorted(missing)}")
+    for name, spec in schema.items():
+        _oracle_validate_value(doc[name], spec, f"{path}.{name}")
+
+
+def _verdict(validate, *args):
+    try:
+        validate(*args)
+    except ProtocolError as exc:
+        return exc.code, exc.message
+    return None
+
+
+_OTHER_VALUES = ["s", "", 3, -1, 2.5, 0.0, True, False, None, [], [1], {}, {"a": 1}]
+
+
+def _other_value(data):
+    # a fresh copy: a later mutation may append to a drawn list or dict
+    return copy.deepcopy(data.draw(st.sampled_from(_OTHER_VALUES)))
+
+
+def _nodes(value, spec: Field, path: tuple):
+    """Every (path, spec) of a value, the value itself included, skipping
+    containers an earlier mutation gave the wrong type."""
+    container = {"doc": dict, "map": dict, "list": list}.get(spec.kind)
+    if container is not None and not isinstance(value, container):
+        return
+    yield path, spec
+    if spec.kind == "doc":
+        for name, sub in spec.schema.items():
+            if name in value:
+                yield from _nodes(value[name], sub, path + (name,))
+    elif spec.kind == "list":
+        for i, item in enumerate(value):
+            yield from _nodes(item, spec.item, path + (i,))
+    elif spec.kind == "map":
+        for key, item in value.items():
+            yield from _nodes(item, spec.item, path + (key,))
+
+
+def _mutate(doc, spec: Field, data):
+    """Apply a drawn mutation at a drawn node it applies to: a swapped type,
+    a bool in a numeric field, an undeclared or a missing key, or a bad list
+    item or map entry. A swap may keep the type, so some results are valid."""
+    nodes = list(_nodes(doc, spec, ()))
+
+    def at(path):
+        node = doc
+        for step in path:
+            node = node[step]
+        return node
+
+    eligible = {
+        "swap": [n for n in nodes if n[0]],
+        "bool": [n for n in nodes if n[1].kind in ("int", "number")],
+        "undeclared": [n for n in nodes if n[1].kind == "doc"],
+        "missing": [n for n in nodes if n[1].kind == "doc" and at(n[0])],
+        "bad_item": [n for n in nodes if n[1].kind in ("list", "map")],
+    }
+    mutation = data.draw(st.sampled_from([k for k, found in eligible.items() if found]))
+    path, node_spec = data.draw(st.sampled_from(eligible[mutation]))
+    node = at(path)
+    if mutation == "swap":
+        at(path[:-1])[path[-1]] = _other_value(data)
+    elif mutation == "bool":
+        at(path[:-1])[path[-1]] = data.draw(st.booleans())
+    elif mutation == "undeclared":
+        node[data.draw(st.sampled_from(["aaa", "zzz", "extra_field"]))] = 1
+    elif mutation == "missing":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif node_spec.kind == "list":
+        bad = _other_value(data)
+        if node and data.draw(st.booleans()):
+            node[data.draw(st.integers(0, len(node) - 1))] = bad
+        else:
+            node.append(bad)
+    else:  # a map: a bad value under an old or new key, or a non-string key
+        node[data.draw(st.sampled_from(list(node) + ["new_key", 7]))] = _other_value(data)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(MsgType, key=lambda t: t.value)), st.data())
+def test_compiled_payload_validators_match_the_interpreter(msg_type, data):
+    schema = PAYLOAD_SCHEMAS[msg_type]
+    spec = Field("doc", schema=schema)
+    payload = data.draw(_values(spec))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(payload, spec, data)
+    expected = _verdict(_oracle_validate_doc, payload, schema, msg_type.value)
+    assert _verdict(encode, Envelope(msg_type, 5, payload)) == expected
+    # the frame's verdict is the oracle's on the document as decoded: JSON
+    # turns a non-string map key into a string, and the frame sorts keys
+    payload = json.loads(json.dumps(payload))
+    doc = {"correlation_id": 5, "msg_type": msg_type.value, "payload": payload, "version": 1}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    decoded = json.loads(text)["payload"]
+    expected = _verdict(_oracle_validate_doc, decoded, schema, msg_type.value)
+    assert _verdict(decode, _frame(text)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(RECORD_SCHEMAS, key=lambda c: c.__name__)), st.data())
+def test_compiled_record_validators_match_the_interpreter(cls, data):
+    schema = RECORD_SCHEMAS[cls]
+    spec = Field("doc", schema=schema)
+    doc = data.draw(_values(spec))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, spec, data)
+    expected = _verdict(_oracle_validate_doc, doc, schema, cls.__name__)
+    assert _verdict(netproto._VALIDATE_RECORD[cls], doc) == expected
+    if expected is not None:
+        with pytest.raises(ConfigError) as exc:
+            from_file_doc(cls, doc)
+        assert str(exc.value) == expected[1]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # undeclared fields are reported before missing ones
+        ({"code": 1, "extra": 2}, "Error: undeclared fields ['extra']"),
+        ({"extra": 2}, "Error: undeclared fields ['extra']"),
+        ({"code": "c"}, "Error: missing fields ['message']"),
+        # fields in declaration order: the first failure wins
+        ({"code": 1, "message": 2}, "Error.code: expected string"),
+        ({"code": "c", "message": True}, "Error.message: expected string"),
+    ],
+)
+def test_validator_messages_name_the_first_failure(payload, message):
+    with pytest.raises(ProtocolError) as exc:
+        encode(Envelope(MsgType.ERROR, 1, payload))
+    assert (exc.value.code, exc.value.message) == ("malformed", message)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"epochs": 2, "lr": True}, "FlTask.plan_overrides.lr: expected number"),
+        ({"epochs": "2"}, "FlTask.plan_overrides.epochs: expected number"),
+        ({7: 1.0}, "FlTask.plan_overrides: non-string key"),
+        ([], "FlTask.plan_overrides: expected object"),
+    ],
+)
+def test_map_entries_are_checked_like_the_interpreter(overrides, message):
+    doc = netproto.to_doc(make_task("t1"))
+    doc["plan_overrides"] = overrides
+    expected = _verdict(_oracle_validate_doc, doc, RECORD_SCHEMAS[FlTask], "FlTask")
+    assert _verdict(netproto._VALIDATE_RECORD[FlTask], doc) == expected == ("malformed", message)

@@ -481,6 +481,20 @@ def test_stale_report_ignored_with_warning():
     assert coordinator.warnings and "stale" in coordinator.warnings[0]
 
 
+def test_report_for_an_unknown_cohort_stores_no_stats():
+    coordinator, cohort = _coordinator_with_cohort()
+    coordinator.ingest_metrics(_report("pop-gone-c001", 0, 1, flag_rate_one=True))
+    assert "pop-gone-c001" not in coordinator.cohort_stats
+    assert coordinator.warnings and "stale" in coordinator.warnings[0]
+
+
+def test_drift_reclusters_drop_the_stats_of_removed_cohorts():
+    run = run_simulation(builtin_scenarios()["drift"], mode="cohort")
+    coordinator = run.coordinator
+    assert any(event["removed_cohort_ids"] for event in coordinator.migration_log)
+    assert set(coordinator.cohort_stats) <= {c.cohort_id for c in coordinator.all_cohorts()}
+
+
 @pytest.mark.parametrize("threshold", [0.8, 0.0])
 def test_recluster_of_a_marked_cohort_that_changes_nothing_logs_nothing(threshold):
     coordinator, cohort = _coordinator_with_cohort(cohort_threshold=threshold)

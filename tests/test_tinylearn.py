@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from communityfl.errors import ConfigError, ShapeError
 from communityfl.tinylearn import (
@@ -242,3 +244,83 @@ def test_grouped_hits_rejects_feature_mismatch():
     w = init_weights(make_arch(3, 2), 0)
     with pytest.raises(ShapeError):
         grouped_hits(w, np.zeros((4, 2)), np.zeros(4, dtype=np.int64), np.array([0]))
+
+
+def _per_batch_train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector:
+    """Oracle: the original SGD loop, which built a validated ``Dataset`` and
+    ``WeightVector`` for every mini-batch."""
+    rng = np.random.default_rng(hp.shuffle_seed)
+    n = data.n_samples
+    current = WeightVector(values=w.values.copy(), arch_id=w.arch_id)
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            batch = Dataset(
+                features=data.features[idx], labels=data.labels[idx], n_classes=data.n_classes
+            )
+            _, grad = loss_and_gradient(current, batch)
+            current = WeightVector(
+                values=current.values - hp.learning_rate * grad, arch_id=w.arch_id
+            )
+    return current
+
+
+@st.composite
+def _training_cases(draw):
+    hidden = draw(st.sampled_from([0, 0, 1, 3, 6]))
+    n_features = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 40))
+    divisors = [b for b in range(1, n + 1) if n % b == 0]
+    if draw(st.booleans()):
+        batch_size = draw(st.sampled_from(divisors))
+    else:
+        batch_size = draw(st.integers(1, n + 3).filter(lambda b: n % b != 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = make_arch(n_features, n_classes, hidden)
+    w = WeightVector(values=rng.normal(0, 0.5, arch.param_count), arch_id=arch.arch_id)
+    data = Dataset(
+        features=rng.normal(0, 2.0, (n, n_features)),
+        labels=rng.integers(0, n_classes, n),
+        n_classes=n_classes,
+    )
+    hp = HyperParams(
+        epochs=draw(st.integers(1, 3)),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.01, 0.2, 0.5, 1.3])),
+        shuffle_seed=draw(st.integers(0, 2**63 - 1)),
+    )
+    return w, data, hp
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_cases())
+def test_train_local_bit_identical_to_per_batch_loop(case):
+    w, data, hp = case
+    trained = train_local(w, data, hp)
+    expected = _per_batch_train_local(w, data, hp)
+    assert trained.arch_id == expected.arch_id
+    assert trained.values.tobytes() == expected.values.tobytes()
+    assert not trained.values.flags.writeable
+    assert np.shares_memory(trained.values, w.values) is False
+
+
+@pytest.mark.parametrize("hidden_units", [0, 4])
+def test_train_local_refuses_non_finite_incoming_weights(hidden_units):
+    arch = make_arch(2, 2, hidden_units)
+    values = init_weights(arch, 0).values.copy()
+    values[1] = np.nan
+    hostile = WeightVector(values=values, arch_id=arch.arch_id, check_finite=False)
+    data = separable_dataset(n=12, gap=2.0, seed=1)
+    with pytest.raises(ShapeError, match="non-finite"):
+        train_local(hostile, data, HyperParams(1, 4, 0.1, 0))
+
+
+def test_train_local_overflow_raises_shape_error():
+    # the logits overflow after the first step; a tanh MLP saturates instead
+    data = separable_dataset(n=12, gap=4.0, seed=1)
+    w = init_weights(make_arch(2, 2), 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShapeError, match="non-finite"):
+            train_local(w, data, HyperParams(2, 4, 1e308, 0))
