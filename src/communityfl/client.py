@@ -85,7 +85,8 @@ class FlClient:
         # task_id -> (cohort_id, last locally trained weights); the pre/post
         # degradation baseline only makes sense within one cohort's trajectory
         self._prev_local: dict[str, tuple[str, WeightVector]] = {}
-        self._update_cache: dict[tuple[str, str, int], ModelUpdate] = {}
+        # (task_id, cohort_id) -> the update for the latest round asked
+        self._update_cache: dict[tuple[str, str], ModelUpdate] = {}
 
     # -- properties ---------------------------------------------------------
 
@@ -187,10 +188,11 @@ class FlClient:
     # -- plan execution -------------------------------------------------------
 
     def execute_train_request(self, req: TrainRequest, executor_id: str | None = None) -> ModelUpdate:
-        """Run one local round; deterministic and idempotent per (task, round)."""
-        cache_key = (req.task_id, req.cohort_id, req.round)
+        """Run one local round; deterministic, and idempotent for the latest
+        round each (task, cohort) was asked."""
+        cache_key = (req.task_id, req.cohort_id)
         cached = self._update_cache.get(cache_key)
-        if cached is not None:
+        if cached is not None and cached.round == req.round:
             return cached
         data = self.state.local_data
         if req.weights.arch.n_features != data.n_features or (

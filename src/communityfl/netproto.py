@@ -294,7 +294,8 @@ def _compile_doc(schema: dict) -> Callable:
         if doc.keys() != names:
             unknown = set(doc) - names
             if unknown:
-                raise _Fault(f"undeclared fields {sorted(unknown)}")
+                # key=str: a locally built payload may mix in non-string keys
+                raise _Fault(f"undeclared fields {sorted(unknown, key=str)}")
             raise _Fault(f"missing fields {sorted(names - set(doc))}")
         for name, check in fields:
             try:

@@ -4,7 +4,7 @@ One coordinator serves many communities. It maps submitted tasks into
 populations, translates them into plans, keeps cohort structure up to date,
 drives aggregation rounds over a pluggable transport, and filters incoming
 updates through the negative-transfer guard before they can touch a cohort's
-global model.
+global model. An update gets in only as the reply to its round's request.
 
 Round semantics are atomic: a round either commits (guarded aggregation ran,
 round counter advanced) or aborts with the cohort untouched.
@@ -167,7 +167,7 @@ class CohortStats:
 
 class RoundTransport(Protocol):
     """Delivers train requests and hands back the updates of one round, each
-    decoded and recorded once by :meth:`Coordinator.receive_update`."""
+    decoded once by :meth:`Coordinator.receive_update` with its request."""
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
@@ -218,7 +218,8 @@ class Coordinator:
         self.reports: list[RoundReport] = []
         self.warnings: list[str] = []
         self.migration_log: list[dict] = []
-        self._received: dict[tuple[str, str, int], ModelUpdate] = {}
+        # cohort id -> (its current round, the tasks that answered it)
+        self._answered: dict[str, tuple[int, set[str]]] = {}
         self._lock = threading.RLock()
 
     # -- registration and task intake ----------------------------------------
@@ -281,6 +282,7 @@ class Coordinator:
                 self.recluster_marks.difference_update(report.removed_cohort_ids)
                 for cohort_id in report.removed_cohort_ids:
                     self.cohort_stats.pop(cohort_id, None)
+                    self._answered.pop(cohort_id, None)
                 # the new structure starts with a fresh flag-rate window
                 for cohort in population.cohorts:
                     stats = self.cohort_stats.get(cohort.cohort_id)
@@ -331,18 +333,26 @@ class Coordinator:
         chosen = list(rng.permutation(members)[:k])
         return sorted(str(t) for t in chosen)
 
-    def receive_update(self, env: Envelope) -> tuple[ModelUpdate, Envelope]:
-        """Decode one ModelUpdateMsg and store it, idempotently per (task,
-        cohort, round); returns the update and its MetricsAck. Every transport
-        turns a wire update into a stored one here.
+    def receive_update(self, env: Envelope, request: Envelope) -> tuple[ModelUpdate, Envelope]:
+        """Decode the ModelUpdateMsg that answers ``request``, the TrainRequest
+        envelope a round transport sent; returns the update and its MetricsAck.
+        Only an update whose (task, cohort, round) is the request's is
+        recorded; any other is acked ``mismatch`` and left to the guard.
         """
         if env.msg_type != MsgType.MODEL_UPDATE:
             raise ProtocolError("protocol_state", f"expected ModelUpdateMsg, got {env.msg_type}")
         update = netproto.update_from_doc(env.payload["update"])
+        asked = request.payload
         key = (update.task_id, update.cohort_id, update.round)
-        with self._lock:
-            status = "duplicate" if key in self._received else "stored"
-            self._received.setdefault(key, update)
+        if key != (asked["task_id"], asked["cohort_id"], asked["round"]):
+            status = "mismatch"
+        else:
+            with self._lock:
+                answered = self._answered.get(update.cohort_id)
+                if answered is None or answered[0] != update.round:
+                    answered = self._answered[update.cohort_id] = (update.round, set())
+                status = "duplicate" if update.task_id in answered[1] else "stored"
+                answered[1].add(update.task_id)
         ack = Envelope(
             msg_type=MsgType.METRICS_ACK,
             correlation_id=env.correlation_id,
@@ -483,7 +493,7 @@ class Coordinator:
     # -- protocol dispatch -----------------------------------------------------------
 
     def handle_envelope(self, env: Envelope) -> Envelope:
-        """Serve one request envelope; domain failures become Error responses."""
+        """Serve one registration request; domain failures become Error responses."""
         try:
             if env.msg_type == MsgType.REGISTER:
                 metadata = netproto.from_doc(ParticipantMetadata, env.payload["metadata"])
@@ -517,9 +527,8 @@ class Coordinator:
                     correlation_id=env.correlation_id,
                     payload={"task_id": task.task_id, "population_id": population_id},
                 )
-            if env.msg_type == MsgType.MODEL_UPDATE:
-                return self.receive_update(env)[1]
-            return self._error(env, "protocol_state", f"{env.msg_type.value} is not a request")
+            message = f"{env.msg_type.value} is not a registration request"
+            return self._error(env, "protocol_state", message)
         except ProtocolError as exc:
             return self._error(env, exc.code, exc.message)
         except UnregisteredClientError as exc:

@@ -3,11 +3,11 @@
 Both carry the same length-prefixed frames and drive the same coordinator
 logic, so a zero-fault socket run reproduces the simulated run bit-exactly.
 Each decodes a received update frame once and hands it to
-``Coordinator.receive_update``, so a round's arrivals come back as decoded,
-recorded ``ModelUpdate``s. The simulated network executes on a single thread
-in a fixed order (requests dispatched in ascending task id, delayed deliveries
-appended last) and applies scenario-scripted drop/delay faults to update
-delivery.
+``Coordinator.receive_update`` with the ``TrainRequest`` it answers, so a
+round's arrivals come back as decoded ``ModelUpdate``s. The simulated network
+executes on a single thread in a fixed order (requests dispatched in ascending
+task id, delayed deliveries appended last) and applies scenario-scripted
+drop/delay faults to update delivery.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ class _ControlChannel:
 
 
 class _RoundChannel:
-    """Update-delivery channel for one client in one round; applies faults."""
+    """Delivers one client's reply to ``request`` in one round; applies faults."""
 
-    def __init__(self, network: "SimNetwork", sched_round: int, client_id: str):
+    def __init__(self, network: "SimNetwork", sched_round: int, client_id: str, request: Envelope):
         self._network = network
         self._sched_round = sched_round
         self._client_id = client_id
+        self._request = request
         self.delivered: ModelUpdate | None = None
         self.delayed = False
 
@@ -77,7 +78,9 @@ class _RoundChannel:
             raise DeliveryError(f"scripted drop of {self._client_id} in round {self._sched_round}")
         if fault == "delay":
             self.delayed = True
-        self.delivered, ack = network.coordinator.receive_update(netproto.decode(frame))
+        self.delivered, ack = network.coordinator.receive_update(
+            netproto.decode(frame), self._request
+        )
         response = netproto.encode(ack)
         network.bytes_transferred += len(response)
         return response
@@ -124,7 +127,7 @@ class SimNetwork:
                 logger.warning("client %s failed round %s: %s", client.client_id, sched_round, exc)
                 prompt.append((task_id, None))
                 continue
-            channel = _RoundChannel(self, sched_round, client.client_id)
+            channel = _RoundChannel(self, sched_round, client.client_id, env)
             ack, _attempts = client.report_metrics(update, channel)
             if ack is None:
                 prompt.append((task_id, None))
@@ -241,7 +244,7 @@ class SocketRoundTransport:
                 if reply is None:
                     raise ProtocolError("truncated", "client closed connection")
                 bytes_transferred += len(reply)
-                update, ack = coordinator.receive_update(netproto.decode(reply))
+                update, ack = coordinator.receive_update(netproto.decode(reply), env)
                 ack_frame = netproto.encode(ack)
                 session.send(ack_frame)
                 bytes_transferred += len(ack_frame)
@@ -257,9 +260,9 @@ class SocketCoordinatorServer:
     """Accepts registrations, then drives rounds over the open connections.
 
     Registration-phase messages (Register, ListCommunities, SubmitTask) are
-    handled per-connection; once a session has submitted a task its socket is
-    handed to the round driver, which runs one request/response exchange at a
-    time per connection.
+    handled per-connection, and anything else is refused; once a session has
+    submitted a task its socket is handed to the round driver, which runs one
+    request/response exchange at a time per connection.
     """
 
     def __init__(

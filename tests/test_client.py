@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from communityfl import netproto
 from communityfl.client import FlClient
 from communityfl.errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from communityfl.flcore import TrainRequest
@@ -14,7 +15,7 @@ from communityfl.scenarios import (
     TaskSpec,
 )
 from communityfl.tinylearn import evaluate, init_weights, make_arch
-from communityfl.transport import SimNetwork
+from communityfl.transport import SimNetwork, _RoundChannel
 
 from conftest import default_plan, make_community, make_metadata, make_task, separable_dataset
 
@@ -73,8 +74,6 @@ def test_register_invalid_metadata_rejected_as_protocol_error():
     # with an Error envelope instead of crashing
     doc_safe = make_metadata("client-a")
     client.state.metadata = doc_safe
-    import communityfl.netproto as netproto
-
     doc = netproto.to_doc(doc_safe)
     doc["criteria"]["required_tags"] = ["x"]
     doc["criteria"]["forbidden_tags"] = ["x"]
@@ -272,10 +271,12 @@ def test_low_battery_triggers_auto_delegation_in_scenario():
 
 
 class FlakyChannel:
-    """Fails the first ``failures`` requests, then delegates to the coordinator."""
+    """Fails the first ``failures`` requests, then delivers through the round
+    channel that carries ``request``, as the simulated network sent it."""
 
-    def __init__(self, coordinator, failures: int):
-        self.coordinator = coordinator
+    def __init__(self, network, request: TrainRequest, failures: int):
+        env = netproto.Envelope(netproto.MsgType.TRAIN_REQUEST, 1, netproto.to_doc(request))
+        self.round_channel = _RoundChannel(network, 1, "client-a", env)
         self.failures = failures
         self.attempts = 0
 
@@ -283,15 +284,19 @@ class FlakyChannel:
         self.attempts += 1
         if self.attempts <= self.failures:
             raise DeliveryError("injected failure")
-        return self.coordinator.handle_frame(frame)
+        return self.round_channel.request(frame)
+
+
+def _reporting_client(request: TrainRequest):
+    client = _client()
+    client.session_token = "tok"
+    return client, client.execute_train_request(request)
 
 
 def test_report_metrics_retries_then_succeeds():
-    coordinator, _ = _sim_env()
-    client = _client()
-    client.session_token = "tok"
-    update = client.execute_train_request(_request())
-    channel = FlakyChannel(coordinator, failures=2)
+    _, network = _sim_env()
+    client, update = _reporting_client(_request())
+    channel = FlakyChannel(network, _request(), failures=2)
     ack, attempts = client.report_metrics(update, channel)
     assert attempts == 3
     assert ack is not None
@@ -299,29 +304,28 @@ def test_report_metrics_retries_then_succeeds():
 
 
 def test_report_metrics_dropout_after_three_failures():
-    coordinator, _ = _sim_env()
-    client = _client()
-    client.session_token = "tok"
-    update = client.execute_train_request(_request())
-    channel = FlakyChannel(coordinator, failures=5)
+    _, network = _sim_env()
+    client, update = _reporting_client(_request())
+    channel = FlakyChannel(network, _request(), failures=5)
     ack, attempts = client.report_metrics(update, channel)
     assert ack is None
     assert attempts == 3
 
 
 def test_duplicate_report_is_idempotent_server_side():
-    coordinator, _ = _sim_env()
-    client = _client()
-    client.session_token = "tok"
-    update = client.execute_train_request(_request())
-    channel = FlakyChannel(coordinator, failures=0)
+    # the second reply to the same round is recorded once: acked duplicate;
+    # the reply to the cohort's next round is an answer of its own
+    _, network = _sim_env()
+    client, update = _reporting_client(_request())
+    channel = FlakyChannel(network, _request(), failures=0)
     first, _ = client.report_metrics(update, channel)
     second, _ = client.report_metrics(update, channel)
     assert first.payload["status"] == "stored"
     assert second.payload["status"] == "duplicate"
-    key = (update.task_id, update.cohort_id, update.round)
-    assert coordinator._received[key] is not None
-    assert len([k for k in coordinator._received if k[0] == update.task_id]) == 1
+    next_update = client.execute_train_request(_request(round=1))
+    next_channel = FlakyChannel(network, _request(round=1), failures=0)
+    third, _ = client.report_metrics(next_update, next_channel)
+    assert third.payload["status"] == "stored"
 
 
 # -- matched model helps ---------------------------------------------------------------

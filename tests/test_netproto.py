@@ -640,6 +640,8 @@ def test_compiled_record_validators_match_the_interpreter(cls, data):
         # fields in declaration order: the first failure wins
         ({"code": 1, "message": 2}, "Error.code: expected string"),
         ({"code": "c", "message": True}, "Error.message: expected string"),
+        # keys of mixed types, which only a locally built payload can have
+        ({"code": "c", "message": "m", 1: 0, "x": 0}, "Error: undeclared fields [1, 'x']"),
     ],
 )
 def test_validator_messages_name_the_first_failure(payload, message):

@@ -172,9 +172,11 @@ def test_single_member_round_adopts_trained_weights():
     network.bind_task("solo-t", "solo")
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
-    report = coordinator.run_round(cohort, network, sched_round=1)
+    transport = _RewritingTransport(network)
+    report = coordinator.run_round(cohort, transport, sched_round=1)
     assert report.status == "committed"
-    update = coordinator._received[("solo-t", cohort.cohort_id, 0)]
+    [(task_id, update)] = transport.arrivals
+    assert (task_id, update.cohort_id, update.round) == ("solo-t", cohort.cohort_id, 0)
     assert np.array_equal(cohort.global_weights.values, update.weights.values)
 
 
@@ -243,16 +245,18 @@ def test_clients_per_round_subselection(rng):
 
 
 class _RewritingTransport:
-    """Delivers each update with some of its fields overwritten."""
+    """Delivers each update with some of its fields overwritten (none by
+    default) and keeps the last round's arrivals."""
 
     def __init__(self, network, **update_fields):
         self.network = network
         self.update_fields = update_fields
+        self.arrivals = []
 
     def exchange_round(self, items, sched_round):
         arrivals, transferred = self.network.exchange_round(items, sched_round)
-        patched = [(t, dataclasses.replace(u, **self.update_fields)) for t, u in arrivals]
-        return patched, transferred
+        self.arrivals = [(t, dataclasses.replace(u, **self.update_fields)) for t, u in arrivals]
+        return self.arrivals, transferred
 
 
 def _single_member_cohort(coordinator, data: Dataset):
@@ -289,8 +293,9 @@ def test_report_metrics_cover_only_updates_that_answer_the_round():
     )
     assert mismatched.received_updates == 1
     assert mismatched.update_metrics == {}
-    honest = coordinator.run_round(cohort, network, sched_round=2)
-    update = coordinator._received[("a-t", cohort.cohort_id, 0)]
+    transport = _RewritingTransport(network)
+    honest = coordinator.run_round(cohort, transport, sched_round=2)
+    [(_, update)] = transport.arrivals
     assert honest.update_metrics == {"a-t": (update.pre_metrics, update.post_metrics)}
     assert "update_metrics" not in honest.to_doc()
 

@@ -4,11 +4,29 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from communityfl import runner, scenarios
 from communityfl.cli import main as cli_main
 from communityfl.client import FlClient
 from communityfl.scenarios import FaultSpec, builtin_scenarios
 from communityfl.tinylearn import evaluate
+
+
+@pytest.mark.parametrize("mode", ["cohort", "global"])
+def test_round_state_does_not_grow_with_the_number_of_rounds(mode):
+    # the coordinator keeps which tasks answered each cohort's current round
+    # and each client its latest update per (task, cohort): 4x the rounds,
+    # the same state
+    spec = builtin_scenarios()["uniform"]
+    sizes = []
+    for rounds in (3, 12):
+        scheduler = dataclasses.replace(spec.scheduler, rounds=rounds)
+        run = runner.run_simulation(dataclasses.replace(spec, scheduler=scheduler), mode=mode)
+        recorded = sum(len(tasks) for _, tasks in run.coordinator._answered.values())
+        cached = sum(len(client._update_cache) for client in run.clients.values())
+        sizes.append((recorded, cached))
+    assert sizes[0] == sizes[1] == (len(spec.tasks), len(spec.tasks))
 
 
 def test_rounds_csv_has_exact_columns(tmp_path):

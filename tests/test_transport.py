@@ -11,11 +11,11 @@ import numpy as np
 from communityfl import netproto, runner, transport
 from communityfl.client import FlClient
 from communityfl.community import Community, ParticipantMetadata
-from communityfl.flcore import FlTask
+from communityfl.flcore import FlTask, ModelUpdate
 from communityfl.netproto import MsgType
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.scenarios import FaultSpec, builtin_scenarios, export_socket_bundle
-from communityfl.tinylearn import Dataset
+from communityfl.tinylearn import Dataset, EvalMetrics, init_weights, make_arch
 from communityfl.transport import SimNetwork, SocketCoordinatorServer, run_socket_client
 
 from conftest import make_community, make_metadata, make_task, rand_signature, separable_dataset
@@ -88,6 +88,32 @@ def test_sim_drop_fault_three_attempts_then_dropout(rng):
     # next round is fault-free and everyone is back
     report2 = coordinator.run_round(cohort, network, sched_round=2)
     assert report2.received_updates == 3
+
+
+def test_reply_claiming_another_tasks_round_is_flagged_and_not_recorded(rng, monkeypatch):
+    coordinator, network, cohort = _sim_round_setup(rng, n_clients=2)
+    liar = network.clients["c0"]
+    honest = liar.handle_train_request
+    # c0 answers its own request with an update that claims c1's slot
+    monkeypatch.setattr(
+        liar,
+        "handle_train_request",
+        lambda req, resolve=None: dataclasses.replace(honest(req, resolve), task_id="c1-t"),
+    )
+    acks = []
+    receive = coordinator.receive_update
+
+    def recording(env, request):
+        update, ack = receive(env, request)
+        acks.append((request.payload["task_id"], ack.payload["status"]))
+        return update, ack
+
+    monkeypatch.setattr(coordinator, "receive_update", recording)
+    report = coordinator.run_round(cohort, network, sched_round=1)
+    assert report.guard_verdicts == {"c0-t": "flag:cohort_mismatch", "c1-t": "accept"}
+    assert acks == [("c0-t", "mismatch"), ("c1-t", "stored")]
+    assert list(report.update_metrics) == ["c1-t"]
+    assert coordinator._answered == {cohort.cohort_id: (0, {"c1-t"})}
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -359,6 +385,35 @@ def test_server_close_stops_accept_thread_at_once():
     assert elapsed < 0.1  # well under the listener's 0.2 s accept poll
 
 
+def test_update_on_a_registration_connection_is_refused():
+    # only a round connection may carry an update: an unregistered peer
+    # posting updates on a fresh connection gets protocol_state for each
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
+    weights = init_weights(make_arch(2, 2), 3)
+    metrics = EvalMetrics(loss=0.5, accuracy=0.5, n_samples=10)
+    sock = socket.create_connection(server.address, timeout=5.0)
+    replies = sock.makefile("rb")
+    try:
+        for round_ in range(5):
+            update = ModelUpdate("ghost-t", "pop-ghost-c000", round_, weights, 10, metrics, metrics)
+            env = netproto.Envelope(
+                MsgType.MODEL_UPDATE,
+                round_ + 1,
+                {"update": netproto.to_doc(update), "session_token": ""},
+            )
+            sock.sendall(netproto.encode(env))
+            reply = netproto.decode(netproto.read_frame(replies))
+            assert reply.msg_type == MsgType.ERROR
+            assert reply.payload["code"] == "protocol_state"
+            assert reply.correlation_id == round_ + 1
+    finally:
+        replies.close()
+        sock.close()
+        server.close()
+    assert coordinator._answered == {}
+
+
 def test_registration_closes_its_session_when_the_server_is_stopping():
     coordinator = Coordinator(SchedulerConfig(), [make_community()])
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
@@ -406,15 +461,11 @@ def test_socket_holdout_column_lags_one_round(tmp_path):
     assert not any(t.is_alive() for t in threads)
     with (out / "rounds.csv").open() as fh:
         rows = list(csv.DictReader(fh))
-    coordinator = server.coordinator
     for cohort_id in {r.cohort_id for r in reports}:
         cohort_rows = [row for row in rows if row["cohort_id"] == cohort_id]
         cohort_reports = [r for r in reports if r.cohort_id == cohort_id]
         assert len(cohort_rows) == len(cohort_reports) == 4
         for row, later in zip(cohort_rows, cohort_reports[1:]):
-            post = [
-                coordinator._received[(t, cohort_id, later.round)].post_metrics.accuracy
-                for t in later.guard_verdicts
-            ]
+            post = [later.update_metrics[t][1].accuracy for t in later.guard_verdicts]
             assert row["global_holdout_acc"] == repr(round(sum(post) / len(post), 6))
         assert cohort_rows[-1]["global_holdout_acc"] == ""
