@@ -2,8 +2,9 @@
 
 Exports the uniform scenario to per-client data/metadata/task files, starts a
 coordinator on a loopback port, runs each client in a thread speaking the
-length-prefixed wire protocol, and checks that the final cohort weights match
-the in-process simulation bit for bit.
+length-prefixed wire protocol, and checks that the final cohort weights and
+``rounds.jsonl`` match the in-process simulation bit for bit. It exits
+non-zero when either differs.
 
 The exported bundle is exactly what the CLI consumes:
 
@@ -13,6 +14,7 @@ The exported bundle is exactly what the CLI consumes:
 """
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from communityfl.transport import SocketCoordinatorServer, run_socket_client
 out = Path("out")
 spec = builtin_scenarios()["uniform"]
 
-sim = run_simulation(spec, mode="cohort")
+sim = run_simulation(spec, mode="cohort", out_dir=out / "sim")
 sim_digests = {c: v["weights_digest"] for c, v in sim.summary.per_cohort.items()}
 print("simulation digests:", sim_digests)
 
@@ -78,5 +80,11 @@ socket_digests = {
     for population in doc["populations"]
     for c in population["cohorts"]
 }
+weights_match = socket_digests == sim_digests
+jsonl_match = (out / "socket" / "rounds.jsonl").read_bytes() == (
+    out / "sim" / "rounds.jsonl"
+).read_bytes()
 print("socket digests:    ", socket_digests)
-print("bit-exact match:   ", socket_digests == sim_digests)
+print("bit-exact weights: ", weights_match)
+print("same rounds.jsonl: ", jsonl_match)
+sys.exit(0 if weights_match and jsonl_match else 1)

@@ -1,5 +1,10 @@
 """Client-side runtime: plan execution, metric reporting, and delegation.
 
+A round is answered in one place on both transports: :meth:`FlClient.answer`
+turns the coordinator's ``TrainRequest`` envelope into the ``ModelUpdateMsg``
+that echoes its correlation id, and :meth:`FlClient.report_metrics` delivers
+it with bounded retry and checks that the ``MetricsAck`` echoes it in turn.
+
 The metric pair attached to every update drives the server-side
 negative-transfer guard:
 
@@ -247,11 +252,7 @@ class FlClient:
             raise DelegationError(
                 f"{neighbor.client_id!r} is not a trusted neighbor of {self.client_id!r}"
             )
-        return neighbor.execute_for(self, req)
-
-    def execute_for(self, owner: "FlClient", req: TrainRequest) -> ModelUpdate:
-        """Run a delegated request against the owner's data and task state."""
-        return owner.execute_train_request(req, executor_id=self.client_id)
+        return self.execute_train_request(req, executor_id=neighbor.client_id)
 
     def handle_train_request(
         self,
@@ -275,12 +276,26 @@ class FlClient:
                     return self.delegate(req, neighbor)
         return self.execute_train_request(req)
 
-    # -- metric reporting -----------------------------------------------------
+    # -- round replies --------------------------------------------------------
 
-    def update_to_env(self, update: ModelUpdate, correlation_id: int) -> Envelope:
+    def answer(
+        self,
+        env: Envelope,
+        resolve_neighbor: Callable[[str], "FlClient"] | None = None,
+    ) -> Envelope:
+        """Turn a ``TrainRequest`` envelope into its ``ModelUpdateMsg`` reply.
+
+        Both transports answer a round here: the reply echoes the request's
+        correlation id, and ``resolve_neighbor`` lets a low-battery client
+        delegate (see :meth:`handle_train_request`).
+        """
+        if env.msg_type != MsgType.TRAIN_REQUEST:
+            raise ProtocolError("protocol_state", f"expected TrainRequest, got {env.msg_type}")
+        req = netproto.from_doc(TrainRequest, env.payload)
+        update = self.handle_train_request(req, resolve_neighbor)
         return Envelope(
             msg_type=MsgType.MODEL_UPDATE,
-            correlation_id=correlation_id,
+            correlation_id=env.correlation_id,
             payload={
                 "update": netproto.to_doc(update),
                 "session_token": self.session_token or "",
@@ -288,20 +303,17 @@ class FlClient:
         )
 
     def report_metrics(
-        self, update: ModelUpdate, channel: RequestChannel
+        self, reply: Envelope, channel: RequestChannel
     ) -> tuple[Envelope | None, int]:
-        """Deliver one update with bounded retry.
+        """Deliver one :meth:`answer` reply with bounded retry.
 
-        Returns (ack envelope, attempts). ``None`` after ``REPORT_ATTEMPTS``
-        failures means the client drops out of this round.
+        Returns (MetricsAck envelope, attempts). ``None`` after
+        ``REPORT_ATTEMPTS`` failed deliveries means the client drops out of
+        this round.
         """
-        env = self.update_to_env(update, self._next_correlation())
-        frame = netproto.encode(env)
-        attempts = 0
-        while attempts < REPORT_ATTEMPTS:
-            attempts += 1
+        for attempts in range(1, REPORT_ATTEMPTS + 1):
             try:
-                response = netproto.decode(channel.request(frame))
+                return self._exchange(channel, reply), attempts
             except DeliveryError:
                 logger.debug(
                     "client %s delivery attempt %d/%d failed",
@@ -309,8 +321,4 @@ class FlClient:
                     attempts,
                     REPORT_ATTEMPTS,
                 )
-                continue
-            if response.msg_type == MsgType.ERROR:
-                raise ProtocolError(response.payload["code"], response.payload["message"])
-            return response, attempts
-        return None, attempts
+        return None, REPORT_ATTEMPTS

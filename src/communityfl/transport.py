@@ -1,7 +1,9 @@
 """Transports: a deterministic in-process network and a TCP socket pair.
 
 Both carry the same length-prefixed frames and drive the same coordinator
-logic, so a zero-fault socket run reproduces the simulated run bit-exactly.
+logic, and on both a client answers each ``TrainRequest`` through
+``FlClient.answer`` and ``FlClient.report_metrics``, so a zero-fault socket
+run reproduces the simulated run bit-exactly, ``rounds.jsonl`` included.
 Each decodes a received update frame once and hands it to
 ``Coordinator.receive_update`` with the ``TrainRequest`` it answers, so a
 round's arrivals come back as decoded ``ModelUpdate``s. The simulated network
@@ -15,33 +17,20 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from dataclasses import dataclass, field
 
 from . import netproto
 from .client import FlClient
 from .community import admit
 from .errors import DeliveryError, ProtocolError
-from .flcore import ConfigSignature, FlTask, ModelUpdate, TrainRequest
+from .flcore import ModelUpdate
 from .netproto import Envelope, MsgType
 from .orchestrator import Coordinator
+from .scenarios import TaskSpec, build_task
 
 logger = logging.getLogger(__name__)
 
 
 # -- deterministic in-process transport -----------------------------------------
-
-
-@dataclass
-class _FaultScript:
-    # (1-based round, client_id) -> "drop" | "delay"
-    by_round_client: dict[tuple[int, str], str] = field(default_factory=dict)
-
-    @classmethod
-    def from_specs(cls, faults) -> "_FaultScript":
-        script = cls()
-        for fault in faults or ():
-            script.by_round_client[(fault.round, fault.client_id)] = fault.kind
-        return script
 
 
 class _ControlChannel:
@@ -72,7 +61,7 @@ class _RoundChannel:
         network = self._network
         key = (self._sched_round, self._client_id)
         network.delivery_attempts[key] = network.delivery_attempts.get(key, 0) + 1
-        fault = network.faults.by_round_client.get(key)
+        fault = network.faults.get(key)
         network.bytes_transferred += len(frame)
         if fault == "drop":
             raise DeliveryError(f"scripted drop of {self._client_id} in round {self._sched_round}")
@@ -93,7 +82,8 @@ class SimNetwork:
         self.coordinator = coordinator
         self.clients: dict[str, FlClient] = {}
         self.task_owner: dict[str, str] = {}
-        self.faults = _FaultScript.from_specs(faults)
+        # (1-based round, client_id) -> "drop" | "delay"
+        self.faults = {(f.round, f.client_id): f.kind for f in faults or ()}
         self.bytes_transferred = 0
         self.delivery_attempts: dict[tuple[int, str], int] = {}
 
@@ -120,15 +110,14 @@ class SimNetwork:
             frame = netproto.encode(env)
             self.bytes_transferred += len(frame)
             client = self.clients[self.task_owner[task_id]]
-            request = netproto.from_doc(TrainRequest, netproto.decode(frame).payload)
             try:
-                update = client.handle_train_request(request, self.resolve_neighbor)
+                reply = client.answer(netproto.decode(frame), self.resolve_neighbor)
             except Exception as exc:  # client-side task error -> round dropout
                 logger.warning("client %s failed round %s: %s", client.client_id, sched_round, exc)
                 prompt.append((task_id, None))
                 continue
             channel = _RoundChannel(self, sched_round, client.client_id, env)
-            ack, _attempts = client.report_metrics(update, channel)
+            ack, _attempts = client.report_metrics(reply, channel)
             if ack is None:
                 prompt.append((task_id, None))
             elif channel.delayed:
@@ -155,51 +144,29 @@ def _set_nodelay(sock: socket.socket):
 
 
 class SocketChannel:
-    """Blocking request/response channel over one TCP connection."""
+    """One TCP connection and its buffered reader, on either end.
+
+    The client sends requests through :meth:`request`; the server keeps one
+    per connected client and marks it ``dead`` once closed.
+    """
 
     def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._file = sock.makefile("rb")
+        self.sock = sock
+        self.file = sock.makefile("rb")
+        self.dead = False
+
+    def send(self, frame: bytes):
+        self.sock.sendall(frame)
 
     def request(self, frame: bytes) -> bytes:
         try:
-            self._sock.sendall(frame)
-            reply = netproto.read_frame(self._file)
+            self.send(frame)
+            reply = netproto.read_frame(self.file)
         except OSError as exc:
             raise DeliveryError(str(exc)) from exc
         if reply is None:
             raise DeliveryError("connection closed")
         return reply
-
-    @property
-    def file(self):
-        return self._file
-
-    @property
-    def sock(self) -> socket.socket:
-        return self._sock
-
-    def close(self):
-        try:
-            self._file.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-@dataclass(eq=False)
-class ClientSession:
-    """Server-side state for one connected client."""
-
-    sock: socket.socket
-    file: object
-    dead: bool = False
-
-    def send(self, frame: bytes):
-        self.sock.sendall(frame)
 
     def close(self):
         self.dead = True
@@ -276,7 +243,7 @@ class SocketCoordinatorServer:
         self.coordinator = coordinator
         self.expected_tasks = expected_tasks
         self.recv_timeout_s = recv_timeout_s
-        self._sessions: dict[str, ClientSession] = {}
+        self._sessions: dict[str, SocketChannel] = {}
         self._sessions_lock = threading.Lock()
         self._ready = threading.Event()
         self._stopping = threading.Event()
@@ -290,7 +257,7 @@ class SocketCoordinatorServer:
         host, port = self._listener.getsockname()[:2]
         return host, port
 
-    def session_for_task(self, task_id: str) -> ClientSession | None:
+    def session_for_task(self, task_id: str) -> SocketChannel | None:
         with self._sessions_lock:
             return self._sessions.get(task_id)
 
@@ -313,7 +280,7 @@ class SocketCoordinatorServer:
             thread.start()
 
     def _serve_registration(self, conn: socket.socket, peer: str):
-        session = ClientSession(sock=conn, file=conn.makefile("rb"))
+        session = SocketChannel(conn)
         handed_over = False
         try:
             while not self._stopping.is_set():
@@ -337,9 +304,14 @@ class SocketCoordinatorServer:
                 if env.msg_type == MsgType.SUBMIT_TASK and response.msg_type == MsgType.TASK_ACK:
                     task_id = response.payload["task_id"]
                     with self._sessions_lock:
+                        replaced = self._sessions.get(task_id)
                         self._sessions[task_id] = session
                         total = len(self._sessions)
                     handed_over = True  # the round driver owns the connection now
+                    if replaced is not None:
+                        # a resubmission takes the task over; nothing would
+                        # ever close the connection it replaces
+                        replaced.close()
                     logger.info("task %s submitted by %s (%d total)", task_id, peer, total)
                     if total >= self.expected_tasks:
                         self._ready.set()
@@ -403,18 +375,12 @@ def run_socket_client(
                     break
             if chosen is None:
                 raise ProtocolError("admission_rejected", "no community admits this client")
-            task = FlTask(
-                task_id=f"{client.client_id}-t0",
-                client_id=client.client_id,
-                community_id=chosen.community_id,
-                config=ConfigSignature(
-                    device_type=client.state.metadata.device.device_type,
-                    fl_algorithm="fedavg",
-                    model_arch=chosen.base_model,
-                    objective=chosen.objective,
-                ),
-                data_signature=client.state.metadata.data_signature,
-                targeted_device=client.client_id,
+            metadata = client.state.metadata
+            task = build_task(
+                TaskSpec(f"{client.client_id}-t0", client.client_id, chosen.community_id),
+                chosen,
+                metadata.device.device_type,
+                metadata.data_signature,
             )
         client.submit_task(channel, task)
         while True:
@@ -424,16 +390,9 @@ def run_socket_client(
             env = netproto.decode(frame)
             if env.msg_type == MsgType.ERROR:
                 raise ProtocolError(env.payload["code"], env.payload["message"])
-            if env.msg_type != MsgType.TRAIN_REQUEST:
-                raise ProtocolError("protocol_state", f"unexpected {env.msg_type}")
-            request = netproto.from_doc(TrainRequest, env.payload)
-            update = client.execute_train_request(request)
-            reply = client.update_to_env(update, env.correlation_id)
-            channel.sock.sendall(netproto.encode(reply))
-            ack_frame = netproto.read_frame(channel.file)
-            if ack_frame is None:
-                break
-            netproto.decode(ack_frame)  # MetricsAck; content informational
+            ack, _attempts = client.report_metrics(client.answer(env), channel)
+            if ack is None:
+                break  # the coordinator dropped this client
             rounds += 1
     finally:
         channel.close()

@@ -270,13 +270,18 @@ def test_low_battery_triggers_auto_delegation_in_scenario():
 # -- metric reporting ---------------------------------------------------------------
 
 
+def _train_env(request: TrainRequest, correlation_id: int = 1) -> netproto.Envelope:
+    return netproto.Envelope(
+        netproto.MsgType.TRAIN_REQUEST, correlation_id, netproto.to_doc(request)
+    )
+
+
 class FlakyChannel:
     """Fails the first ``failures`` requests, then delivers through the round
     channel that carries ``request``, as the simulated network sent it."""
 
     def __init__(self, network, request: TrainRequest, failures: int):
-        env = netproto.Envelope(netproto.MsgType.TRAIN_REQUEST, 1, netproto.to_doc(request))
-        self.round_channel = _RoundChannel(network, 1, "client-a", env)
+        self.round_channel = _RoundChannel(network, 1, "client-a", _train_env(request))
         self.failures = failures
         self.attempts = 0
 
@@ -290,14 +295,14 @@ class FlakyChannel:
 def _reporting_client(request: TrainRequest):
     client = _client()
     client.session_token = "tok"
-    return client, client.execute_train_request(request)
+    return client, client.answer(_train_env(request))
 
 
 def test_report_metrics_retries_then_succeeds():
     _, network = _sim_env()
-    client, update = _reporting_client(_request())
+    client, reply = _reporting_client(_request())
     channel = FlakyChannel(network, _request(), failures=2)
-    ack, attempts = client.report_metrics(update, channel)
+    ack, attempts = client.report_metrics(reply, channel)
     assert attempts == 3
     assert ack is not None
     assert ack.payload["status"] == "stored"
@@ -305,9 +310,9 @@ def test_report_metrics_retries_then_succeeds():
 
 def test_report_metrics_dropout_after_three_failures():
     _, network = _sim_env()
-    client, update = _reporting_client(_request())
+    client, reply = _reporting_client(_request())
     channel = FlakyChannel(network, _request(), failures=5)
-    ack, attempts = client.report_metrics(update, channel)
+    ack, attempts = client.report_metrics(reply, channel)
     assert ack is None
     assert attempts == 3
 
@@ -316,16 +321,66 @@ def test_duplicate_report_is_idempotent_server_side():
     # the second reply to the same round is recorded once: acked duplicate;
     # the reply to the cohort's next round is an answer of its own
     _, network = _sim_env()
-    client, update = _reporting_client(_request())
+    client, reply = _reporting_client(_request())
     channel = FlakyChannel(network, _request(), failures=0)
-    first, _ = client.report_metrics(update, channel)
-    second, _ = client.report_metrics(update, channel)
+    first, _ = client.report_metrics(reply, channel)
+    second, _ = client.report_metrics(reply, channel)
     assert first.payload["status"] == "stored"
     assert second.payload["status"] == "duplicate"
-    next_update = client.execute_train_request(_request(round=1))
+    next_reply = client.answer(_train_env(_request(round=1)))
     next_channel = FlakyChannel(network, _request(round=1), failures=0)
-    third, _ = client.report_metrics(next_update, next_channel)
+    third, _ = client.report_metrics(next_reply, next_channel)
     assert third.payload["status"] == "stored"
+
+
+def test_answer_echoes_the_request_and_carries_its_update():
+    client, reply = _reporting_client(_request(round=2))
+    assert reply.msg_type == netproto.MsgType.MODEL_UPDATE
+    assert reply.correlation_id == 1
+    assert reply.payload["session_token"] == "tok"
+    update = netproto.update_from_doc(reply.payload["update"])
+    assert (update.task_id, update.cohort_id, update.round) == ("t-1", "pop-x-c000", 2)
+    assert update.executor_id == "client-a"
+
+
+def test_answer_refuses_anything_but_a_train_request():
+    client = _client()
+    ack = netproto.Envelope(
+        netproto.MsgType.METRICS_ACK, 1, {"task_id": "t-1", "round": 0, "status": "stored"}
+    )
+    with pytest.raises(ProtocolError) as err:
+        client.answer(ack)
+    assert err.value.code == "protocol_state"
+
+
+class CannedChannel:
+    """Answers every request with one fixed envelope."""
+
+    def __init__(self, response: netproto.Envelope):
+        self.frame = netproto.encode(response)
+
+    def request(self, frame: bytes) -> bytes:
+        return self.frame
+
+
+@pytest.mark.parametrize(
+    "msg_type, correlation_id, code",
+    [
+        (netproto.MsgType.METRICS_ACK, 2, "correlation_mismatch"),
+        (netproto.MsgType.TASK_ACK, 1, "protocol_state"),
+    ],
+)
+def test_report_metrics_checks_the_ack_echo_and_type(msg_type, correlation_id, code):
+    client, reply = _reporting_client(_request())
+    payload = (
+        {"task_id": "t-1", "round": 0, "status": "stored"}
+        if msg_type == netproto.MsgType.METRICS_ACK
+        else {"task_id": "t-1", "population_id": "pop-x"}
+    )
+    channel = CannedChannel(netproto.Envelope(msg_type, correlation_id, payload))
+    with pytest.raises(ProtocolError) as err:
+        client.report_metrics(reply, channel)
+    assert err.value.code == code
 
 
 # -- matched model helps ---------------------------------------------------------------

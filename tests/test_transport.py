@@ -7,18 +7,27 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from communityfl import netproto, runner, transport
 from communityfl.client import FlClient
 from communityfl.community import Community, ParticipantMetadata
-from communityfl.flcore import FlTask, ModelUpdate
+from communityfl.errors import ProtocolError
+from communityfl.flcore import FlTask, ModelUpdate, TrainRequest
 from communityfl.netproto import MsgType
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.scenarios import FaultSpec, builtin_scenarios, export_socket_bundle
 from communityfl.tinylearn import Dataset, EvalMetrics, init_weights, make_arch
 from communityfl.transport import SimNetwork, SocketCoordinatorServer, run_socket_client
 
-from conftest import make_community, make_metadata, make_task, rand_signature, separable_dataset
+from conftest import (
+    default_plan,
+    make_community,
+    make_metadata,
+    make_task,
+    rand_signature,
+    separable_dataset,
+)
 
 
 # -- deterministic in-process network -----------------------------------------------
@@ -114,6 +123,23 @@ def test_reply_claiming_another_tasks_round_is_flagged_and_not_recorded(rng, mon
     assert acks == [("c0-t", "mismatch"), ("c1-t", "stored")]
     assert list(report.update_metrics) == ["c1-t"]
     assert coordinator._answered == {cohort.cohort_id: (0, {"c1-t"})}
+
+
+def test_sim_round_replies_echo_their_train_requests(rng, monkeypatch):
+    coordinator, network, cohort = _sim_round_setup(rng)
+    pairs = []
+    receive = coordinator.receive_update
+
+    def recording(env, request):
+        pairs.append((env.msg_type, env.correlation_id, request.correlation_id))
+        return receive(env, request)
+
+    monkeypatch.setattr(coordinator, "receive_update", recording)
+    report = coordinator.run_round(cohort, network, sched_round=1)
+    assert report.received_updates == len(pairs) == 3
+    for msg_type, reply_id, request_id in pairs:
+        assert msg_type == MsgType.MODEL_UPDATE
+        assert reply_id == request_id
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -332,6 +358,100 @@ def test_socket_run_reproduces_simulation_weights_bit_exactly(tmp_path):
         for c in population["cohorts"]
     }
     assert socket_digests == sim_digests
+
+
+@pytest.mark.parametrize("scenario", ["uniform", "heartrate", "poison"])
+def test_socket_rounds_jsonl_equals_the_simulations(tmp_path, scenario):
+    spec = builtin_scenarios()[scenario]
+    runner.run_simulation(spec, mode="cohort", out_dir=tmp_path / "sim")
+    server, threads = _start_socket_run(tmp_path, spec)
+    try:
+        runner.run_socket_rounds(
+            server, spec.scheduler.rounds, tmp_path / "socket", scenario_name=spec.name
+        )
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    sim_jsonl = (tmp_path / "sim" / "rounds.jsonl").read_bytes()
+    assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
+
+
+def test_socket_client_refuses_an_ack_that_does_not_echo_its_update(rng):
+    # a coordinator that registers the client, asks one round and acks the
+    # reply under another correlation id
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    listener = socket.create_server(("127.0.0.1", 0))
+    weights = init_weights(make_arch(2, 2), 3)
+    request = TrainRequest("c0-t", "pop-x-c000", 0, default_plan(batch_size=8), weights)
+
+    def fake_coordinator():
+        conn, _ = listener.accept()
+        conn.settimeout(5.0)
+        with conn, conn.makefile("rb") as frames:
+            for _ in range(2):  # Register, SubmitTask
+                conn.sendall(coordinator.handle_frame(netproto.read_frame(frames)))
+            train = netproto.Envelope(MsgType.TRAIN_REQUEST, 7, netproto.to_doc(request))
+            conn.sendall(netproto.encode(train))
+            reply = netproto.decode(netproto.read_frame(frames))
+            ack = netproto.Envelope(
+                MsgType.METRICS_ACK,
+                reply.correlation_id ^ 1,
+                {"task_id": "c0-t", "round": 0, "status": "stored"},
+            )
+            conn.sendall(netproto.encode(ack))
+
+    thread = threading.Thread(target=fake_coordinator, daemon=True)
+    thread.start()
+    client = FlClient("c0", separable_dataset(n=40, gap=4.0, seed=6), make_metadata("c0"))
+    task = make_task("c0-t", client_id="c0", signature=rand_signature(rng))
+    host, port = listener.getsockname()[:2]
+    try:
+        with pytest.raises(ProtocolError) as err:
+            run_socket_client(client, host, port, task)
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert err.value.code == "correlation_mismatch"
+
+
+def _wait_for(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)
+
+
+def test_resubmitted_task_closes_the_session_it_replaces(rng):
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=2)
+    client = FlClient("c0", separable_dataset(n=40, gap=4.0, seed=6), make_metadata("c0"))
+    task = make_task("c0-t", client_id="c0", signature=rand_signature(rng))
+    channels = []
+
+    def connect_and_submit():
+        channel = transport.SocketChannel(socket.create_connection(server.address, timeout=5.0))
+        channels.append(channel)
+        client.register(channel)
+        client.submit_task(channel, task)
+        return channel
+
+    try:
+        first_channel = connect_and_submit()
+        _wait_for(lambda: server.session_for_task(task.task_id) is not None)
+        first = server.session_for_task(task.task_id)
+        connect_and_submit()  # the same task again: an idempotent TaskAck
+        _wait_for(lambda: server.session_for_task(task.task_id) is not first)
+        assert first.dead
+        assert first.sock.fileno() == -1
+        assert netproto.read_frame(first_channel.file) is None  # EOF, not a hang
+        assert not server.session_for_task(task.task_id).dead
+    finally:
+        for channel in channels:
+            channel.close()
+        server.close()
 
 
 def _nodelay(sock: socket.socket) -> int:
