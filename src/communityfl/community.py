@@ -24,6 +24,7 @@ summation order would hang on the stacked layout instead of being a rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -78,13 +79,18 @@ class DataSignature:
         hist = np.array(self.label_histogram, dtype=np.float64)
         if mean.ndim != 1 or std.ndim != 1 or mean.shape != std.shape:
             raise ShapeError("per-feature mean/std must be 1-D vectors of equal length")
-        # a NaN fails every comparison, so it would pass the range checks
-        # below and make similarity NaN
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise ShapeError("per-feature mean/std must be finite")
-        if np.any(std < 0):
+        # checked on plain floats: a signature holds a handful of values, and
+        # a numpy reduction per check costs more than one pass over them.
+        # A NaN fails every comparison, so it would pass the range checks and
+        # make similarity NaN; every moment is checked finite before any sign.
+        negative_std = False
+        for m, s in zip(mean.tolist(), std.tolist()):
+            if not (isfinite(m) and isfinite(s)):
+                raise ShapeError("per-feature mean/std must be finite")
+            negative_std = negative_std or s < 0.0
+        if negative_std:
             raise ShapeError("per-feature std must be elementwise >= 0")
-        if hist.ndim != 1 or hist.size < 1 or np.any(hist < 0):
+        if hist.ndim != 1 or hist.size < 1 or any(h < 0.0 for h in hist.tolist()):
             raise ShapeError("label histogram must be a non-negative 1-D vector")
         if not abs(float(hist.sum()) - 1.0) <= 1e-9:  # also refuses NaN
             raise ShapeError(f"label histogram must sum to 1, got {hist.sum()!r}")

@@ -10,12 +10,12 @@ import hashlib
 
 import numpy as np
 
-_SEP = b"\x1f"
+_SEP = "\x1f"
 
 
 def stable_u64(*parts: object) -> int:
     """Deterministically map the given parts to an unsigned 64-bit integer."""
-    blob = _SEP.join(str(p).encode("utf-8") for p in parts)
+    blob = _SEP.join(map(str, parts)).encode("utf-8")
     digest = hashlib.sha256(blob).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -11,7 +11,10 @@ Every message type's payload is validated against an explicit schema; unknown
 fields are rejected. Each schema is compiled once, at import, into a checker
 that builds a field's path only when it reports an error. The same schemas
 drive :func:`to_doc` and :func:`from_doc`, which convert domain records to and
-from documents. No schema declares a field that can carry raw feature or label
+from documents; each record's pair is compiled once, too, into straight-line
+code that calls a converter only on the fields that need one. The JSON decoder
+and the canonical encoder are built once and shared by every frame and
+thread. No schema declares a field that can carry raw feature or label
 arrays - model weights travel as base64-encoded float64 blobs and data is only
 ever described by its statistical signature.
 
@@ -355,17 +358,29 @@ def encode(env: Envelope) -> bytes:
     return _PREFIX.pack(len(body)) + body
 
 
-# one shared encoder: ``iterencode`` keeps no state between calls, so threads
-# may use it at once
-_CANONICAL = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+# The C encoder behind json.dumps(doc, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=False, allow_nan=False), built once: JSONEncoder.encode would
+# rebuild it on every call. markers=None skips the circular-reference check,
+# which no caller needs: encode validates first, and a document that fits a
+# schema, like one json parsed, is a finite tree. It keeps no state between
+# calls, so threads may use it at once.
+_CANONICAL = json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,  # raises TypeError
+    json.encoder.encode_basestring,  # ensure_ascii=False
+    None,  # indent
+    ":",  # key separator
+    ",",  # item separator
+    True,  # sort_keys
+    False,  # skipkeys
+    False,  # allow_nan
 )
 
 
 def _canonical_body(doc: dict) -> bytes:
     """The one spelling of a document that ``encode`` writes."""
     try:
-        return _CANONICAL.encode(doc).encode("utf-8")
+        return "".join(_CANONICAL(doc, 0)).encode("utf-8")
     except ValueError as exc:  # also a lone surrogate, which UTF-8 cannot carry
         raise ProtocolError("malformed", f"payload not JSON-serializable: {exc}") from exc
 
@@ -382,6 +397,12 @@ def _parse_finite_float(literal: str) -> float:
     return value
 
 
+# one decoder for every frame: json.loads with keyword arguments would build a
+# new decoder and scanner per call. Threads may share it: the scanner's only
+# state between calls is a memo that interns object keys, which it clears
+_DECODER = json.JSONDecoder(parse_float=_parse_finite_float, parse_constant=_reject_constant)
+
+
 def decode(frame: bytes) -> Envelope:
     """Parse exactly one frame; any malformed input raises ProtocolError."""
     if not isinstance(frame, (bytes, bytearray)) or len(frame) < 4:
@@ -395,11 +416,7 @@ def decode(frame: bytes) -> Envelope:
     if len(body) > declared:
         raise ProtocolError("malformed", "trailing bytes after frame body")
     try:
-        doc = json.loads(
-            body.decode("utf-8"),
-            parse_float=_parse_finite_float,
-            parse_constant=_reject_constant,
-        )
+        doc = _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError("malformed", f"body is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -527,7 +544,7 @@ def _value_writer(spec: Field) -> Callable:
         if spec.item.kind == "str":
             return sorted  # every string list on the wire holds a tag set
         item = _value_writer(spec.item)
-        return lambda values: [item(v) for v in values]
+        return lambda values: list(map(item, values))
     if spec.kind == "map":
         item = _value_writer(spec.item)
         return lambda mapping: {k: item(v) for k, v in mapping.items()}
@@ -547,16 +564,29 @@ def _same(value):
 
 
 def _record_converters(cls: type, schema: dict) -> tuple[Callable, Callable]:
-    writers = [(name, _value_writer(spec)) for name, spec in schema.items()]
-    readers = [(name, _value_reader(spec)) for name, spec in schema.items()]
-
-    def write(obj) -> dict:
-        return {name: convert(getattr(obj, name)) for name, convert in writers}
-
-    def read(doc: dict):
-        return cls(**{name: convert(doc[name]) for name, convert in readers})
-
-    return write, read
+    """Compile a record's writer and reader into straight-line code: one dict
+    display and one constructor call, calling a converter only on the fields
+    that need one. Fields are visited in schema order, so a bad record or
+    document fails where a loop over the fields would."""
+    namespace: dict[str, object] = {"cls": cls}
+    items, arguments = [], []
+    for i, (name, spec) in enumerate(schema.items()):
+        value, write = f"obj.{name}", _value_writer(spec)
+        if write is not _same:
+            namespace[f"write_{i}"] = write
+            value = f"write_{i}({value})"
+        items.append(f"{name!r}: {value}")
+        value, read = f"doc[{name!r}]", _value_reader(spec)
+        if read is not _same:
+            namespace[f"read_{i}"] = read
+            value = f"read_{i}({value})"
+        arguments.append(f"{name}={value}")
+    source = (
+        f"def write(obj):\n    return {{{', '.join(items)}}}\n"
+        f"def read(doc):\n    return cls({', '.join(arguments)})\n"
+    )
+    exec(source, namespace)
+    return namespace["write"], namespace["read"]
 
 
 # declaration order puts nested records first, so their converters exist

@@ -400,6 +400,10 @@ class Coordinator:
                     # n_samples sets the aggregation weight; a client trains on
                     # a subset of the data its signature counts
                     verdicts[task_id] = GuardVerdict(False, "n_samples_exceeds_signature")
+                elif update.weights.arch_id != cohort.global_weights.arch_id:
+                    # aggregate refuses mixed architectures, even of equal
+                    # length, so one such update must not reach it either
+                    verdicts[task_id] = GuardVerdict(False, "arch_mismatch")
                 elif not update.weights.is_finite():
                     # aggregate refuses non-finite weights, so one such update
                     # must not reach it even with the loss guard off

@@ -223,10 +223,36 @@ def cluster_assignment(spec: ScenarioSpec) -> dict[str, int]:
 # -- data generation ----------------------------------------------------------
 
 
-def _class_centers(spec: ScenarioSpec) -> np.ndarray:
+@dataclass(frozen=True)
+class _Mixture:
+    """The constants of a scenario's blob mixture, computed once per scenario
+    and shared by every client drawn from it: the label prior, the class
+    centres, and each cluster's feature shift and label lookup table."""
+
+    prior: np.ndarray
+    centers: np.ndarray
+    shifts: list[np.ndarray | None]
+    luts: list[np.ndarray | None]
+
+
+def _mixture(spec: ScenarioSpec) -> _Mixture:
+    prior = (
+        np.asarray(spec.label_prior, dtype=np.float64)
+        if spec.label_prior is not None
+        else np.full(spec.n_classes, 1.0 / spec.n_classes)
+    )
     centers = np.zeros((spec.n_classes, spec.n_features), dtype=np.float64)
     centers[:, 0] = np.arange(spec.n_classes) * spec.class_sep
-    return centers
+    shifts, luts = [], []
+    for cluster in spec.clusters:
+        shift = cluster.feature_shift
+        shifts.append(None if shift is None else np.asarray(shift, dtype=np.float64))
+        lut = None
+        if cluster.label_map is not None:
+            lut = np.arange(spec.n_classes)
+            lut[list(cluster.label_map)] = list(cluster.label_map.values())
+        luts.append(lut)
+    return _Mixture(prior, centers, shifts, luts)
 
 
 def _flip_rate(spec: ScenarioSpec, client_id: str) -> float:
@@ -240,23 +266,27 @@ def generate_client_dataset(
     spec: ScenarioSpec, client_id: str, cluster_index: int, n_samples: int, stream: str
 ) -> Dataset:
     """Draw one client's dataset from its cluster's transformed blob mixture."""
+    return _draw_dataset(spec, _mixture(spec), client_id, cluster_index, n_samples, stream)
+
+
+def _draw_dataset(
+    spec: ScenarioSpec,
+    mixture: _Mixture,
+    client_id: str,
+    cluster_index: int,
+    n_samples: int,
+    stream: str,
+) -> Dataset:
     rng = np.random.default_rng(stable_u64(spec.seed, stream, client_id))
-    prior = (
-        np.asarray(spec.label_prior, dtype=np.float64)
-        if spec.label_prior is not None
-        else np.full(spec.n_classes, 1.0 / spec.n_classes)
-    )
-    labels = rng.choice(spec.n_classes, size=n_samples, p=prior)
-    centers = _class_centers(spec)
-    features = centers[labels] + spec.feature_std * rng.standard_normal(
+    labels = rng.choice(spec.n_classes, size=n_samples, p=mixture.prior)
+    features = mixture.centers[labels] + spec.feature_std * rng.standard_normal(
         (n_samples, spec.n_features)
     )
-    cluster = spec.clusters[cluster_index]
-    if cluster.feature_shift is not None:
-        features = features + np.asarray(cluster.feature_shift, dtype=np.float64)
-    if cluster.label_map is not None:
-        lut = np.arange(spec.n_classes)
-        lut[list(cluster.label_map)] = list(cluster.label_map.values())
+    shift = mixture.shifts[cluster_index]
+    if shift is not None:
+        features = features + shift
+    lut = mixture.luts[cluster_index]
+    if lut is not None:
         labels = lut[labels]
     flip_rate = _flip_rate(spec, client_id)
     if flip_rate > 0.0:
@@ -355,11 +385,12 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
     for task in spec.tasks:
         community_of_client.setdefault(task.client_id, task.community_id)
 
+    mixture = _mixture(spec)
     clients: list[GeneratedClient] = []
     for client_id in spec.clients:
         cluster_index = assignment[client_id]
         n = _client_sample_count(spec, client_id)
-        dataset = generate_client_dataset(spec, client_id, cluster_index, n, "data")
+        dataset = _draw_dataset(spec, mixture, client_id, cluster_index, n, "data")
         community_id = community_of_client.get(client_id)
         cspec = community_specs.get(community_id) if community_id else None
         tags = frozenset(cspec.required_tags) if cspec else frozenset()

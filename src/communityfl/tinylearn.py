@@ -17,6 +17,7 @@ building one ``WeightVector`` at the end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -70,18 +71,30 @@ def make_arch(n_features: int, n_classes: int, hidden_units: int = 0) -> ModelAr
     )
 
 
+# bounded: a hostile peer may send any number of distinct ids, and only
+# successful parses are cached; ModelArch is frozen, so sharing one is safe
+@functools.lru_cache(maxsize=64)
 def arch_from_id(arch_id: str) -> ModelArch:
-    """Recover the full architecture from a canonical identifier string."""
+    """Recover the full architecture from its canonical identifier string.
+
+    Any other spelling of the same dimensions (``logreg:+2x2``,
+    ``logreg:02x2``) is refused, so that an architecture has one id and two
+    weight vectors of one architecture always carry equal ids.
+    """
     try:
         family, dims = arch_id.split(":", 1)
         parts = [int(p) for p in dims.split("x")]
         if family == "logreg" and len(parts) == 2:
-            return make_arch(parts[0], parts[1], 0)
-        if family == "mlp" and len(parts) == 3:
-            return make_arch(parts[0], parts[2], parts[1])
+            arch = make_arch(parts[0], parts[1], 0)
+        elif family == "mlp" and len(parts) == 3:
+            arch = make_arch(parts[0], parts[2], parts[1])
+        else:
+            raise ValueError(f"unknown family {family!r} or dimension count")
     except (ValueError, ConfigError) as exc:
         raise ShapeError(f"unparseable arch_id {arch_id!r}") from exc
-    raise ShapeError(f"unparseable arch_id {arch_id!r}")
+    if arch.arch_id != arch_id:
+        raise ShapeError(f"arch_id {arch_id!r} is not canonical, expected {arch.arch_id!r}")
+    return arch
 
 
 @dataclass(eq=False)

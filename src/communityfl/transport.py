@@ -117,7 +117,13 @@ class SimNetwork:
                 prompt.append((task_id, None))
                 continue
             channel = _RoundChannel(self, sched_round, client.client_id, env)
-            ack, _attempts = client.report_metrics(reply, channel)
+            try:
+                ack, _attempts = client.report_metrics(reply, channel)
+            except ProtocolError as exc:
+                # e.g. the coordinator refused a malformed reply: over TCP it
+                # drops the connection, here the client drops out of the round
+                logger.warning("round %s: client for %s dropped (%s)", sched_round, task_id, exc)
+                ack = None
             if ack is None:
                 prompt.append((task_id, None))
             elif channel.delayed:
@@ -305,13 +311,15 @@ class SocketCoordinatorServer:
                     task_id = response.payload["task_id"]
                     with self._sessions_lock:
                         replaced = self._sessions.get(task_id)
+                        if replaced is not None:
+                            # a resubmission takes the task over; nothing would
+                            # ever close the connection it replaces. Closed
+                            # before the new session is visible, so no reader
+                            # sees the new one while the old one is still open
+                            replaced.close()
                         self._sessions[task_id] = session
                         total = len(self._sessions)
                     handed_over = True  # the round driver owns the connection now
-                    if replaced is not None:
-                        # a resubmission takes the task over; nothing would
-                        # ever close the connection it replaces
-                        replaced.close()
                     logger.info("task %s submitted by %s (%d total)", task_id, peer, total)
                     if total >= self.expected_tasks:
                         self._ready.set()

@@ -159,6 +159,98 @@ def test_signature_refuses_non_finite_moments(field, bad):
         fixed_signature(parts["mean"], parts["std"], parts["hist"])
 
 
+def _numpy_signature_check(mean, std, hist, n_samples, quality_score):
+    """The numpy-reduction checks that DataSignature made before it checked
+    plain floats, kept as the oracle: the arrays it would store, or the
+    ShapeError it would raise."""
+    mean = np.array(mean, dtype=np.float64)
+    std = np.array(std, dtype=np.float64)
+    hist = np.array(hist, dtype=np.float64)
+    if mean.ndim != 1 or std.ndim != 1 or mean.shape != std.shape:
+        raise ShapeError("per-feature mean/std must be 1-D vectors of equal length")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ShapeError("per-feature mean/std must be finite")
+    if np.any(std < 0):
+        raise ShapeError("per-feature std must be elementwise >= 0")
+    if hist.ndim != 1 or hist.size < 1 or np.any(hist < 0):
+        raise ShapeError("label histogram must be a non-negative 1-D vector")
+    if not abs(float(hist.sum()) - 1.0) <= 1e-9:
+        raise ShapeError(f"label histogram must sum to 1, got {hist.sum()!r}")
+    if n_samples < 1:
+        raise ShapeError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0.0 <= quality_score <= 1.0:
+        raise ShapeError(f"quality_score must be in [0,1], got {quality_score}")
+    return mean, std, hist
+
+
+_AWKWARD_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+)
+_SIGNATURE_FLOATS = st.one_of(st.floats(-10.0, 10.0), _AWKWARD_FLOATS)
+
+
+@st.composite
+def _signature_vectors(draw, size):
+    """A 1-D list of ``size`` floats, or now and then an empty, scalar or
+    2-D one."""
+    shape = draw(st.sampled_from(["1-D"] * 6 + ["empty", "scalar", "2-D"]))
+    if shape == "empty":
+        return []
+    if shape == "scalar":
+        return draw(_SIGNATURE_FLOATS)
+    if shape == "2-D":
+        return [draw(st.lists(_SIGNATURE_FLOATS, min_size=size, max_size=size))] * 2
+    return draw(st.lists(_SIGNATURE_FLOATS, min_size=size, max_size=size))
+
+
+@st.composite
+def _histograms(draw):
+    """Mostly a histogram that sums to 1 up to a drawn error around the 1e-9
+    tolerance; sometimes any vector at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_signature_vectors(draw(st.integers(0, 4))))
+    counts = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+    total = sum(counts)
+    hist = [c / total for c in counts] if total > 0 else [1.0] + [0.0] * (len(counts) - 1)
+    i = draw(st.integers(0, len(hist) - 1))
+    hist[i] += draw(st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -2e-9]))
+    for j in range(len(hist)):
+        if draw(st.integers(0, 4)) == 0:
+            hist[j] = draw(_AWKWARD_FLOATS)
+    return hist
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.data(),
+    _histograms(),
+    st.sampled_from([1, 40, 0, -3]),
+    st.sampled_from([1.0, 0.0, 0.5, 1.5, -0.1, float("nan")]),
+)
+def test_signature_checks_refuse_exactly_what_numpy_checks_refused(
+    n_features, data, hist, n_samples, quality_score
+):
+    mean = data.draw(_signature_vectors(n_features))
+    std_size = n_features if data.draw(st.integers(0, 5)) else n_features + 1
+    std = data.draw(_signature_vectors(std_size))
+    if data.draw(st.booleans()) and isinstance(std, list) and std and not isinstance(std[0], list):
+        std = [abs(v) for v in std]  # mostly valid, so later checks get reached
+    args = (mean, std, hist, n_samples, quality_score)
+    try:
+        expected = _numpy_signature_check(*args)
+    except ShapeError as exc:
+        with pytest.raises(ShapeError) as refused:
+            DataSignature(*args)
+        assert str(refused.value) == str(exc)
+        return
+    signature = DataSignature(*args)
+    stored = (signature.per_feature_mean, signature.per_feature_std, signature.label_histogram)
+    for got, want in zip(stored, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 # -- bit-exact cohort formation -----------------------------------------------------
 #
 # The reference functions below are the Python-order implementation that cohort

@@ -7,6 +7,10 @@ A change to field order, numeric casts, tag sorting or the weight blob format
 shows up here as a byte difference.
 """
 
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -231,3 +235,51 @@ def test_frame_bytes_are_pinned(msg_type):
 def test_from_doc_inverts_to_doc(record):
     doc = netproto.to_doc(record)
     assert netproto.to_doc(netproto.from_doc(type(record), doc)) == doc
+
+
+def _dumps(doc) -> bytes:
+    text = json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    )
+    return text.encode("utf-8")
+
+
+@pytest.mark.parametrize("msg_type", list(MsgType), ids=lambda t: t.value)
+def test_prebuilt_encoder_writes_what_json_dumps_writes(msg_type):
+    frame = GOLDEN[msg_type]
+    doc = json.loads(frame[4:])
+    assert netproto._canonical_body(doc) == _dumps(doc) == frame[4:]
+
+
+def test_threads_share_the_codec():
+    # the decoder and the encoder are module-level objects that every socket
+    # thread uses at once
+    frames = list(GOLDEN.values())
+    start = threading.Barrier(4)
+    results: dict[int, list[bytes]] = {}
+    errors = []
+
+    def work(worker: int):
+        try:
+            start.wait(timeout=10)
+            out = []
+            for _ in range(200):
+                for frame in frames:
+                    out.append(encode(decode(frame)))
+            results[worker] = out
+        except Exception as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-frame too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(4)] == [frames * 200] * 4

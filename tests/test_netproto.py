@@ -1,5 +1,6 @@
 import base64
 import copy
+import dataclasses
 import io
 import json
 import struct
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from communityfl import netproto
-from communityfl.community import Community
+from communityfl.community import Community, DataSignature, ParticipantMetadata
 from communityfl.errors import ConfigError, ProtocolError
-from communityfl.flcore import FlTask
+from communityfl.flcore import FlTask, ModelUpdate, TrainRequest
 from communityfl.netproto import (
     Envelope,
     Field,
@@ -27,7 +28,7 @@ from communityfl.netproto import (
     weights_to_wire,
     wire_to_weights,
 )
-from communityfl.tinylearn import WeightVector, make_arch
+from communityfl.tinylearn import EvalMetrics, WeightVector, make_arch
 
 from conftest import make_community, make_metadata, make_task, make_update
 
@@ -664,3 +665,221 @@ def test_map_entries_are_checked_like_the_interpreter(overrides, message):
     doc["plan_overrides"] = overrides
     expected = _verdict(_oracle_validate_doc, doc, RECORD_SCHEMAS[FlTask], "FlTask")
     assert _verdict(netproto._VALIDATE_RECORD[FlTask], doc) == expected == ("malformed", message)
+
+
+# -- compiled converters against the generic ones ------------------------------------
+
+
+def _generic_converters() -> tuple[dict, dict]:
+    """The loop-per-field converters that the compiled ones replaced, kept as
+    their oracle: a writer and a reader for every wire record, each nested
+    record converted by this table's own entry."""
+    writers = {WeightVector: weights_to_wire}
+    readers = {WeightVector: wire_to_weights}
+
+    def same(value):
+        return value
+
+    def value_writer(spec: Field):
+        if spec.kind == "doc":
+            return writers[spec.record]
+        if spec.kind == "list":
+            if spec.item.kind == "str":
+                return sorted
+            item = value_writer(spec.item)
+            return lambda values: [item(v) for v in values]
+        if spec.kind == "map":
+            item = value_writer(spec.item)
+            return lambda mapping: {k: item(v) for k, v in mapping.items()}
+        return {"int": int, "float": float}.get(spec.kind, same)
+
+    def value_reader(spec: Field):
+        if spec.kind == "doc":
+            return readers[spec.record]
+        if spec.kind == "map":
+            return dict
+        return same
+
+    def converters(cls, schema):
+        write_fields = [(name, value_writer(spec)) for name, spec in schema.items()]
+        read_fields = [(name, value_reader(spec)) for name, spec in schema.items()]
+
+        def write(obj):
+            return {name: convert(getattr(obj, name)) for name, convert in write_fields}
+
+        def read(doc):
+            return cls(**{name: convert(doc[name]) for name, convert in read_fields})
+
+        return write, read
+
+    for cls, schema in RECORD_SCHEMAS.items():
+        if cls not in writers:
+            writers[cls], readers[cls] = converters(cls, schema)
+    return writers, readers
+
+
+_GENERIC_WRITE, _GENERIC_READ = _generic_converters()
+
+
+def _one_record_of_each_class() -> dict[type, object]:
+    """A valid record of every wire class, found inside a few top-level ones;
+    numpy scalars and an int real are there to exercise the casts."""
+    signature = DataSignature(
+        per_feature_mean=np.array([0.5, -1.25]),
+        per_feature_std=np.array([1.0, 0.0]),
+        label_histogram=np.array([0.25, 0.75]),
+        n_samples=np.int64(40),
+        quality_score=1,
+    )
+    weights = WeightVector(values=np.linspace(-1.0, 1.0, 6), arch_id="logreg:2x2")
+    update = dataclasses.replace(
+        make_update("t", [0.0, 0.0]),
+        weights=weights,
+        pre_metrics=EvalMetrics(loss=np.float64(0.75), accuracy=0.5, n_samples=np.int64(3)),
+    )
+    task = dataclasses.replace(make_task("t", signature=signature), plan_overrides={"epochs": 3})
+    community = make_community()
+    roots = [
+        make_metadata("p", interests=("Sleep", "fitness")),
+        task,
+        community,
+        update,
+        TrainRequest("t", "c", 2, community.default_plan, weights),
+    ]
+    found: dict[type, object] = {}
+
+    def walk(record):
+        found.setdefault(type(record), record)
+        for name, spec in RECORD_SCHEMAS[type(record)].items():
+            if spec.kind == "doc":
+                walk(getattr(record, name))
+
+    for root in roots:
+        walk(root)
+    assert set(found) == set(RECORD_SCHEMAS)
+    return found
+
+
+_RECORDS = _one_record_of_each_class()
+
+
+def _outcome(convert, value):
+    try:
+        return "ok", convert(value)
+    except Exception as exc:  # the oracle and the compiled code must agree
+        return "raised", (type(exc), str(exc))
+
+
+def _assert_same_record(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.writeable == b.flags.writeable
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_record(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
+
+
+def _typed(value):
+    """``value`` with each leaf paired with its type: == alone takes 1 for
+    1.0 and a numpy scalar for a Python number."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value), value
+
+
+def _same_document(a, b) -> bool:
+    return _typed(a) == _typed(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(RECORD_SCHEMAS, key=lambda c: c.__name__)), st.data())
+def test_compiled_converters_match_the_generic_ones(cls, data):
+    spec = Field("doc", schema=RECORD_SCHEMAS[cls])
+    doc = json.loads(json.dumps(_GENERIC_WRITE[cls](_RECORDS[cls])))
+    # overwrite some fields with drawn values of the declared type, which
+    # keeps many records valid, then maybe break the document's shape
+    for _ in range(data.draw(st.integers(0, 2))):
+        nodes = [n for n in _nodes(doc, spec, ()) if n[0]]
+        path, node_spec = data.draw(st.sampled_from(nodes))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = data.draw(_values(node_spec))
+    if data.draw(st.booleans()):
+        _mutate(doc, spec, data)
+    if data.draw(st.integers(0, 9)) == 0:
+        doc = _other_value(data)
+    expected = _outcome(_GENERIC_READ[cls], doc)
+    actual = _outcome(lambda d: netproto.from_doc(cls, d), doc)
+    assert actual[0] == expected[0]
+    if expected[0] == "raised":
+        assert actual[1] == expected[1]
+        return
+    _assert_same_record(actual[1], expected[1])
+    # from_doc does not validate (decode does), so a record may hold a value
+    # that no writer can cast; both must then refuse it alike
+    written = _outcome(netproto.to_doc, actual[1])
+    expected = _outcome(_GENERIC_WRITE[cls], actual[1])
+    assert written[0] == expected[0]
+    if expected[0] == "raised":
+        assert written[1] == expected[1]
+    else:
+        assert _same_document(written[1], expected[1])
+
+
+@pytest.mark.parametrize("cls", sorted(RECORD_SCHEMAS, key=lambda c: c.__name__), ids=str)
+def test_compiled_writers_cast_like_the_generic_ones(cls):
+    record = _RECORDS[cls]
+    assert _same_document(netproto.to_doc(record), _GENERIC_WRITE[cls](record))
+
+
+def test_compiled_converters_fail_on_the_first_bad_field_in_schema_order():
+    doc = netproto.to_doc(_RECORDS[ParticipantMetadata])
+    del doc["criteria"]
+    doc["device"] = []  # before criteria in the schema
+    for read in (_GENERIC_READ[ParticipantMetadata], netproto._FROM_DOC[ParticipantMetadata]):
+        with pytest.raises(TypeError):
+            read(doc)
+
+
+def test_update_with_a_non_canonical_arch_id_is_malformed():
+    doc = netproto.to_doc(_RECORDS[ModelUpdate])
+    doc["weights"]["arch_id"] = "logreg:+2x2"  # parses to the dimensions of logreg:2x2
+    with pytest.raises(ProtocolError) as exc:
+        netproto.update_from_doc(doc)
+    assert exc.value.code == "malformed"
+    assert "not canonical" in exc.value.message
+
+
+# -- the prebuilt codec -------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelope_docs())
+def test_prebuilt_encoder_writes_what_json_dumps_writes(doc):
+    expected = json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    ).encode("utf-8")
+    assert netproto._canonical_body(doc) == expected
+    env = Envelope(MsgType(doc["msg_type"]), doc["correlation_id"], doc["payload"])
+    assert encode(env)[4:] == expected
+
+
+@pytest.mark.parametrize(
+    "doc", [{"loss": float("nan")}, {"loss": float("-inf")}, {"message": "\ud800"}]
+)
+def test_prebuilt_encoder_refuses_what_json_dumps_refuses(doc):
+    # UnicodeEncodeError, which a lone surrogate raises, is a ValueError too
+    with pytest.raises(ValueError) as dumped:
+        json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        ).encode("utf-8")
+    with pytest.raises(ProtocolError) as refused:
+        netproto._canonical_body(doc)
+    assert refused.value.code == "malformed"
+    assert refused.value.message == f"payload not JSON-serializable: {dumped.value}"

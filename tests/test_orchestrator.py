@@ -338,6 +338,55 @@ def test_update_with_non_finite_weights_flagged(guard_epsilon):
     assert cohort.round == 0
 
 
+@pytest.mark.parametrize("guard_epsilon", [0.5, None])
+def test_update_with_another_architecture_of_equal_length_flagged(guard_epsilon):
+    # mlp:1x1x2 has the 6 parameters of logreg:2x2, so the update decodes,
+    # but aggregate refuses to mix the two; flagged whether or not the loss
+    # guard is on, instead of raising out of run_round
+    coordinator = _coordinator(guard_epsilon=guard_epsilon)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
+    before = cohort.global_weights
+    assert before.arch_id == "logreg:2x2"
+    weights = WeightVector(before.values.copy(), "mlp:1x1x2")
+    report = coordinator.run_round(cohort, _RewritingTransport(network, weights=weights), 1)
+    assert report.guard_verdicts["a-t"] == "flag:arch_mismatch"
+    assert report.status == "aborted"
+    assert report.reason == "no_accepted_updates"
+    assert cohort.global_weights is before
+    assert cohort.round == 0
+
+
+@pytest.mark.parametrize("arch_id", ["logreg:+2x2", "mlp:1x1x2"])
+def test_wrong_architecture_update_does_not_crash_the_run(arch_id, monkeypatch):
+    # u-01 answers its first request with the right number of weights under
+    # another id: a non-canonical spelling of the cohort's own architecture,
+    # which the coordinator refuses as malformed (u-01 drops out of the round,
+    # and uniform's quorum of 1.0 aborts it), or another architecture, which
+    # the round flags and leaves out of the aggregate
+    honest = FlClient.answer
+    corrupted = []
+
+    def answer(self, env, resolve_neighbor=None):
+        reply = honest(self, env, resolve_neighbor)
+        if self.client_id == "u-01" and not corrupted:
+            reply.payload["update"]["weights"]["arch_id"] = arch_id
+            corrupted.append(env.correlation_id)
+        return reply
+
+    monkeypatch.setattr(FlClient, "answer", answer)
+    run = run_simulation(builtin_scenarios()["uniform"])
+    first, *later = run.reports
+    assert "u-01-t0" in first.selected_task_ids
+    if arch_id == "logreg:+2x2":
+        assert "u-01-t0" not in first.guard_verdicts
+        assert (first.status, first.reason) == ("aborted", "quorum_not_reached")
+    else:
+        assert first.guard_verdicts["u-01-t0"] == "flag:arch_mismatch"
+        assert first.status == "committed"
+    assert later and all(r.status == "committed" for r in later)
+
+
 # -- the negative-transfer guard -------------------------------------------------------
 
 

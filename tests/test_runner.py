@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from communityfl import runner, scenarios
+from communityfl import netproto, runner, scenarios
 from communityfl.cli import main as cli_main
 from communityfl.client import FlClient
+from communityfl.orchestrator import Coordinator
 from communityfl.scenarios import FaultSpec, builtin_scenarios
 from communityfl.tinylearn import evaluate
 
@@ -167,3 +168,39 @@ def test_summary_accuracy_equals_direct_evaluate_after_drift(tmp_path):
         final = doc["per_cohort"][cohort.cohort_id]["final_holdout_accuracy"]
         assert final == correct / total
     assert seen_drifted
+
+
+class _SetUpDone(Exception):
+    pass
+
+
+def test_setup_encodes_and_decodes_four_frames_per_client(monkeypatch):
+    # set-up is one Register and one SubmitTask exchange per client, and each
+    # request and each ack is encoded once and decoded once: a cheaper set-up
+    # must come from cheaper frames, never from fewer
+    base = builtin_scenarios()["uniform"]
+    clients = [f"d-{i:03d}" for i in range(200)]
+    community_id = base.communities[0].community_id
+    spec = dataclasses.replace(
+        base,
+        clients=clients,
+        tasks=[scenarios.TaskSpec(f"{c}-t0", c, community_id) for c in clients],
+        samples_per_client=(60, 80),
+    )
+    calls = {"encode": 0, "decode": 0}
+    for name in calls:
+        original = getattr(netproto, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(netproto, name, counting)
+
+    def first_round(*args, **kwargs):
+        raise _SetUpDone
+
+    monkeypatch.setattr(Coordinator, "run_round", first_round)
+    with pytest.raises(_SetUpDone):
+        runner.run_simulation(spec)
+    assert calls == {"encode": 4 * len(clients), "decode": 4 * len(clients)}

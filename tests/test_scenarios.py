@@ -266,3 +266,17 @@ def test_export_socket_bundle(tmp_path):
         assert len(data_doc["features"]) == len(data_doc["labels"])
         assert (tmp_path / f"{client_id}.metadata.json").exists()
         assert (tmp_path / f"{client_id}.task.json").exists()
+
+
+@pytest.mark.parametrize("name", ["heartrate", "poison"])
+def test_generate_draws_each_client_as_generate_client_dataset_does(name):
+    # generate computes the mixture's constants once per scenario; every
+    # client must still get the dataset that drawing it alone gives
+    spec = builtin_scenarios()[name]
+    assignment = cluster_assignment(spec)
+    for client in generate(spec).clients:
+        alone = scenarios.generate_client_dataset(
+            spec, client.client_id, assignment[client.client_id], client.n_samples, "data"
+        )
+        assert client.dataset.features.tobytes() == alone.features.tobytes()
+        assert client.dataset.labels.tobytes() == alone.labels.tobytes()

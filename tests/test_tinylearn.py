@@ -64,6 +64,24 @@ def test_arch_id_roundtrip():
         arch_from_id("resnet:50")
 
 
+@pytest.mark.parametrize("arch_id", ["logreg:+2x2", "logreg:02x2", "logreg: 2x2", "mlp:2x1_0x2"])
+def test_arch_from_id_refuses_non_canonical_spellings(arch_id):
+    # int() reads each of these as the dimensions of a canonical id; a second
+    # spelling would let two weight vectors of one architecture carry
+    # different ids, which aggregate refuses to mix
+    with pytest.raises(ShapeError, match="not canonical"):
+        arch_from_id(arch_id)
+    with pytest.raises(ShapeError):
+        WeightVector(values=np.zeros(6), arch_id=arch_id)
+
+
+def test_arch_from_id_cache_is_bounded():
+    for n in range(1, 200):
+        arch_from_id(f"logreg:{n}x2")
+    assert arch_from_id.cache_info().maxsize == 64
+    assert arch_from_id.cache_info().currsize <= 64
+
+
 def test_weight_vector_rejects_nonfinite_and_bad_length():
     arch = make_arch(2, 2)
     with pytest.raises(ShapeError):
