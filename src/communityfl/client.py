@@ -61,7 +61,6 @@ class ClientState:
     resource_profile: ResourceProfile = field(default_factory=ResourceProfile)
     neighbors: list[str] = field(default_factory=list)
     trusted_neighbors: frozenset[str] = frozenset()
-    registered: bool = False
 
 
 class FlClient:
@@ -164,20 +163,19 @@ class FlClient:
         )
         ack = self._exchange(channel, env)
         self.session_token = ack.payload["session_token"]
-        self.state.registered = True
         return self.session_token
 
     def list_communities(self, channel: RequestChannel):
         env = Envelope(
             msg_type=MsgType.LIST_COMMUNITIES,
             correlation_id=self._next_correlation(),
-            payload={"participant_id": self.client_id},
+            payload={},
         )
         response = self._exchange(channel, env)
         return [netproto.from_doc(Community, doc) for doc in response.payload["communities"]]
 
     def submit_task(self, channel: RequestChannel, task: FlTask) -> str:
-        if not self.state.registered or self.session_token is None:
+        if self.session_token is None:
             raise ProtocolError("unregistered_client", "register before submitting tasks")
         env = Envelope(
             msg_type=MsgType.SUBMIT_TASK,
@@ -296,10 +294,7 @@ class FlClient:
         return Envelope(
             msg_type=MsgType.MODEL_UPDATE,
             correlation_id=env.correlation_id,
-            payload={
-                "update": netproto.to_doc(update),
-                "session_token": self.session_token or "",
-            },
+            payload={"update": netproto.to_doc(update)},
         )
 
     def report_metrics(

@@ -52,7 +52,6 @@ class FlPlan:
     learning_rate: float
     shuffle_seed: int
     eval_holdout_fraction: float
-    rounds_target: int
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -65,8 +64,6 @@ class FlPlan:
             raise PlanError(
                 f"eval_holdout_fraction must be in (0,1), got {self.eval_holdout_fraction}"
             )
-        if self.rounds_target < 1:
-            raise PlanError(f"rounds_target must be >= 1, got {self.rounds_target}")
 
 
 PLAN_FIELDS = tuple(f.name for f in fields(FlPlan))
@@ -82,7 +79,6 @@ class FlTask:
     community_id: str
     config: ConfigSignature
     data_signature: "DataSignature"  # noqa: F821 - defined in community module
-    targeted_device: str
     plan_overrides: dict[str, float | int] = field(default_factory=dict)
     plan: FlPlan | None = None
 

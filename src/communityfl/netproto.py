@@ -44,7 +44,7 @@ from .errors import ConfigError, ProtocolError, ShapeError
 from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _PREFIX = struct.Struct(">I")
 
@@ -147,7 +147,6 @@ RECORD_SCHEMAS[FlPlan] = {
     "learning_rate": F_FLOAT,
     "shuffle_seed": F_INT,
     "eval_holdout_fraction": F_FLOAT,
-    "rounds_target": F_INT,
 }
 
 RECORD_SCHEMAS[ConfigSignature] = {
@@ -163,7 +162,6 @@ RECORD_SCHEMAS[FlTask] = {
     "community_id": F_STR,
     "config": f_doc(ConfigSignature),
     "data_signature": f_doc(DataSignature),
-    "targeted_device": F_STR,
     "plan_overrides": f_map(F_NUMBER),
 }
 
@@ -211,12 +209,12 @@ RECORD_SCHEMAS[TrainRequest] = {
 PAYLOAD_SCHEMAS: dict[MsgType, dict] = {
     MsgType.REGISTER: {"metadata": f_doc(ParticipantMetadata)},
     MsgType.REGISTER_ACK: {"participant_id": F_STR, "session_token": F_STR},
-    MsgType.LIST_COMMUNITIES: {"participant_id": F_STR},
+    MsgType.LIST_COMMUNITIES: {},
     MsgType.COMMUNITY_LIST: {"communities": f_list(f_doc(Community))},
     MsgType.SUBMIT_TASK: {"task": f_doc(FlTask), "session_token": F_STR},
     MsgType.TASK_ACK: {"task_id": F_STR, "population_id": F_STR},
     MsgType.TRAIN_REQUEST: RECORD_SCHEMAS[TrainRequest],
-    MsgType.MODEL_UPDATE: {"update": f_doc(ModelUpdate), "session_token": F_STR},
+    MsgType.MODEL_UPDATE: {"update": f_doc(ModelUpdate)},
     MsgType.METRICS_ACK: {"task_id": F_STR, "round": F_INT, "status": F_STR},
     MsgType.ERROR: {"code": F_STR, "message": F_STR},
 }
@@ -336,13 +334,16 @@ class Envelope:
     msg_type: MsgType
     correlation_id: int
     payload: dict
-    version: int = PROTOCOL_VERSION
+
+
+def error_envelope(correlation_id: int, code: str, message: str) -> Envelope:
+    """The ``Error`` message that refuses a request with ``code``. A frame that
+    does not decode has no correlation id to echo, so its refusal carries 0."""
+    return Envelope(MsgType.ERROR, correlation_id, {"code": code, "message": message})
 
 
 def encode(env: Envelope) -> bytes:
-    """Serialize to a length-prefixed canonical-JSON frame."""
-    if env.version != PROTOCOL_VERSION:
-        raise ProtocolError("unsupported_version", f"cannot encode version {env.version}")
+    """Serialize to a length-prefixed canonical-JSON frame of ``PROTOCOL_VERSION``."""
     if not isinstance(env.correlation_id, int) or not 0 <= env.correlation_id < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
     _VALIDATE_PAYLOAD[env.msg_type](env.payload)
@@ -350,7 +351,7 @@ def encode(env: Envelope) -> bytes:
         "correlation_id": env.correlation_id,
         "msg_type": env.msg_type.value,
         "payload": env.payload,
-        "version": env.version,
+        "version": PROTOCOL_VERSION,
     }
     body = _canonical_body(doc)
     if len(body) > MAX_BODY_BYTES:

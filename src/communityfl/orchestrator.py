@@ -524,7 +524,7 @@ class Coordinator:
                 task = netproto.from_doc(FlTask, env.payload["task"])
                 expected = self.session_tokens.get(task.client_id)
                 if expected is None or env.payload["session_token"] != expected:
-                    return self._error(env, "unregistered_client", "bad or missing session token")
+                    raise ProtocolError("unregistered_client", "bad or missing session token")
                 population_id = self.submit_task(task)
                 return Envelope(
                     msg_type=MsgType.TASK_ACK,
@@ -532,40 +532,28 @@ class Coordinator:
                     payload={"task_id": task.task_id, "population_id": population_id},
                 )
             message = f"{env.msg_type.value} is not a registration request"
-            return self._error(env, "protocol_state", message)
+            raise ProtocolError("protocol_state", message)
         except ProtocolError as exc:
-            return self._error(env, exc.code, exc.message)
+            code, message = exc.code, exc.message
         except UnregisteredClientError as exc:
-            return self._error(env, "unregistered_client", str(exc))
+            code, message = "unregistered_client", str(exc)
         except DuplicateTaskError as exc:
-            return self._error(env, "duplicate_task", str(exc))
+            code, message = "duplicate_task", str(exc)
         except AdmissionRefused as exc:
-            return self._error(env, "admission_rejected", exc.reason)
+            code, message = "admission_rejected", exc.reason
         except PlanError as exc:
-            return self._error(env, "plan_error", str(exc))
+            code, message = "plan_error", str(exc)
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
-            return self._error(env, "invalid_metadata", str(exc))
+            code, message = "invalid_metadata", str(exc)
+        return netproto.error_envelope(env.correlation_id, code, message)
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Byte-level dispatch; never raises on malformed input."""
         try:
             env = netproto.decode(frame)
         except ProtocolError as exc:
-            error = Envelope(
-                msg_type=MsgType.ERROR,
-                correlation_id=0,
-                payload={"code": exc.code, "message": exc.message},
-            )
-            return netproto.encode(error)
+            return netproto.encode(netproto.error_envelope(0, exc.code, exc.message))
         return netproto.encode(self.handle_envelope(env))
-
-    @staticmethod
-    def _error(env: Envelope, code: str, message: str) -> Envelope:
-        return Envelope(
-            msg_type=MsgType.ERROR,
-            correlation_id=env.correlation_id,
-            payload={"code": code, "message": message},
-        )
 
 
 def _weighted_loss(received: list[tuple[str, ModelUpdate]], which: str) -> float | None:

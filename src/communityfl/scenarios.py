@@ -90,7 +90,6 @@ class CommunitySpec:
     learning_rate: float = 0.3
     shuffle_seed: int = 1
     eval_holdout_fraction: float = 0.25
-    rounds_target: int = 10
 
 
 @dataclass
@@ -98,7 +97,6 @@ class TaskSpec:
     task_id: str
     client_id: str
     community_id: str
-    targeted_device: str | None = None
     plan_overrides: dict[str, float | int] = field(default_factory=dict)
 
 
@@ -347,7 +345,6 @@ def build_community(spec: CommunitySpec, n_features: int, n_classes: int) -> Com
             learning_rate=spec.learning_rate,
             shuffle_seed=spec.shuffle_seed,
             eval_holdout_fraction=spec.eval_holdout_fraction,
-            rounds_target=spec.rounds_target,
         ),
     )
 
@@ -366,7 +363,6 @@ def build_task(
             objective=community.objective,
         ),
         data_signature=signature,
-        targeted_device=task_spec.targeted_device or task_spec.client_id,
         plan_overrides=dict(task_spec.plan_overrides),
     )
 
@@ -552,7 +548,6 @@ def _heartrate() -> ScenarioSpec:
             learning_rate=0.3,
             shuffle_seed=101,
             eval_holdout_fraction=0.25,
-            rounds_target=20,
         ),
         CommunitySpec(
             community_id="C2",
@@ -566,7 +561,6 @@ def _heartrate() -> ScenarioSpec:
             learning_rate=0.3,
             shuffle_seed=202,
             eval_holdout_fraction=0.25,
-            rounds_target=20,
         ),
     ]
     tasks = [
@@ -632,7 +626,6 @@ def _uniform() -> ScenarioSpec:
                 device_type="tracker",
                 required_tags=["fitness"],
                 min_samples=50,
-                rounds_target=10,
                 shuffle_seed=303,
             )
         ],
@@ -674,7 +667,6 @@ def _drift() -> ScenarioSpec:
                 device_type="insole",
                 required_tags=["mobility"],
                 min_samples=50,
-                rounds_target=14,
                 shuffle_seed=404,
             )
         ],
@@ -720,7 +712,6 @@ def _poison() -> ScenarioSpec:
                 device_type="patch",
                 required_tags=["cardio"],
                 min_samples=50,
-                rounds_target=12,
                 shuffle_seed=505,
             )
         ],
@@ -758,7 +749,6 @@ def _dropout() -> ScenarioSpec:
                 device_type="pendant",
                 required_tags=["safety"],
                 min_samples=50,
-                rounds_target=8,
                 shuffle_seed=606,
             )
         ],

@@ -298,12 +298,7 @@ class SocketCoordinatorServer:
                 except ProtocolError as exc:
                     # e.g. mismatched protocol version: refuse cleanly
                     logger.info("refusing %s: %s", peer, exc)
-                    error = Envelope(
-                        msg_type=MsgType.ERROR,
-                        correlation_id=0,
-                        payload={"code": exc.code, "message": exc.message},
-                    )
-                    session.send(netproto.encode(error))
+                    session.send(netproto.encode(netproto.error_envelope(0, exc.code, exc.message)))
                     return
                 response = self.coordinator.handle_envelope(env)
                 session.send(netproto.encode(response))

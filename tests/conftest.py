@@ -95,7 +95,6 @@ def make_task(
             objective=objective,
         ),
         data_signature=signature if signature is not None else rand_signature(rng),
-        targeted_device=client_id,
         plan_overrides=dict(overrides or {}),
     )
 
@@ -107,7 +106,6 @@ def default_plan(**overrides) -> FlPlan:
         learning_rate=0.3,
         shuffle_seed=1,
         eval_holdout_fraction=0.25,
-        rounds_target=10,
     )
     base.update(overrides)
     return FlPlan(**base)

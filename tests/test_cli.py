@@ -55,6 +55,22 @@ def test_simulate_invalid_scenario_file_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("communities", "rounds_target", 10), ("tasks", "targeted_device", "u-01")],
+)
+def test_simulate_refuses_a_removed_scenario_field(tmp_path, capsys, section, field, value):
+    # neither field is read any more: a document that still names one is
+    # refused instead of having the setting silently ignored
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
+    doc[section][0][field] = value
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"unexpected keyword argument '{field}'" in err
+
+
 def test_simulate_scenario_file_roundtrip(tmp_path):
     spec = scenarios.builtin_scenarios()["uniform"]
     path = tmp_path / "uniform.json"

@@ -53,7 +53,7 @@ def test_register_returns_token_and_stores_metadata():
     client = _client()
     token = client.register(network.control_channel())
     assert token
-    assert client.state.registered
+    assert client.session_token == token
     assert coordinator.clients["client-a"].participant_id == "client-a"
 
 
@@ -98,6 +98,19 @@ def test_submit_requires_registration():
     client = _client()
     with pytest.raises(ProtocolError):
         client.submit_task(network.control_channel(), make_task("t-1"))
+
+
+def test_override_of_a_removed_plan_field_is_a_plan_error():
+    # rounds_target left the plan in protocol version 2: a task that still
+    # overrides it is refused, not silently ignored
+    _, network = _sim_env()
+    client = _client()
+    client.register(network.control_channel())
+    task = make_task("t-1", overrides={"rounds_target": 5})
+    with pytest.raises(ProtocolError) as exc:
+        client.submit_task(network.control_channel(), task)
+    assert exc.value.code == "plan_error"
+    assert exc.value.message == "unknown plan override fields: ['rounds_target']"
 
 
 # -- holdout split -----------------------------------------------------------------
@@ -252,9 +265,7 @@ def test_low_battery_triggers_auto_delegation_in_scenario():
             seed=4,
         ),
         communities=[
-            CommunitySpec(
-                community_id="L", objective="obj", device_type="dev", rounds_target=2
-            )
+            CommunitySpec(community_id="L", objective="obj", device_type="dev")
         ],
         tasks=[TaskSpec(task_id=f"{c}-t", client_id=c, community_id="L") for c in clients],
         resources={
@@ -337,7 +348,7 @@ def test_answer_echoes_the_request_and_carries_its_update():
     client, reply = _reporting_client(_request(round=2))
     assert reply.msg_type == netproto.MsgType.MODEL_UPDATE
     assert reply.correlation_id == 1
-    assert reply.payload["session_token"] == "tok"
+    assert set(reply.payload) == {"update"}  # the round connection is the credential
     update = netproto.update_from_doc(reply.payload["update"])
     assert (update.task_id, update.cohort_id, update.round) == ("t-1", "pop-x-c000", 2)
     assert update.executor_id == "client-a"
@@ -416,7 +427,6 @@ def test_matched_cohort_model_beats_own_local_model():
                 min_samples=30,
                 batch_size=8,
                 learning_rate=0.2,
-                rounds_target=6,
                 shuffle_seed=9,
             )
         ],

@@ -4,7 +4,10 @@ Each frame is built from fixed domain objects through the same converters the
 coordinator and clients use, then encoded. Every float is a binary fraction
 and every weight vector is tiny, so the bytes do not depend on the platform.
 A change to field order, numeric casts, tag sorting or the weight blob format
-shows up here as a byte difference.
+shows up here as a byte difference. A change that moves a frame on purpose
+must say so and re-pin it; print the current frames in ``GOLDEN``'s layout with
+
+    PYTHONPATH=src python tests/test_golden_frames.py
 """
 
 import json
@@ -34,7 +37,6 @@ PLAN = FlPlan(
     learning_rate=0.125,
     shuffle_seed=7,
     eval_holdout_fraction=0.25,
-    rounds_target=4,
 )
 SIGNATURE = DataSignature(
     per_feature_mean=np.array([0.5, -1.25]),
@@ -66,7 +68,6 @@ TASK = FlTask(
     community_id="C1",
     config=CONFIG,
     data_signature=SIGNATURE,
-    targeted_device="p1",
     plan_overrides={"learning_rate": 0.0625, "epochs": 3},
 )
 COMMUNITY = Community(
@@ -103,7 +104,7 @@ def _envelopes() -> dict[MsgType, Envelope]:
             MsgType.REGISTER_ACK, 1, {"participant_id": "p1", "session_token": "tok-1"}
         ),
         MsgType.LIST_COMMUNITIES: Envelope(
-            MsgType.LIST_COMMUNITIES, 2, {"participant_id": "p1"}
+            MsgType.LIST_COMMUNITIES, 2, {}
         ),
         MsgType.COMMUNITY_LIST: Envelope(
             MsgType.COMMUNITY_LIST,
@@ -124,14 +125,12 @@ def _envelopes() -> dict[MsgType, Envelope]:
         MsgType.MODEL_UPDATE: Envelope(
             MsgType.MODEL_UPDATE,
             2**64 - 1,
-            {"update": netproto.to_doc(UPDATE), "session_token": "tok-1"},
+            {"update": netproto.to_doc(UPDATE)},
         ),
         MsgType.METRICS_ACK: Envelope(
             MsgType.METRICS_ACK, 2**64 - 1, {"task_id": "p1-t0", "round": 3, "status": "stored"}
         ),
-        MsgType.ERROR: Envelope(
-            MsgType.ERROR, 0, {"code": "malformed", "message": "payload.round: expected integer"}
-        ),
+        MsgType.ERROR: netproto.error_envelope(0, "malformed", "payload.round: expected integer"),
     }
 
 
@@ -146,31 +145,31 @@ GOLDEN = {
         b'"quality_score":1.0},"device":{"device_type":"tracker","firmware":"1.0",'
         b'"manufacturer":"acme","model":"band-2"},"expertise":[],'
         b'"interests":["fitness","running","sleep"],"participant_id":"p1"}},'
-        b'"version":1}'
+        b'"version":2}'
     ),
     MsgType.REGISTER_ACK: (
         b'\x00\x00\x00s'
         b'{"correlation_id":1,"msg_type":"RegisterAck",'
-        b'"payload":{"participant_id":"p1","session_token":"tok-1"},"version":1}'
+        b'"payload":{"participant_id":"p1","session_token":"tok-1"},"version":2}'
     ),
     MsgType.LIST_COMMUNITIES: (
-        b'\x00\x00\x00_'
-        b'{"correlation_id":2,"msg_type":"ListCommunities",'
-        b'"payload":{"participant_id":"p1"},"version":1}'
+        b'\x00\x00\x00J'
+        b'{"correlation_id":2,"msg_type":"ListCommunities","payload":{},'
+        b'"version":2}'
     ),
     MsgType.COMMUNITY_LIST: (
-        b'\x00\x00\x01\xf4'
+        b'\x00\x00\x01\xe2'
         b'{"correlation_id":2,"msg_type":"CommunityList",'
         b'"payload":{"communities":[{"base_model":{"arch_id":"mlp:2x3x2",'
         b'"hidden_units":3,"n_classes":2,"n_features":2},"community_id":"C1",'
         b'"creator_id":"creator","criteria":{"forbidden_tags":["lab"],'
         b'"min_data_quality":0.5,"min_samples":10,"required_tags":["fitness",'
         b'"sleep"]},"default_plan":{"batch_size":16,"epochs":2,'
-        b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"rounds_target":4,'
-        b'"shuffle_seed":7},"objective":"hr","purpose":"sleep study"}]},"version":1}'
+        b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
+        b'"objective":"hr","purpose":"sleep study"}]},"version":2}'
     ),
     MsgType.SUBMIT_TASK: (
-        b'\x00\x00\x02\x18'
+        b'\x00\x00\x02\x01'
         b'{"correlation_id":3,"msg_type":"SubmitTask",'
         b'"payload":{"session_token":"tok-1","task":{"client_id":"p1",'
         b'"community_id":"C1","config":{"device_type":"tracker",'
@@ -178,44 +177,44 @@ GOLDEN = {
         b'"hidden_units":0,"n_classes":2,"n_features":2},"objective":"hr"},'
         b'"data_signature":{"label_histogram":[0.25,0.75],"n_samples":40,'
         b'"per_feature_mean":[0.5,-1.25],"per_feature_std":[1.0,0.75],'
-        b'"quality_score":1.0},"plan_overrides":{"epochs":3,"learning_rate":0.0625},'
-        b'"targeted_device":"p1","task_id":"p1-t0"}},"version":1}'
+        b'"quality_score":1.0},"plan_overrides":{"epochs":3,'
+        b'"learning_rate":0.0625},"task_id":"p1-t0"}},"version":2}'
     ),
     MsgType.TASK_ACK: (
         b'\x00\x00\x00t'
         b'{"correlation_id":3,"msg_type":"TaskAck",'
-        b'"payload":{"population_id":"pop-9d061bb765","task_id":"p1-t0"},"version":1}'
+        b'"payload":{"population_id":"pop-9d061bb765","task_id":"p1-t0"},'
+        b'"version":2}'
     ),
     MsgType.TRAIN_REQUEST: (
-        b'\x00\x00\x01w'
+        b'\x00\x00\x01e'
         b'{"correlation_id":18446744073709551615,"msg_type":"TrainRequest",'
         b'"payload":{"cohort_id":"pop-x-c000","plan":{"batch_size":16,"epochs":2,'
-        b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"rounds_target":4,'
-        b'"shuffle_seed":7},"round":3,"task_id":"p1-t0",'
-        b'"weights":{"arch_id":"logreg:2x2",'
+        b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
+        b'"round":3,"task_id":"p1-t0","weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}},'
-        b'"version":1}'
+        b'"version":2}'
     ),
     MsgType.MODEL_UPDATE: (
-        b'\x00\x00\x01\xba'
+        b'\x00\x00\x01\xa2'
         b'{"correlation_id":18446744073709551615,"msg_type":"ModelUpdateMsg",'
-        b'"payload":{"session_token":"tok-1","update":{"cohort_id":"pop-x-c000",'
-        b'"executor_id":"p2","n_samples":30,"post_metrics":{"accuracy":0.875,'
-        b'"loss":0.5,"n_samples":10},"pre_metrics":{"accuracy":0.5,"loss":0.75,'
+        b'"payload":{"update":{"cohort_id":"pop-x-c000","executor_id":"p2",'
+        b'"n_samples":30,"post_metrics":{"accuracy":0.875,"loss":0.5,'
+        b'"n_samples":10},"pre_metrics":{"accuracy":0.5,"loss":0.75,'
         b'"n_samples":10},"round":3,"task_id":"p1-t0",'
         b'"weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}}},'
-        b'"version":1}'
+        b'"version":2}'
     ),
     MsgType.METRICS_ACK: (
         b'\x00\x00\x00\x85'
         b'{"correlation_id":18446744073709551615,"msg_type":"MetricsAck",'
-        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":1}'
+        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":2}'
     ),
     MsgType.ERROR: (
         b'\x00\x00\x00~'
         b'{"correlation_id":0,"msg_type":"Error","payload":{"code":"malformed",'
-        b'"message":"payload.round: expected integer"},"version":1}'
+        b'"message":"payload.round: expected integer"},"version":2}'
     ),
 }
 
@@ -283,3 +282,25 @@ def test_threads_share_the_codec():
     assert not errors
     assert not any(thread.is_alive() for thread in threads)
     assert [results[i] for i in range(4)] == [frames * 200] * 4
+
+
+def _golden_source() -> str:
+    """``GOLDEN`` as source: each frame's length prefix, then its body wrapped
+    after commas into byte literals of at most 72 bytes where it can."""
+    lines = ["GOLDEN = {"]
+    for msg_type, env in _envelopes().items():
+        frame = encode(env)
+        lines += [f"    MsgType.{msg_type.name}: (", f"        {frame[:4]!r}"]
+        chunk, *pieces = frame[4:].split(b",")
+        for piece in pieces:
+            if len(chunk) + 1 + len(piece) > 72:
+                lines.append(f"        {chunk + b','!r}")
+                chunk = piece
+            else:
+                chunk += b"," + piece
+        lines += [f"        {chunk!r}", "    ),"]
+    return "\n".join(lines + ["}"])
+
+
+if __name__ == "__main__":
+    print(_golden_source())

@@ -19,6 +19,7 @@ from communityfl.netproto import (
     Field,
     MsgType,
     PAYLOAD_SCHEMAS,
+    PROTOCOL_VERSION,
     RECORD_SCHEMAS,
     RESPONSE_OF,
     decode,
@@ -121,12 +122,32 @@ def test_truncated_frame():
 
 
 def test_unsupported_version():
-    doc = json.loads(encode(_register_env())[4:])
-    doc["version"] = 2
+    for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+        doc = json.loads(encode(_register_env())[4:])
+        doc["version"] = version
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        with pytest.raises(ProtocolError) as exc:
+            decode(struct.pack(">I", len(body)) + body)
+        assert exc.value.code == "unsupported_version"
+
+
+def test_version_1_update_with_session_token_is_refused_by_version():
+    # what a version-1 client sends: the update plus the session token that
+    # version 2 dropped. The version is refused before the payload is read
+    update = make_update("t", [0.0, 0.0], post_loss=0.25)
+    payload = {"update": netproto.to_doc(update), "session_token": "tok"}
+    doc = {"correlation_id": 3, "msg_type": "ModelUpdateMsg", "payload": payload, "version": 1}
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     with pytest.raises(ProtocolError) as exc:
         decode(struct.pack(">I", len(body)) + body)
     assert exc.value.code == "unsupported_version"
+    # the same payload at the current version names the field it no longer has
+    doc["version"] = PROTOCOL_VERSION
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+    assert exc.value.message == "ModelUpdateMsg: undeclared fields ['session_token']"
 
 
 def test_unknown_msg_type():
@@ -173,11 +194,7 @@ def test_overflowing_float_literal_rejected():
     # 1e400 parses to inf, which encode() refuses, so accepting it would break
     # encode(decode(frame)) == frame
     update = make_update("t", [0.0, 0.0], post_loss=0.25)
-    env = Envelope(
-        MsgType.MODEL_UPDATE,
-        3,
-        {"update": netproto.to_doc(update), "session_token": "tok"},
-    )
+    env = Envelope(MsgType.MODEL_UPDATE, 3, {"update": netproto.to_doc(update)})
     body = encode(env)[4:]
     assert body.count(b'"loss":0.25') == 1
     body = body.replace(b'"loss":0.25', b'"loss":1e400')
@@ -260,7 +277,7 @@ def test_undeclared_payload_fields_rejected_both_ways():
         "correlation_id": 1,
         "msg_type": "Register",
         "payload": smuggle,
-        "version": 1,
+        "version": PROTOCOL_VERSION,
     }
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     with pytest.raises(ProtocolError):
@@ -409,15 +426,14 @@ def test_every_accepted_frame_reencodes_to_itself(frame):
 
 def _update_body() -> bytes:
     update = make_update("t", [0.0, 0.0], post_loss=0.25)
-    payload = {"update": netproto.to_doc(update), "session_token": "tok"}
-    return encode(Envelope(MsgType.MODEL_UPDATE, 3, payload))[4:]
+    return encode(Envelope(MsgType.MODEL_UPDATE, 3, {"update": netproto.to_doc(update)}))[4:]
 
 
 @pytest.mark.parametrize(
     "canonical, other",
     [
         # found by the property above: spacing after separators was accepted
-        (b'"version":1}', b'"version": 1}'),
+        (b'"version":%d}' % PROTOCOL_VERSION, b'"version": %d}' % PROTOCOL_VERSION),
         (b'{"correlation_id":3,', b'{ "correlation_id":3,'),
         (b'"loss":0.25', b'"loss":2.5e-1'),
         (b'"loss":0.25', b'"loss":0.250'),
@@ -425,7 +441,7 @@ def _update_body() -> bytes:
         (b'"task_id":"t"', b'"task_id":"\\u0074"'),
         # a lone surrogate parses, but no UTF-8 frame can carry it back
         (b'"task_id":"t"', b'"task_id":"\\ud800"'),
-        (b'"session_token":"tok",', b'"session_token":"tok","session_token":"tok",'),
+        (b'"task_id":"t",', b'"task_id":"t","task_id":"t",'),
     ],
 )
 def test_non_canonical_spellings_are_malformed(canonical, other):
@@ -608,7 +624,12 @@ def test_compiled_payload_validators_match_the_interpreter(msg_type, data):
     # the frame's verdict is the oracle's on the document as decoded: JSON
     # turns a non-string map key into a string, and the frame sorts keys
     payload = json.loads(json.dumps(payload))
-    doc = {"correlation_id": 5, "msg_type": msg_type.value, "payload": payload, "version": 1}
+    doc = {
+        "correlation_id": 5,
+        "msg_type": msg_type.value,
+        "payload": payload,
+        "version": PROTOCOL_VERSION,
+    }
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     decoded = json.loads(text)["payload"]
     expected = _verdict(_oracle_validate_doc, decoded, schema, msg_type.value)

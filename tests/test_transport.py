@@ -251,25 +251,27 @@ def test_socket_version_mismatch_clean_refusal(tmp_path):
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=1)
     host, port = server.address
     try:
-        # a version-2 frame gets an Error response and a closed connection
-        bad_doc = {
-            "correlation_id": 9,
-            "msg_type": "Register",
-            "payload": {"metadata": netproto.to_doc(make_metadata("v2"))},
-            "version": 2,
-        }
-        body = json.dumps(bad_doc, sort_keys=True, separators=(",", ":")).encode()
-        sock = socket.create_connection((host, port), timeout=5.0)
-        sock.sendall(struct.pack(">I", len(body)) + body)
-        reply = netproto.read_frame(sock.makefile("rb"))
-        env = netproto.decode(reply)
-        assert env.msg_type == MsgType.ERROR
-        assert env.payload["code"] == "unsupported_version"
-        sock.close()
+        # a frame of an older or a newer version gets an Error response and
+        # a closed connection
+        for version in (netproto.PROTOCOL_VERSION - 1, netproto.PROTOCOL_VERSION + 1):
+            bad_doc = {
+                "correlation_id": 9,
+                "msg_type": "Register",
+                "payload": {"metadata": netproto.to_doc(make_metadata("other"))},
+                "version": version,
+            }
+            body = json.dumps(bad_doc, sort_keys=True, separators=(",", ":")).encode()
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(struct.pack(">I", len(body)) + body)
+                with sock.makefile("rb") as replies:
+                    env = netproto.decode(netproto.read_frame(replies))
+                    assert env.msg_type == MsgType.ERROR
+                    assert env.payload["code"] == "unsupported_version"
+                    assert netproto.read_frame(replies) is None  # closed
 
         # the server keeps serving: a well-behaved client can still register
         good = FlClient(
-            "v1-client", separable_dataset(n=30, gap=4.0, seed=1), make_metadata("v1-client")
+            "good-client", separable_dataset(n=30, gap=4.0, seed=1), make_metadata("good-client")
         )
         sock2 = socket.create_connection((host, port), timeout=5.0)
         channel = transport.SocketChannel(sock2)
@@ -520,7 +522,7 @@ def test_update_on_a_registration_connection_is_refused():
             env = netproto.Envelope(
                 MsgType.MODEL_UPDATE,
                 round_ + 1,
-                {"update": netproto.to_doc(update), "session_token": ""},
+                {"update": netproto.to_doc(update)},
             )
             sock.sendall(netproto.encode(env))
             reply = netproto.decode(netproto.read_frame(replies))
