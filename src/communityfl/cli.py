@@ -84,8 +84,8 @@ def cmd_simulate(args) -> int:
 
 def _parse_addr(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"address must be HOST:PORT, got {value!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ConfigError(f"address must be HOST:PORT with a port in 0-65535, got {value!r}")
     return host, int(port)
 
 

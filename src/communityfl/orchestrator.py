@@ -32,6 +32,7 @@ from .community import (
 )
 from .errors import (
     AdmissionRefused,
+    CommunityFlError,
     ConfigError,
     DuplicateTaskError,
     PlanError,
@@ -166,8 +167,9 @@ class CohortStats:
 
 
 class RoundTransport(Protocol):
-    """Delivers train requests and hands back the updates of one round, each
-    decoded once by :meth:`Coordinator.receive_update` with its request."""
+    """Delivers train requests and hands back the updates of one round: each
+    reply frame goes to :meth:`Coordinator.receive_update` with its request,
+    and the client gets the ack it returns."""
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
@@ -218,8 +220,6 @@ class Coordinator:
         self.reports: list[RoundReport] = []
         self.warnings: list[str] = []
         self.migration_log: list[dict] = []
-        # cohort id -> (its current round, the tasks that answered it)
-        self._answered: dict[str, tuple[int, set[str]]] = {}
         self._lock = threading.RLock()
 
     # -- registration and task intake ----------------------------------------
@@ -282,7 +282,6 @@ class Coordinator:
                 self.recluster_marks.difference_update(report.removed_cohort_ids)
                 for cohort_id in report.removed_cohort_ids:
                     self.cohort_stats.pop(cohort_id, None)
-                    self._answered.pop(cohort_id, None)
                 # the new structure starts with a fresh flag-rate window
                 for cohort in population.cohorts:
                     stats = self.cohort_stats.get(cohort.cohort_id)
@@ -333,32 +332,36 @@ class Coordinator:
         chosen = list(rng.permutation(members)[:k])
         return sorted(str(t) for t in chosen)
 
-    def receive_update(self, env: Envelope, request: Envelope) -> tuple[ModelUpdate, Envelope]:
-        """Decode the ModelUpdateMsg that answers ``request``, the TrainRequest
-        envelope a round transport sent; returns the update and its MetricsAck.
-        Only an update whose (task, cohort, round) is the request's is
-        recorded; any other is acked ``mismatch`` and left to the guard.
+    def receive_update(self, frame: bytes, request: Envelope) -> tuple[ModelUpdate | None, bytes]:
+        """Answer ``frame``, the reply to ``request``, the TrainRequest envelope
+        a round transport sent; returns the decoded update (None when refused)
+        and the encoded MetricsAck. Never raises on any frame.
+
+        The ack says ``stored`` when the update's (task, cohort, round) is the
+        request's, ``mismatch`` (left to the guard) when it is not, and
+        ``refused``, with the request's task and round, for a frame that does
+        not decode or convert to a ``ModelUpdateMsg``'s update.
         """
-        if env.msg_type != MsgType.MODEL_UPDATE:
-            raise ProtocolError("protocol_state", f"expected ModelUpdateMsg, got {env.msg_type}")
-        update = netproto.update_from_doc(env.payload["update"])
         asked = request.payload
+        try:
+            env = netproto.decode(frame)
+            if env.msg_type != MsgType.MODEL_UPDATE:
+                raise ProtocolError("protocol_state", f"got {env.msg_type}, not ModelUpdateMsg")
+            update = netproto.update_from_doc(env.payload["update"])
+        except Exception as exc:  # one bad reply drops its client, never the round
+            task_id, round_ = asked["task_id"], asked["round"]
+            # the traceback only for an error the codec does not raise by design
+            expected = isinstance(exc, CommunityFlError)
+            logger.warning(
+                "refused the reply to %s in round %s: %r", task_id, round_, exc, exc_info=not expected
+            )
+            ack = {"task_id": task_id, "round": round_, "status": "refused"}
+            return None, netproto.encode(Envelope(MsgType.METRICS_ACK, request.correlation_id, ack))
         key = (update.task_id, update.cohort_id, update.round)
-        if key != (asked["task_id"], asked["cohort_id"], asked["round"]):
-            status = "mismatch"
-        else:
-            with self._lock:
-                answered = self._answered.get(update.cohort_id)
-                if answered is None or answered[0] != update.round:
-                    answered = self._answered[update.cohort_id] = (update.round, set())
-                status = "duplicate" if update.task_id in answered[1] else "stored"
-                answered[1].add(update.task_id)
-        ack = Envelope(
-            msg_type=MsgType.METRICS_ACK,
-            correlation_id=env.correlation_id,
-            payload={"task_id": update.task_id, "round": update.round, "status": status},
-        )
-        return update, ack
+        stored = key == (asked["task_id"], asked["cohort_id"], asked["round"])
+        status = "stored" if stored else "mismatch"
+        ack = {"task_id": update.task_id, "round": update.round, "status": status}
+        return update, netproto.encode(Envelope(MsgType.METRICS_ACK, env.correlation_id, ack))
 
     def run_round(
         self,
@@ -415,20 +418,17 @@ class Coordinator:
 
             quorum_needed = max(1, math.ceil(self.config.min_updates_quorum * len(selected) - 1e-9))
             status, reason = "committed", None
-            accepted = [
-                u for t, u in received if verdicts[t].accepted and u.cohort_id == cohort.cohort_id
-            ]
+            accepted = [u for t, u in received if verdicts[t].accepted]
             if len(received) < quorum_needed:
                 status, reason = "aborted", "quorum_not_reached"
             elif not accepted:
                 status, reason = "aborted", "no_accepted_updates"
 
-            # the updates that answer this round's requests, before the commit
-            # advances the round counter
+            # the updates that answer this round's requests
             metrics = {
                 t: (u.pre_metrics, u.post_metrics)
                 for t, u in received
-                if (u.task_id, u.cohort_id, u.round) == (t, cohort.cohort_id, cohort.round)
+                if verdicts[t].reason not in ("cohort_mismatch", "round_mismatch")
             }
             if status == "committed":
                 cohort.global_weights = aggregate(

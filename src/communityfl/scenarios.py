@@ -469,6 +469,11 @@ def spec_to_doc(spec: ScenarioSpec) -> dict:
 _SPEC_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 
+def _label_map(cluster_doc: dict) -> dict[int, int] | None:
+    label_map = cluster_doc.get("label_map")
+    return {int(k): int(v) for k, v in label_map.items()} if label_map else None
+
+
 def spec_from_doc(doc: dict) -> ScenarioSpec:
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
@@ -476,18 +481,7 @@ def spec_from_doc(doc: dict) -> ScenarioSpec:
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
     try:
-        clusters = [
-            ClusterSpec(
-                weight=c["weight"],
-                feature_shift=c.get("feature_shift"),
-                label_map=(
-                    {int(k): int(v) for k, v in c["label_map"].items()}
-                    if c.get("label_map")
-                    else None
-                ),
-            )
-            for c in doc["clusters"]
-        ]
+        clusters = [ClusterSpec(**{**c, "label_map": _label_map(c)}) for c in doc["clusters"]]
         scheduler = SchedulerConfig(**doc["scheduler"])
         spec = ScenarioSpec(
             name=doc["name"],

@@ -4,9 +4,11 @@ Both carry the same length-prefixed frames and drive the same coordinator
 logic, and on both a client answers each ``TrainRequest`` through
 ``FlClient.answer`` and ``FlClient.report_metrics``, so a zero-fault socket
 run reproduces the simulated run bit-exactly, ``rounds.jsonl`` included.
-Each decodes a received update frame once and hands it to
-``Coordinator.receive_update`` with the ``TrainRequest`` it answers, so a
-round's arrivals come back as decoded ``ModelUpdate``s. The simulated network
+Each hands a round's reply frame, undecoded, to ``Coordinator.receive_update``
+with the ``TrainRequest`` it answers and sends back the ``MetricsAck`` it
+returns, so both decide alike what a refused reply means: its client is out
+of that round only. The socket transport closes a session only when its
+connection fails or carries a bad frame length. The simulated network
 executes on a single thread in a fixed order (requests dispatched in ascending
 task id, delayed deliveries appended last) and applies scenario-scripted
 drop/delay faults to update delivery.
@@ -59,18 +61,13 @@ class _RoundChannel:
 
     def request(self, frame: bytes) -> bytes:
         network = self._network
-        key = (self._sched_round, self._client_id)
-        network.delivery_attempts[key] = network.delivery_attempts.get(key, 0) + 1
-        fault = network.faults.get(key)
+        fault = network.faults.get((self._sched_round, self._client_id))
         network.bytes_transferred += len(frame)
         if fault == "drop":
             raise DeliveryError(f"scripted drop of {self._client_id} in round {self._sched_round}")
         if fault == "delay":
             self.delayed = True
-        self.delivered, ack = network.coordinator.receive_update(
-            netproto.decode(frame), self._request
-        )
-        response = netproto.encode(ack)
+        self.delivered, response = network.coordinator.receive_update(frame, self._request)
         network.bytes_transferred += len(response)
         return response
 
@@ -85,7 +82,6 @@ class SimNetwork:
         # (1-based round, client_id) -> "drop" | "delay"
         self.faults = {(f.round, f.client_id): f.kind for f in faults or ()}
         self.bytes_transferred = 0
-        self.delivery_attempts: dict[tuple[int, str], int] = {}
 
     def add_client(self, client: FlClient):
         self.clients[client.client_id] = client
@@ -110,19 +106,12 @@ class SimNetwork:
             frame = netproto.encode(env)
             self.bytes_transferred += len(frame)
             client = self.clients[self.task_owner[task_id]]
-            try:
-                reply = client.answer(netproto.decode(frame), self.resolve_neighbor)
-            except Exception as exc:  # client-side task error -> round dropout
-                logger.warning("client %s failed round %s: %s", client.client_id, sched_round, exc)
-                prompt.append((task_id, None))
-                continue
             channel = _RoundChannel(self, sched_round, client.client_id, env)
             try:
+                reply = client.answer(netproto.decode(frame), self.resolve_neighbor)
                 ack, _attempts = client.report_metrics(reply, channel)
-            except ProtocolError as exc:
-                # e.g. the coordinator refused a malformed reply: over TCP it
-                # drops the connection, here the client drops out of the round
-                logger.warning("round %s: client for %s dropped (%s)", sched_round, task_id, exc)
+            except Exception as exc:  # client-side task error -> round dropout
+                logger.warning("client %s failed round %s: %s", client.client_id, sched_round, exc)
                 ack = None
             if ack is None:
                 prompt.append((task_id, None))
@@ -217,12 +206,11 @@ class SocketRoundTransport:
                 if reply is None:
                     raise ProtocolError("truncated", "client closed connection")
                 bytes_transferred += len(reply)
-                update, ack = coordinator.receive_update(netproto.decode(reply), env)
-                ack_frame = netproto.encode(ack)
-                session.send(ack_frame)
-                bytes_transferred += len(ack_frame)
+                update, ack = coordinator.receive_update(reply, env)
+                session.send(ack)
+                bytes_transferred += len(ack)
                 arrivals.append((task_id, update))
-            except (OSError, ProtocolError) as exc:
+            except (OSError, ProtocolError) as exc:  # the connection or its framing failed
                 logger.warning("round %s: client for %s dropped (%s)", sched_round, task_id, exc)
                 session.close()
                 arrivals.append((task_id, None))

@@ -298,3 +298,24 @@ def test_serve_refuses_community_document_off_schema(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read server config" in err
     assert "Community.criteria.required_tags: expected list" in err
+
+
+@pytest.mark.parametrize("command, flag", [("serve", "--listen"), ("client", "--connect")])
+@pytest.mark.parametrize("port", ["70000", "65536", "²"])
+def test_address_with_a_port_out_of_range_is_a_config_error(tmp_path, capsys, command, flag, port):
+    # with valid files, a port past 65535 would reach bind or connect and
+    # raise OverflowError there
+    spec = scenarios.builtin_scenarios()["uniform"]
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    files = {
+        "serve": ["--config", str(bundle / "server_config.json")],
+        "client": [
+            "--data", str(bundle / "u-01.data.json"),
+            "--metadata", str(bundle / "u-01.metadata.json"),
+        ],
+    }
+    code = run_cli(command, flag, f"127.0.0.1:{port}", *files[command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"address must be HOST:PORT with a port in 0-65535, got '127.0.0.1:{port}'" in err

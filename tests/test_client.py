@@ -328,20 +328,19 @@ def test_report_metrics_dropout_after_three_failures():
     assert attempts == 3
 
 
-def test_duplicate_report_is_idempotent_server_side():
-    # the second reply to the same round is recorded once: acked duplicate;
-    # the reply to the cohort's next round is an answer of its own
+def test_a_reasked_rounds_answer_is_acked_stored():
+    # a cohort re-asks its round after an abort; the coordinator keeps no
+    # record of who answered, so every answer to the asked round is stored,
+    # and so is the answer to the cohort's next round
     _, network = _sim_env()
-    client, reply = _reporting_client(_request())
-    channel = FlakyChannel(network, _request(), failures=0)
-    first, _ = client.report_metrics(reply, channel)
-    second, _ = client.report_metrics(reply, channel)
-    assert first.payload["status"] == "stored"
-    assert second.payload["status"] == "duplicate"
-    next_reply = client.answer(_train_env(_request(round=1)))
-    next_channel = FlakyChannel(network, _request(round=1), failures=0)
-    third, _ = client.report_metrics(next_reply, next_channel)
-    assert third.payload["status"] == "stored"
+    client, _ = _reporting_client(_request())
+    statuses = []
+    for round_ in (0, 0, 1):
+        reply = client.answer(_train_env(_request(round=round_)))
+        channel = FlakyChannel(network, _request(round=round_), failures=0)
+        ack, _ = client.report_metrics(reply, channel)
+        statuses.append(ack.payload["status"])
+    assert statuses == ["stored", "stored", "stored"]
 
 
 def test_answer_echoes_the_request_and_carries_its_update():

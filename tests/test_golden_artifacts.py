@@ -36,13 +36,13 @@ GOLDEN = {
     },
     ("dropout", "cohort"): {
         "rounds.csv": "3f684d49b980bdbb0c7e84c788dbec23cc4c1c84b1ebace756c77d0af9b83107",
-        "rounds.jsonl": "b5d4a9e1b77f9db35697b6abf4969b828a86c1b501e9e5ed0119670266014f6d",
+        "rounds.jsonl": "4c387b96e6743318631cabd577248b9f927021cbed9fecc99608b9733b16ff1f",
         "cohorts.json": "aa8d75c27a0a855d8cc492354f160c54215bf390953362481dc0984dc05dab6c",
         "run_summary.json": "dec2d08af27fa81ebfee3af9c12516a31669e4c61c02459823907eac3edaf581",
     },
     ("dropout", "global"): {
         "rounds.csv": "3f684d49b980bdbb0c7e84c788dbec23cc4c1c84b1ebace756c77d0af9b83107",
-        "rounds.jsonl": "b5d4a9e1b77f9db35697b6abf4969b828a86c1b501e9e5ed0119670266014f6d",
+        "rounds.jsonl": "4c387b96e6743318631cabd577248b9f927021cbed9fecc99608b9733b16ff1f",
         "cohorts.json": "23fdfffe5b96b5eed23be26ecf10233cea7776af24d0cd0465905ab872deb339",
         "run_summary.json": "f025af11f1b2d42644e4c7310c223298907db56c38b9fec5194686fff6937d0e",
     },

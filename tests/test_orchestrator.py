@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from communityfl import netproto
 from communityfl.client import FlClient
 from communityfl.community import CollaborationCriteria, signature_from_dataset
 from communityfl.errors import (
@@ -13,7 +14,8 @@ from communityfl.errors import (
     PlanError,
     UnregisteredClientError,
 )
-from communityfl.flcore import PLAN_FIELDS
+from communityfl.flcore import PLAN_FIELDS, TrainRequest
+from communityfl.netproto import Envelope, MsgType
 from communityfl.orchestrator import (
     Coordinator,
     GuardVerdict,
@@ -27,6 +29,7 @@ from communityfl.tinylearn import Dataset, EvalMetrics, WeightVector, evaluate
 from communityfl.transport import SimNetwork
 
 from conftest import (
+    default_plan,
     make_community,
     make_metadata,
     make_task,
@@ -298,6 +301,60 @@ def test_report_metrics_cover_only_updates_that_answer_the_round():
     [(_, update)] = transport.arrivals
     assert honest.update_metrics == {"a-t": (update.pre_metrics, update.post_metrics)}
     assert "update_metrics" not in honest.to_doc()
+
+
+def _update_frame(update_doc) -> bytes:
+    return netproto.encode(Envelope(MsgType.MODEL_UPDATE, 7, {"update": update_doc}))
+
+
+def _edited_update_frame(edit) -> bytes:
+    doc = netproto.to_doc(make_update("a-t", [0.5], n_samples=3))
+    edit(doc)
+    return _update_frame(doc)
+
+
+REFUSED_FRAMES = {
+    "empty": lambda: b"",
+    "not an envelope": lambda: b"\x00\x00\x00\x02{}",
+    "wrong type": lambda: netproto.encode(Envelope(MsgType.LIST_COMMUNITIES, 7, {})),
+    "no samples": lambda: _edited_update_frame(lambda d: d.update(n_samples=0)),
+    "negative samples": lambda: _edited_update_frame(lambda d: d.update(n_samples=-5)),
+    "non-canonical arch": lambda: _edited_update_frame(
+        lambda d: d["weights"].update(arch_id="logreg:+2x2")
+    ),
+    "bad weights blob": lambda: _edited_update_frame(lambda d: d["weights"].update(values="!")),
+}
+
+
+def _train_request_env(round_: int, correlation_id: int) -> Envelope:
+    weights = WeightVector(np.zeros(6), "logreg:2x2")
+    request = TrainRequest("a-t", "pop-t-c000", round_, default_plan(), weights)
+    return Envelope(MsgType.TRAIN_REQUEST, correlation_id, netproto.to_doc(request))
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_FRAMES))
+def test_receive_update_refuses_a_bad_reply_without_raising(name):
+    # the ack carries the request's task, round and correlation id, since the
+    # frame may have none; the transport sends it like any other ack
+    coordinator = _coordinator()
+    request = _train_request_env(2, 11)
+    update, ack = coordinator.receive_update(REFUSED_FRAMES[name](), request)
+    assert update is None
+    assert netproto.decode(ack) == Envelope(
+        MsgType.METRICS_ACK, 11, {"task_id": "a-t", "round": 2, "status": "refused"}
+    )
+
+
+@pytest.mark.parametrize("round_, status", [(0, "stored"), (1, "mismatch")])
+def test_receive_update_acks_the_reply_it_decodes(round_, status):
+    coordinator = _coordinator()
+    sent = make_update("a-t", [0.5], round=round_)
+    frame = _update_frame(netproto.to_doc(sent))
+    update, ack = coordinator.receive_update(frame, _train_request_env(0, 7))
+    assert netproto.to_doc(update) == netproto.to_doc(sent)
+    assert netproto.decode(ack) == Envelope(
+        MsgType.METRICS_ACK, 7, {"task_id": "a-t", "round": round_, "status": status}
+    )
 
 
 @pytest.mark.parametrize("guard_epsilon", [0.5, None])

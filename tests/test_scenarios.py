@@ -244,6 +244,15 @@ def test_spec_unknown_field_rejected():
         scenarios.spec_from_doc(doc)
 
 
+def test_spec_unknown_cluster_field_rejected():
+    # a misspelt feature_shift would otherwise load as an unshifted cluster
+    doc = scenarios.spec_to_doc(builtin_scenarios()["uniform"])
+    doc["clusters"][0]["featureshift"] = [9.0, 9.0]
+    with pytest.raises(ConfigError) as err:
+        scenarios.spec_from_doc(doc)
+    assert "featureshift" in str(err.value)
+
+
 def test_load_spec_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -87,13 +87,23 @@ def test_sim_delay_fault_moves_arrival_to_the_end(rng):
     assert arrivals_log[0] == ["c1-t", "c2-t", "c0-t"]  # delayed sender last
 
 
-def test_sim_drop_fault_three_attempts_then_dropout(rng):
+def test_sim_drop_fault_three_attempts_then_dropout(rng, monkeypatch):
     faults = [FaultSpec(round=1, client_id="c1", kind="drop")]
     coordinator, network, cohort = _sim_round_setup(rng, faults)
+    dropped = network.clients["c1"]
+    report_metrics = dropped.report_metrics
+    outcomes = []
+
+    def recording(reply, channel):
+        ack, attempts = report_metrics(reply, channel)
+        outcomes.append((ack, attempts))
+        return ack, attempts
+
+    monkeypatch.setattr(dropped, "report_metrics", recording)
     report = coordinator.run_round(cohort, network, sched_round=1)
     assert report.received_updates == 2
     assert "c1-t" not in report.guard_verdicts
-    assert network.delivery_attempts[(1, "c1")] == 3
+    assert outcomes == [(None, 3)]
     # next round is fault-free and everyone is back
     report2 = coordinator.run_round(cohort, network, sched_round=2)
     assert report2.received_updates == 3
@@ -112,9 +122,9 @@ def test_reply_claiming_another_tasks_round_is_flagged_and_not_recorded(rng, mon
     acks = []
     receive = coordinator.receive_update
 
-    def recording(env, request):
-        update, ack = receive(env, request)
-        acks.append((request.payload["task_id"], ack.payload["status"]))
+    def recording(frame, request):
+        update, ack = receive(frame, request)
+        acks.append((request.payload["task_id"], netproto.decode(ack).payload["status"]))
         return update, ack
 
     monkeypatch.setattr(coordinator, "receive_update", recording)
@@ -122,7 +132,6 @@ def test_reply_claiming_another_tasks_round_is_flagged_and_not_recorded(rng, mon
     assert report.guard_verdicts == {"c0-t": "flag:cohort_mismatch", "c1-t": "accept"}
     assert acks == [("c0-t", "mismatch"), ("c1-t", "stored")]
     assert list(report.update_metrics) == ["c1-t"]
-    assert coordinator._answered == {cohort.cohort_id: (0, {"c1-t"})}
 
 
 def test_sim_round_replies_echo_their_train_requests(rng, monkeypatch):
@@ -130,9 +139,10 @@ def test_sim_round_replies_echo_their_train_requests(rng, monkeypatch):
     pairs = []
     receive = coordinator.receive_update
 
-    def recording(env, request):
+    def recording(frame, request):
+        env = netproto.decode(frame)
         pairs.append((env.msg_type, env.correlation_id, request.correlation_id))
-        return receive(env, request)
+        return receive(frame, request)
 
     monkeypatch.setattr(coordinator, "receive_update", recording)
     report = coordinator.run_round(cohort, network, sched_round=1)
@@ -380,6 +390,61 @@ def test_socket_rounds_jsonl_equals_the_simulations(tmp_path, scenario):
     assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
 
 
+def _corrupt_u01(field, value, first_only):
+    """Set ``field`` of u-01's update in its replies (its first reply only, or
+    all), as ``answer`` sends them on either transport."""
+    honest = FlClient.answer
+    corrupted = []
+
+    def answer(self, env, resolve_neighbor=None):
+        reply = honest(self, env, resolve_neighbor)
+        if self.client_id == "u-01" and not (first_only and corrupted):
+            document, key = reply.payload["update"], field
+            if field == "arch_id":
+                document = document["weights"]
+            document[key] = value
+            corrupted.append(env.correlation_id)
+        return reply
+
+    return answer
+
+
+@pytest.mark.parametrize(
+    "field, value, first_only",
+    [("arch_id", "logreg:+2x2", True), ("n_samples", 0, False), ("n_samples", -5, False)],
+)
+def test_a_refused_reply_drops_its_client_from_that_round_alike_on_both_transports(
+    tmp_path, monkeypatch, field, value, first_only
+):
+    # the coordinator refuses the reply (a non-canonical arch id is malformed,
+    # n_samples < 1 fails the update's conversion) and acks it "refused": u-01
+    # is out of that round, not out of the run, and neither run raises
+    spec = builtin_scenarios()["uniform"]
+    monkeypatch.setattr(FlClient, "answer", _corrupt_u01(field, value, first_only))
+    sim = runner.run_simulation(spec, mode="cohort", out_dir=tmp_path / "sim")
+    monkeypatch.setattr(FlClient, "answer", _corrupt_u01(field, value, first_only))
+    server, threads = _start_socket_run(tmp_path, spec)
+    try:
+        runner.run_socket_rounds(
+            server, spec.scheduler.rounds, tmp_path / "socket", scenario_name=spec.name
+        )
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    sim_jsonl = (tmp_path / "sim" / "rounds.jsonl").read_bytes()
+    assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
+    refused = sim.reports[:1] if first_only else sim.reports
+    for report in refused:  # uniform's quorum of 1.0 aborts each such round
+        assert "u-01-t0" in report.selected_task_ids
+        assert "u-01-t0" not in report.guard_verdicts
+        assert (report.received_updates, report.status) == (len(spec.tasks) - 1, "aborted")
+    assert len(sim.reports) == spec.scheduler.rounds
+    for report in sim.reports[len(refused):]:
+        assert (report.received_updates, report.status) == (len(spec.tasks), "committed")
+
+
 def test_socket_client_refuses_an_ack_that_does_not_echo_its_update(rng):
     # a coordinator that registers the client, asks one round and acks the
     # reply under another correlation id
@@ -533,7 +598,6 @@ def test_update_on_a_registration_connection_is_refused():
         replies.close()
         sock.close()
         server.close()
-    assert coordinator._answered == {}
 
 
 def test_registration_closes_its_session_when_the_server_is_stopping():
