@@ -10,7 +10,8 @@ negative-transfer guard:
 
 * ``pre_metrics``  - the client's own previous local model evaluated on its
   holdout; the first round a task runs in a cohort falls back to the weights
-  received in the request, so the delta starts at zero;
+  received in the request, so the delta starts at zero and the one
+  evaluation of those weights serves as both metrics;
 * ``post_metrics`` - the incoming aggregated global weights evaluated on the
   same holdout.
 
@@ -209,12 +210,11 @@ class FlClient:
         post_metrics = evaluate(req.weights, holdout)
         stored = self._prev_local.get(req.task_id)
         if stored is not None and stored[0] == req.cohort_id:
-            prev = stored[1]
+            pre_metrics = evaluate(stored[1], holdout)
         else:
             # first round for this task in this cohort: the incoming model is
             # the baseline, so the guard sees a zero delta
-            prev = req.weights
-        pre_metrics = evaluate(prev, holdout)
+            pre_metrics = post_metrics
         hp = HyperParams(
             epochs=req.plan.epochs,
             batch_size=req.plan.batch_size,

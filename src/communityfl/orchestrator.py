@@ -329,8 +329,10 @@ class Coordinator:
         rng = np.random.default_rng(
             stable_u64(self.config.seed, "select", cohort.cohort_id, sched_round)
         )
-        chosen = list(rng.permutation(members)[:k])
-        return sorted(str(t) for t in chosen)
+        # a shuffle's draws depend only on the length, so permuting indices
+        # picks the members a permutation of the ids would; sorted indices
+        # into the sorted ids give the chosen ids sorted
+        return [members[i] for i in sorted(rng.permutation(len(members))[:k].tolist())]
 
     def receive_update(self, frame: bytes, request: Envelope) -> tuple[ModelUpdate | None, bytes]:
         """Answer ``frame``, the reply to ``request``, the TrainRequest envelope

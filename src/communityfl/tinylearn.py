@@ -9,10 +9,13 @@ Weight layout is canonical so aggregation and serialization are unambiguous:
 for each layer, the row-major weight matrix comes first, then its bias
 vector. All arithmetic is float64 with summations in fixed index order.
 
-One private kernel, ``_loss_grad``, computes the loss and gradient on raw
-arrays. ``loss_and_gradient`` checks shapes and calls it; ``train_local``
-checks shapes once and runs its whole mini-batch SGD loop on raw arrays,
-building one ``WeightVector`` at the end.
+One private kernel, ``_loss_grad``, computes the gradient on raw arrays
+and one-hot targets, and the loss only when asked. ``loss_and_gradient``
+checks shapes and asks for both; each ``train_local`` step asks for the
+gradient alone. ``train_local`` checks shapes once, permutes the rows once
+per epoch and slices its batches from that copy, updates one weight buffer
+in place, and builds one ``WeightVector`` at the end. Each of these is the
+arithmetic of the plain per-batch loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,21 +106,25 @@ class WeightVector:
 
     Values must be finite; ``check_finite=False`` is reserved for the wire
     decode path, where hostile non-finite updates must be representable so
-    the transfer guard can flag them instead of the decoder crashing.
+    the transfer guard can flag them instead of the decoder crashing. The
+    values are read-only, so :meth:`is_finite` scans them at most once.
     """
 
     values: np.ndarray
     arch_id: str
     check_finite: InitVar[bool] = True
     _arch: ModelArch = field(init=False, repr=False)
+    _finite: bool | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self, check_finite: bool):
         # own a copy so freezing it never flips flags on a caller's array
         values = np.array(self.values, dtype=np.float64, order="C")
         if values.ndim != 1:
             raise ShapeError(f"weights must be 1-D, got shape {values.shape}")
-        if check_finite and not np.all(np.isfinite(values)):
-            raise ShapeError("weights contain non-finite values")
+        if check_finite:
+            if not np.all(np.isfinite(values)):
+                raise ShapeError("weights contain non-finite values")
+            self._finite = True
         arch = arch_from_id(self.arch_id)
         if values.size != arch.param_count:
             raise ShapeError(
@@ -132,7 +139,9 @@ class WeightVector:
         return self._arch
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
+        if self._finite is None:
+            self._finite = bool(np.all(np.isfinite(self.values)))
+        return self._finite
 
 
 @dataclass(eq=False)
@@ -214,19 +223,19 @@ def _unpack(values: np.ndarray, arch: ModelArch):
     )
 
 
-def _forward(values: np.ndarray, arch: ModelArch, x: np.ndarray):
-    """Return (logits, hidden activations or None)."""
-    if arch.hidden_units == 0:
-        w, b = _unpack(values, arch)
+def _forward(params: tuple, x: np.ndarray):
+    """Return (logits, hidden activations or None) for ``_unpack``'s params."""
+    if len(params) == 2:
+        w, b = params
         return x @ w + b, None
-    w1, b1, w2, b2 = _unpack(values, arch)
+    w1, b1, w2, b2 = params
     hidden = np.tanh(x @ w1 + b1)
     return hidden @ w2 + b2, hidden
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def _check_shapes(w: WeightVector, data: Dataset) -> ModelArch:
@@ -261,63 +270,70 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
     and smooth enough for finite-difference checks.
     """
     arch = _check_shapes(w, data)
-    return _loss_grad(w.values, arch, data.features, data.labels)
+    targets = _one_hot(data.labels, arch.n_classes)
+    return _loss_grad(_unpack(w.values, arch), data.features, targets, with_loss=True)
+
+
+def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    return np.eye(n_classes)[labels]
 
 
 def _loss_grad(
-    values: np.ndarray, arch: ModelArch, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The kernel of :func:`loss_and_gradient` on raw arrays whose shapes the
-    caller has checked."""
+    params: tuple, x: np.ndarray, targets: np.ndarray, with_loss: bool
+) -> tuple[float | None, np.ndarray]:
+    """The kernel of :func:`loss_and_gradient` and of each :func:`train_local`
+    step, on ``_unpack``'s params, a feature batch and its one-hot targets,
+    whose shapes the caller has checked. The loss is None unless
+    ``with_loss``; the gradient never depends on it."""
     n = x.shape[0]
-    logits, hidden = _forward(values, arch, x)
+    logits, hidden = _forward(params, x)
     log_probs = _log_softmax(logits)
-    loss = float(-log_probs[np.arange(n), y].mean())
+    loss = None
+    if with_loss:
+        # one pick per row, in row order, as ``log_probs[arange(n), y]``
+        loss = float(-(np.add.reduce(log_probs[targets == 1.0]) / n))
 
+    # subtracting 0.0 leaves an entry as it is, so this is the per-row
+    # "probability minus one at the label"
     dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits -= targets
     dlogits /= n
 
-    grad = np.empty_like(values)
-    f, c, h = arch.n_features, arch.n_classes, arch.hidden_units
-    if h == 0:
-        grad[: f * c] = (x.T @ dlogits).reshape(-1)
-        grad[f * c :] = dlogits.sum(axis=0)
-    else:
-        w1, b1, w2, b2 = _unpack(values, arch)
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
-        dw1 = x.T @ dhidden
-        db1 = dhidden.sum(axis=0)
-        o1 = f * h
-        o2 = o1 + h
-        o3 = o2 + h * c
-        grad[:o1] = dw1.reshape(-1)
-        grad[o1:o2] = db1
-        grad[o2:o3] = dw2.reshape(-1)
-        grad[o3:] = db2
-    return loss, grad
+    if hidden is None:
+        return loss, np.concatenate(((x.T @ dlogits).reshape(-1), np.add.reduce(dlogits, axis=0)))
+    w2 = params[2]
+    dw2 = hidden.T @ dlogits
+    db2 = np.add.reduce(dlogits, axis=0)
+    dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
+    dw1 = x.T @ dhidden
+    db1 = np.add.reduce(dhidden, axis=0)
+    return loss, np.concatenate((dw1.reshape(-1), db1, dw2.reshape(-1), db2))
 
 
 def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector:
     """Mini-batch SGD on cross-entropy; deterministic given ``hp.shuffle_seed``.
 
-    A batch is rows of ``data``, which is already validated, so the loop runs
-    on raw arrays. Non-finite weights, incoming or from an overflowing step,
-    stay non-finite, and the final ``WeightVector`` refuses them.
+    ``data`` is already validated, so the loop runs on raw arrays: each epoch
+    permutes the rows once and its batches are consecutive slices of that
+    copy, and each step updates one weight buffer in place through the
+    gradient-only kernel. Non-finite weights, incoming or from an
+    overflowing step, stay non-finite, and the final ``WeightVector``
+    refuses them.
     """
     arch = _check_shapes(w, data)
     rng = np.random.default_rng(hp.shuffle_seed)
-    x, y = data.features, data.labels
-    n = data.n_samples
-    values = w.values
+    n, batch = data.n_samples, hp.batch_size
+    targets = _one_hot(data.labels, arch.n_classes)
+    values = w.values.copy()
+    params = _unpack(values, arch)  # views: they follow the in-place updates
     for _ in range(hp.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            _, grad = _loss_grad(values, arch, x[idx], y[idx])
-            values = values - hp.learning_rate * grad
+        x, t = data.features[order], targets[order]
+        for start in range(0, n, batch):
+            stop = start + batch
+            _, grad = _loss_grad(params, x[start:stop], t[start:stop], with_loss=False)
+            grad *= hp.learning_rate
+            values -= grad
     return WeightVector(values=values, arch_id=arch.arch_id)
 
 
@@ -333,7 +349,7 @@ def grouped_hits(
     arch = w.arch
     if features.ndim != 2 or features.shape[1] != arch.n_features:
         raise ShapeError(f"features of shape {features.shape} do not match {w.arch_id}")
-    logits, _ = _forward(w.values, arch, features)
+    logits, _ = _forward(_unpack(w.values, arch), features)
     return np.add.reduceat(logits.argmax(axis=1) == labels, offsets, dtype=np.int64)
 
 
@@ -342,8 +358,9 @@ def evaluate(w: WeightVector, data: Dataset) -> EvalMetrics:
     arch = _check_shapes(w, data)
     x, y = data.features, data.labels
     n = data.n_samples
-    logits, _ = _forward(w.values, arch, x)
+    logits, _ = _forward(_unpack(w.values, arch), x)
     log_probs = _log_softmax(logits)
-    loss = float(-log_probs[np.arange(n), y].mean())
-    accuracy = float((logits.argmax(axis=1) == y).mean())
+    # the sums ``ndarray.mean`` takes, divided by n as it divides them
+    loss = float(-(np.add.reduce(log_probs[np.arange(n), y]) / n))
+    accuracy = float(np.count_nonzero(logits.argmax(axis=1) == y) / n)
     return EvalMetrics(loss=loss, accuracy=accuracy, n_samples=n)

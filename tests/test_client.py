@@ -438,3 +438,75 @@ def test_matched_cohort_model_beats_own_local_model():
             continue
         pre, post = report.update_metrics["s-small-t"]
         assert post.loss < pre.loss
+
+
+# -- how many holdout evaluations a round costs -----------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The weights of every ``evaluate`` call a client makes."""
+    calls = []
+
+    def spy(w, data):
+        calls.append(w)
+        return evaluate(w, data)
+
+    monkeypatch.setattr("communityfl.client.evaluate", spy)
+    return calls
+
+
+def test_first_round_in_a_cohort_evaluates_the_incoming_model_once(evaluations):
+    client = _client()
+    holdout = client.split(default_plan().eval_holdout_fraction)[1]
+    first_req = _request(round=0)
+    first = client.execute_train_request(first_req)
+    assert evaluations == [first_req.weights]
+    assert first.pre_metrics == first.post_metrics == evaluate(first_req.weights, holdout)
+
+    evaluations.clear()
+    repeat_req = _request(round=1)
+    repeat = client.execute_train_request(repeat_req)
+    assert evaluations == [repeat_req.weights, first.weights]
+    assert repeat.pre_metrics == evaluate(first.weights, holdout)
+
+    # the same task in another cohort starts a new trajectory
+    evaluations.clear()
+    moved_req = _request(round=1, cohort="pop-x-c001")
+    moved = client.execute_train_request(moved_req)
+    assert evaluations == [moved_req.weights]
+    assert moved.pre_metrics == moved.post_metrics
+
+
+def test_a_task_moved_by_a_recluster_evaluates_once_in_its_new_cohort(evaluations, monkeypatch):
+    from communityfl.scenarios import builtin_scenarios
+
+    # per request: one evaluation when the task's last local model was
+    # trained in another cohort or never, two otherwise, none for a cached reply
+    seen = []
+    honest = FlClient.execute_train_request
+
+    def execute(self, req, executor_id=None):
+        stored = self._prev_local.get(req.task_id)
+        cached = self._update_cache.get((req.task_id, req.cohort_id))
+        before = len(evaluations)
+        update = honest(self, req, executor_id)
+        if cached is not None and cached.round == req.round:
+            kind = "cached"
+        elif stored is None:
+            kind = "first"
+        elif stored[0] != req.cohort_id:
+            kind = "moved"
+        else:
+            kind = "repeat"
+        seen.append((kind, len(evaluations) - before, update.pre_metrics == update.post_metrics))
+        return update
+
+    monkeypatch.setattr(FlClient, "execute_train_request", execute)
+    run = run_simulation(builtin_scenarios()["drift"], mode="cohort")
+    assert run.summary.recluster_events
+    expected = {"first": (1, True), "moved": (1, True), "repeat": (2, None), "cached": (0, None)}
+    for kind, calls, same in seen:
+        assert calls == expected[kind][0], kind
+        assert expected[kind][1] in (None, same), kind
+    assert {kind for kind, _, _ in seen} >= {"first", "moved", "repeat"}

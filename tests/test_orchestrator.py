@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from communityfl import netproto
 from communityfl.client import FlClient
@@ -12,9 +14,11 @@ from communityfl.errors import (
     ConfigError,
     DuplicateTaskError,
     PlanError,
+    ShapeError,
     UnregisteredClientError,
 )
-from communityfl.flcore import PLAN_FIELDS, TrainRequest
+from communityfl.flcore import PLAN_FIELDS, FlCohort, TrainRequest, aggregate
+from communityfl.hashing import stable_u64
 from communityfl.netproto import Envelope, MsgType
 from communityfl.orchestrator import (
     Coordinator,
@@ -247,6 +251,57 @@ def test_clients_per_round_subselection(rng):
     assert len(set(selections)) > 1  # the seeded shuffle rotates participants
 
 
+def _select_by_permuting_ids(members, clients_per_round, seed, cohort_id, sched_round):
+    """Oracle: the selection as first written, a permutation of the ids."""
+    members = sorted(members)
+    k = len(members) if clients_per_round == "all" else min(clients_per_round, len(members))
+    rng = np.random.default_rng(stable_u64(seed, "select", cohort_id, sched_round))
+    return sorted(str(t) for t in rng.permutation(members)[:k])
+
+
+@st.composite
+def _selection_cases(draw):
+    size = draw(st.integers(1, 300))
+    # ids of mixed lengths, so that string order differs from index order;
+    # no NUL, which a numpy string array drops from the end of an id
+    ids = draw(
+        st.lists(
+            st.text(st.characters(min_codepoint=32, max_codepoint=0x2FF), min_size=1, max_size=6),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    clients_per_round = draw(st.one_of(st.just("all"), st.integers(1, size)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cohort_id = draw(st.sampled_from(["pop-0123456789-c000", "pop-fedcba9876-c017"]))
+    return ids, clients_per_round, seed, cohort_id, draw(st.integers(0, 500))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selection_cases())
+def test_select_members_picks_what_a_permutation_of_the_ids_picks(case):
+    ids, clients_per_round, seed, cohort_id, sched_round = case
+    coordinator = _coordinator(clients_per_round=clients_per_round, seed=seed)
+    # selection reads only the cohort's id and members
+    cohort = FlCohort(cohort_id, "pop-0123456789", set(ids), centroid=None, global_weights=None)
+    expected = _select_by_permuting_ids(ids, clients_per_round, seed, cohort_id, sched_round)
+    assert coordinator._select_members(cohort, sched_round) == expected
+
+
+def test_select_members_returns_ids_that_end_in_nul_intact():
+    # a numpy string array drops trailing NULs, so permuting the ids turned
+    # "a\x00" into "a", an id no task has, and run_round raised KeyError
+    coordinator = _coordinator(clients_per_round=2)
+    members = {"a\x00", "a\x00\x00", "b"}
+    cohort = FlCohort(
+        "pop-0123456789-c000", "pop-0123456789", members, centroid=None, global_weights=None
+    )
+    for sched_round in range(20):
+        chosen = coordinator._select_members(cohort, sched_round)
+        assert len(chosen) == 2 and set(chosen) <= members
+
+
 class _RewritingTransport:
     """Delivers each update with some of its fields overwritten (none by
     default) and keeps the last round's arrivals."""
@@ -393,6 +448,40 @@ def test_update_with_non_finite_weights_flagged(guard_epsilon):
     assert report.reason == "no_accepted_updates"
     assert np.array_equal(cohort.global_weights.values, before)
     assert cohort.round == 0
+
+
+@pytest.mark.parametrize("guard_epsilon", [0.5, None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_off_the_wire_flagged_and_refused_by_aggregate(
+    guard_epsilon, bad, monkeypatch
+):
+    # the decoder keeps a non-finite update representable; its finiteness is
+    # worked out once and every later check must still see it
+    coordinator = _coordinator(guard_epsilon=guard_epsilon)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network, cohort = _single_member_cohort(coordinator, data)
+    before = cohort.global_weights.values.copy()
+    honest = FlClient.answer
+
+    def answer(self, env, resolve_neighbor=None):
+        reply = honest(self, env, resolve_neighbor)
+        values = np.zeros(before.size)
+        values[2] = bad
+        reply.payload["update"]["weights"] = netproto.weights_to_wire(
+            WeightVector(values, cohort.global_weights.arch_id, check_finite=False)
+        )
+        return reply
+
+    monkeypatch.setattr(FlClient, "answer", answer)
+    transport = _RewritingTransport(network)
+    report = coordinator.run_round(cohort, transport, 1)
+    assert report.guard_verdicts["a-t"] == "flag:non_finite"
+    assert report.status == "aborted"
+    assert np.array_equal(cohort.global_weights.values, before)
+    ((_, update),) = transport.arrivals
+    assert not update.weights.is_finite()
+    with pytest.raises(ShapeError, match="non-finite"):
+        aggregate([update])
 
 
 @pytest.mark.parametrize("guard_epsilon", [0.5, None])

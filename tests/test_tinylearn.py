@@ -342,3 +342,122 @@ def test_train_local_overflow_raises_shape_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ShapeError, match="non-finite"):
             train_local(w, data, HyperParams(2, 4, 1e308, 0))
+
+
+def test_is_finite_scans_the_values_at_most_once(monkeypatch):
+    scans = []
+    real_isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda v: scans.append(1) or real_isfinite(v))
+    arch = make_arch(2, 2)
+    checked = WeightVector(values=np.zeros(6), arch_id=arch.arch_id)
+    assert len(scans) == 1  # the constructor's check
+    assert all(checked.is_finite() for _ in range(3))
+    assert len(scans) == 1  # finite by construction
+    for bad, expected in ((np.nan, False), (np.inf, False), (-np.inf, False), (0.5, True)):
+        scans.clear()
+        values = np.zeros(6)
+        values[4] = bad
+        lenient = WeightVector(values=values, arch_id=arch.arch_id, check_finite=False)
+        assert not scans
+        assert [lenient.is_finite() for _ in range(3)] == [expected] * 3
+        assert len(scans) == 1
+
+
+# -- oracles: the arithmetic of the kernel and of evaluate as first written ------
+
+
+def _reference_forward(values: np.ndarray, arch, x: np.ndarray):
+    f, c, h = arch.n_features, arch.n_classes, arch.hidden_units
+    if h == 0:
+        return x @ values[: f * c].reshape(f, c) + values[f * c :], None
+    o1 = f * h
+    o2 = o1 + h
+    o3 = o2 + h * c
+    hidden = np.tanh(x @ values[:o1].reshape(f, h) + values[o1:o2])
+    return hidden @ values[o2:o3].reshape(h, c) + values[o3:], hidden
+
+
+def _reference_log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_evaluate(w: WeightVector, data: Dataset) -> tuple[float, float]:
+    """Oracle: ``evaluate`` with two ``ndarray.mean`` calls."""
+    x, y = data.features, data.labels
+    n = data.n_samples
+    logits, _ = _reference_forward(w.values, w.arch, x)
+    log_probs = _reference_log_softmax(logits)
+    loss = float(-log_probs[np.arange(n), y].mean())
+    accuracy = float((logits.argmax(axis=1) == y).mean())
+    return loss, accuracy
+
+
+def _reference_loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray]:
+    """Oracle: the loss-and-gradient kernel with a label index and a scatter."""
+    values, arch = w.values, w.arch
+    x, y = data.features, data.labels
+    n = x.shape[0]
+    logits, hidden = _reference_forward(values, arch, x)
+    log_probs = _reference_log_softmax(logits)
+    loss = float(-log_probs[np.arange(n), y].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    grad = np.empty_like(values)
+    f, c, h = arch.n_features, arch.n_classes, arch.hidden_units
+    if h == 0:
+        grad[: f * c] = (x.T @ dlogits).reshape(-1)
+        grad[f * c :] = dlogits.sum(axis=0)
+        return loss, grad
+    o1 = f * h
+    o2 = o1 + h
+    o3 = o2 + h * c
+    dhidden = (dlogits @ values[o2:o3].reshape(h, c).T) * (1.0 - hidden**2)
+    grad[:o1] = (x.T @ dhidden).reshape(-1)
+    grad[o1:o2] = dhidden.sum(axis=0)
+    grad[o2:o3] = (hidden.T @ dlogits).reshape(-1)
+    grad[o3:] = dlogits.sum(axis=0)
+    return loss, grad
+
+
+@st.composite
+def _model_and_data(draw):
+    hidden = draw(st.sampled_from([0, 0, 1, 3, 6]))
+    n_features = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = make_arch(n_features, n_classes, hidden)
+    scale = draw(st.sampled_from([0.05, 0.5, 3.0, 40.0]))
+    w = WeightVector(values=rng.normal(0, scale, arch.param_count), arch_id=arch.arch_id)
+    data = Dataset(
+        features=rng.normal(0, 2.0, (n, n_features)),
+        labels=rng.integers(0, n_classes, n),
+        n_classes=n_classes,
+    )
+    return w, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_and_data())
+def test_evaluate_bit_identical_to_mean_based_evaluate(case):
+    w, data = case
+    metrics = evaluate(w, data)
+    loss, accuracy = _reference_evaluate(w, data)
+    assert metrics.loss.hex() == loss.hex()
+    assert metrics.accuracy.hex() == accuracy.hex()
+    assert type(metrics.loss) is float and type(metrics.accuracy) is float
+    assert metrics.n_samples == data.n_samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_and_data())
+def test_loss_and_gradient_bit_identical_to_scatter_kernel(case):
+    # with the per-batch oracle above, this pins train_local's steps to the
+    # arithmetic of the kernel as first written
+    w, data = case
+    loss, grad = loss_and_gradient(w, data)
+    expected_loss, expected_grad = _reference_loss_and_gradient(w, data)
+    assert loss.hex() == expected_loss.hex()
+    assert grad.tobytes() == expected_grad.tobytes()
