@@ -9,8 +9,8 @@ Subcommands:
   a run's artifacts.
 
 Exit codes: 0 success, 2 configuration error (bad scenario file, bad flags,
-missing artifacts), 3 aborted run (some cohort never committed a round).
-Log verbosity comes from the COMMUNITYFL_LOG environment variable
+missing or unreadable artifacts), 3 aborted run (some cohort never committed
+a round). Log verbosity comes from the COMMUNITYFL_LOG environment variable
 (off | info | debug).
 """
 
@@ -178,38 +178,47 @@ def cmd_inspect(args) -> int:
     if not cohorts_path.exists() or not rounds_path.exists():
         print(f"no run artifacts found in {out}", file=sys.stderr)
         return EXIT_CONFIG
-    cohorts_doc = json.loads(cohorts_path.read_text())
+    try:
+        lines = _inspect_tree(json.loads(cohorts_path.read_text()), rounds_path)
+    except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read the run artifacts in {out}: {exc!r}") from exc
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _inspect_tree(cohorts_doc: dict, rounds_path: Path) -> list[str]:
+    """The lines of the community -> population -> cohort -> task tree."""
     flag_rates: dict[str, list[float]] = {}
     with rounds_path.open() as fh:
         for row in csv.DictReader(fh):
             if row["flag_rate"]:
                 flag_rates.setdefault(row["cohort_id"], []).append(float(row["flag_rate"]))
 
-    print(f"scenario: {cohorts_doc['scenario']}  mode: {cohorts_doc['mode']}")
+    lines = [f"scenario: {cohorts_doc['scenario']}  mode: {cohorts_doc['mode']}"]
     by_community: dict[str, list[dict]] = {}
     for population in cohorts_doc["populations"]:
         for community_id in population["community_ids"]:
             by_community.setdefault(community_id, []).append(population)
     for community_id in sorted(by_community):
-        print(f"community {community_id}")
+        lines.append(f"community {community_id}")
         for population in by_community[community_id]:
             n_tasks = sum(len(c["members"]) for c in population["cohorts"])
-            print(
+            lines.append(
                 f"  {population['display_name']}  [{population['population_id']}]  "
                 f"tasks={n_tasks}"
             )
             for cohort in population["cohorts"]:
                 rates = flag_rates.get(cohort["cohort_id"], [])
                 mean_rate = sum(rates) / len(rates) if rates else 0.0
-                print(
+                lines.append(
                     f"    {cohort['display_name']}  [{cohort['cohort_id']}]  "
                     f"members={len(cohort['members'])}  rounds={cohort['round']}  "
                     f"flag_rate={mean_rate:.3f}"
                 )
                 for member in cohort["members"]:
                     if member["community_id"] == community_id:
-                        print(f"      {member['task_id']}  (client {member['client_id']})")
-    return EXIT_OK
+                        lines.append(f"      {member['task_id']}  (client {member['client_id']})")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,6 +93,9 @@ class FlCohort:
     centroid: "DataSignature"  # noqa: F821
     global_weights: WeightVector
     round: int = 0
+    # the flag rates of this cohort's last rounds, which the coordinator's
+    # recluster rule reads; a rebuilt cohort starts with an empty window
+    flag_rates: list[float] = field(default_factory=list)
 
 
 @dataclass(eq=False)

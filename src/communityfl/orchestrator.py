@@ -6,6 +6,11 @@ drives aggregation rounds over a pluggable transport, and filters incoming
 updates through the negative-transfer guard before they can touch a cohort's
 global model. An update gets in only as the reply to its round's request.
 
+Each round also feeds the recluster rule: a cohort whose last
+``RECLUSTER_WINDOW`` rounds average a flag rate above ``RECLUSTER_FLAG_RATE``
+marks its population dirty, and the next :meth:`Coordinator.ensure_cohorts`
+reclusters it.
+
 Round semantics are atomic: a round either commits (guarded aggregation ran,
 round counter advanced) or aborts with the cohort untouched.
 """
@@ -15,7 +20,6 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -78,14 +82,13 @@ class SchedulerConfig:
     weighted_aggregation: bool = True
 
     def __post_init__(self):
-        if self.clients_per_round != "all":
-            if not isinstance(self.clients_per_round, int) or self.clients_per_round < 1:
-                raise ConfigError(
-                    f"clients_per_round must be 'all' or a positive int, "
-                    f"got {self.clients_per_round!r}"
-                )
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        if self.clients_per_round != "all" and not _is_int_at_least(self.clients_per_round, 1):
+            raise ConfigError(
+                f"clients_per_round must be 'all' or a positive int, "
+                f"got {self.clients_per_round!r}"
+            )
+        if not _is_int_at_least(self.rounds, 1):
+            raise ConfigError(f"rounds must be an int >= 1, got {self.rounds!r}")
         if not 0.0 <= self.cohort_threshold < 1.0:
             raise ConfigError(
                 f"cohort_threshold must be in [0,1) (0 selects global mode), "
@@ -95,8 +98,14 @@ class SchedulerConfig:
             raise ConfigError(
                 f"min_updates_quorum must be in (0,1], got {self.min_updates_quorum}"
             )
-        if self.guard_epsilon is not None and self.guard_epsilon < 0:
+        # written so that a NaN epsilon, which would pass every loss, fails too
+        if self.guard_epsilon is not None and not self.guard_epsilon >= 0:
             raise ConfigError(f"guard_epsilon must be >= 0, got {self.guard_epsilon}")
+
+
+def _is_int_at_least(value, minimum: int) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True)
@@ -157,15 +166,6 @@ class RoundReport:
         }
 
 
-@dataclass(eq=False)
-class CohortStats:
-    """What the recluster rule reads of a cohort's ingested reports."""
-
-    last_sched_round: int = -1
-    # the flag rates of the last RECLUSTER_WINDOW ingested reports
-    flag_rates: deque[float] = field(default_factory=lambda: deque(maxlen=RECLUSTER_WINDOW))
-
-
 class RoundTransport(Protocol):
     """Delivers train requests and hands back the updates of one round: each
     reply frame goes to :meth:`Coordinator.receive_update` with its request,
@@ -215,10 +215,7 @@ class Coordinator:
         self.clients: dict[str, ParticipantMetadata] = {}
         self.session_tokens: dict[str, str] = {}
         self.dirty_populations: set[str] = set()
-        self.cohort_stats: dict[str, CohortStats] = {}
-        self.recluster_marks: set[str] = set()
         self.reports: list[RoundReport] = []
-        self.warnings: list[str] = []
         self.migration_log: list[dict] = []
         self._lock = threading.RLock()
 
@@ -266,9 +263,11 @@ class Coordinator:
         return stable_u64(self.config.seed, population_id, "init")
 
     def ensure_cohorts(self):
-        """(Re)cohort every population marked dirty: form its cohorts on first
-        use, recluster them afterwards. This is the only code that builds
-        cohort structure."""
+        """(Re)cohort every population marked dirty, by a task submission or
+        by :meth:`run_round`'s recluster rule: form its cohorts on first use,
+        recluster them afterwards. This is the only code that builds cohort
+        structure; a rebuilt cohort is a new object with an empty flag-rate
+        window."""
         with self._lock:
             threshold = self.config.cohort_threshold
             for population_id in sorted(self.dirty_populations):
@@ -279,14 +278,6 @@ class Coordinator:
                     population.cohorts = form_cohorts(population, signatures, threshold, seed)
                     continue
                 population.cohorts, report = recluster(population, signatures, threshold, seed)
-                self.recluster_marks.difference_update(report.removed_cohort_ids)
-                for cohort_id in report.removed_cohort_ids:
-                    self.cohort_stats.pop(cohort_id, None)
-                # the new structure starts with a fresh flag-rate window
-                for cohort in population.cohorts:
-                    stats = self.cohort_stats.get(cohort.cohort_id)
-                    if stats is not None:
-                        stats.flag_rates.clear()
                 if report.migrated or report.new_cohort_ids or report.removed_cohort_ids:
                     self.migration_log.append(
                         {
@@ -297,15 +288,6 @@ class Coordinator:
                         }
                     )
             self.dirty_populations.clear()
-
-    def recluster_marked(self):
-        """Recluster the populations of every cohort marked by ingest_metrics."""
-        with self._lock:
-            for cohort_id in self.recluster_marks:
-                self.dirty_populations.add(self._find_cohort(cohort_id).population_id)
-            self.recluster_marks.clear()
-            if self.dirty_populations:
-                self.ensure_cohorts()
 
     def all_cohorts(self) -> list[FlCohort]:
         cohorts = []
@@ -371,7 +353,11 @@ class Coordinator:
         transport: RoundTransport,
         sched_round: int | None = None,
     ) -> RoundReport:
-        """Execute one guarded aggregation round for a cohort."""
+        """Execute one guarded aggregation round for a cohort, then apply the
+        recluster rule: the round's flag rate joins the cohort's window of its
+        last ``RECLUSTER_WINDOW`` rates, and a full window whose mean exceeds
+        ``RECLUSTER_FLAG_RATE`` marks the population for the next
+        :meth:`ensure_cohorts`."""
         with self._lock:
             if not cohort.member_task_ids:
                 raise ConfigError(f"cohort {cohort.cohort_id} has no members")
@@ -457,44 +443,12 @@ class Coordinator:
             self.reports.append(report)
             if status == "aborted":
                 logger.info("round aborted for %s: %s", cohort.cohort_id, reason)
-            return report
-
-    # -- metric ingestion ---------------------------------------------------------
-
-    def ingest_metrics(self, report: RoundReport) -> CohortStats:
-        """Fold a round report into the cohort's time series and apply the
-        recluster-marking rule."""
-        with self._lock:
-            cohort = self._find_cohort(report.cohort_id)
-            if cohort is None:  # a removed or unknown cohort keeps no stats
-                stats = CohortStats()
-            else:
-                stats = self.cohort_stats.setdefault(report.cohort_id, CohortStats())
-            if (
-                cohort is None
-                or report.sched_round <= stats.last_sched_round
-                or report.round not in (cohort.round, cohort.round - 1)
-            ):
-                message = (
-                    f"stale report for {report.cohort_id}: round {report.round}, "
-                    f"sched_round {report.sched_round}"
-                )
-                self.warnings.append(message)
-                logger.warning(message)
-                return stats
-            stats.last_sched_round = report.sched_round
-            stats.flag_rates.append(report.flag_rate)
-            window = stats.flag_rates
+            window = cohort.flag_rates
+            window.append(report.flag_rate)
+            del window[:-RECLUSTER_WINDOW]
             if len(window) == RECLUSTER_WINDOW and sum(window) / len(window) > RECLUSTER_FLAG_RATE:
-                self.recluster_marks.add(report.cohort_id)
-            return stats
-
-    def _find_cohort(self, cohort_id: str) -> FlCohort | None:
-        for population in self.registry.populations.values():
-            for cohort in population.cohorts:
-                if cohort.cohort_id == cohort_id:
-                    return cohort
-        return None
+                self.dirty_populations.add(cohort.population_id)
+            return report
 
     # -- protocol dispatch -----------------------------------------------------------
 

@@ -76,7 +76,6 @@ class RunSummary:
     mean_holdout_accuracy: float
     comparison: dict
     recluster_events: list[dict]
-    warnings: list[str]
     aborted_cohorts: list[str]
     wall_time_s: float
 
@@ -320,7 +319,8 @@ def run_socket_rounds(
 
 def _drive_rounds(coordinator, transport, rounds, holdout, rows, reports, before_round=None):
     """The round loop of both modes: each scheduler round runs every cohort
-    once, appends its report and csv row, then reclusters marked cohorts."""
+    once and appends its report and csv row, then re-cohorts the populations
+    that ``run_round`` marked dirty."""
     for sched_round in range(1, rounds + 1):
         if before_round is not None:
             before_round(sched_round)
@@ -334,7 +334,6 @@ def _drive_rounds(coordinator, transport, rounds, holdout, rows, reports, before
                 report.received_updates,
             )
             reports.append(report)
-            coordinator.ingest_metrics(report)
             pre = [pre.accuracy for pre, _ in report.update_metrics.values()]
             rows.append(
                 {
@@ -347,7 +346,7 @@ def _drive_rounds(coordinator, transport, rounds, holdout, rows, reports, before
                 }
             )
             holdout.fill(cohort, report, rows)
-        coordinator.recluster_marked()
+        coordinator.ensure_cohorts()
 
 
 def _fmt(value: float | None) -> str:
@@ -390,7 +389,6 @@ def _finish(coordinator, holdout, scenario, mode, rounds, rows, reports, started
         mean_holdout_accuracy=mean_accuracy,
         comparison={MODE_COHORT: None, MODE_GLOBAL: None, "delta_points": None},
         recluster_events=list(coordinator.migration_log),
-        warnings=list(coordinator.warnings),
         aborted_cohorts=aborted,
         wall_time_s=round(time.perf_counter() - started, 3),
     )

@@ -137,6 +137,9 @@ class ScenarioSpec:
         total = sum(c.weight for c in self.clusters)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"cluster weights must sum to 1, got {total}")
+        for value in (self.n_features, self.n_classes):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"n_features and n_classes must be ints, got {value!r}")
         if self.n_features < 1 or self.n_classes < 2:
             raise ConfigError("need n_features >= 1 and n_classes >= 2")
         lo, hi = self.samples_per_client
@@ -187,9 +190,13 @@ class ScenarioSpec:
                 raise ConfigError(f"unknown fault kind {fault.kind!r}")
             if fault.round < 1:
                 raise ConfigError("fault round is 1-based")
-        for client_id in self.samples_override:
+        for client_id, count in self.samples_override.items():
             if client_id not in known:
                 raise ConfigError("samples_override references unknown client")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ConfigError(
+                    f"samples_override for {client_id} must be an int >= 1, got {count!r}"
+                )
         for client_id in self.resources:
             if client_id not in known:
                 raise ConfigError("resources entry references unknown client")

@@ -17,13 +17,14 @@ drop/delay faults to update delivery.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import threading
 
 from . import netproto
 from .client import FlClient
 from .community import admit
-from .errors import DeliveryError, ProtocolError
+from .errors import ConfigError, DeliveryError, ProtocolError
 from .flcore import ModelUpdate
 from .netproto import Envelope, MsgType
 from .orchestrator import Coordinator
@@ -234,6 +235,10 @@ class SocketCoordinatorServer:
         expected_tasks: int,
         recv_timeout_s: float = 30.0,
     ):
+        # a negative or NaN timeout kills the accept thread at its first
+        # connection, and 0 reads every registration as EOF
+        if not 0.0 < recv_timeout_s < math.inf:
+            raise ConfigError(f"recv_timeout_s must be a finite number > 0, got {recv_timeout_s}")
         self.coordinator = coordinator
         self.expected_tasks = expected_tasks
         self.recv_timeout_s = recv_timeout_s

@@ -71,6 +71,25 @@ def test_simulate_refuses_a_removed_scenario_field(tmp_path, capsys, section, fi
     assert "configuration error" in err and f"unexpected keyword argument '{field}'" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("samples_override", {"u-01": -5}, "samples_override for u-01 must be an int >= 1"),
+        ("samples_override", {"u-01": 0}, "samples_override for u-01 must be an int >= 1"),
+        ("n_features", 2.5, "n_features and n_classes must be ints"),
+    ],
+)
+def test_simulate_refuses_an_out_of_range_count(tmp_path, capsys, field, value, reason):
+    # each of these used to pass validation and fail inside data generation
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and reason in err
+
+
 def test_simulate_scenario_file_roundtrip(tmp_path):
     spec = scenarios.builtin_scenarios()["uniform"]
     path = tmp_path / "uniform.json"
@@ -94,6 +113,26 @@ def test_comparison_table_fills_after_both_modes(tmp_path):
 
 def test_inspect_missing_artifacts_exit_2(tmp_path, capsys):
     assert run_cli("inspect", "--out", str(tmp_path / "empty")) == 2
+    out = tmp_path / "run"
+    run_cli("simulate", "--scenario", "uniform", "--mode", "cohort", "--out", str(out))
+    capsys.readouterr()
+    cohorts = (out / "cohorts.json").read_text()
+    rounds = (out / "rounds.csv").read_text()
+    broken = [
+        ("cohorts.json", "{broken", "JSONDecodeError"),
+        ("cohorts.json", "{}", "KeyError('scenario')"),
+        ("cohorts.json", '{"scenario": "s", "mode": "m", "populations": [1]}', "TypeError"),
+        ("rounds.csv", "cohort_id,round\nc,1\n", "KeyError('flag_rate')"),
+        ("rounds.csv", "cohort_id,flag_rate\nc,high\n", "ValueError"),
+    ]
+    for name, text, reason in broken:
+        (out / "cohorts.json").write_text(cohorts)
+        (out / "rounds.csv").write_text(rounds)
+        (out / name).write_text(text)
+        assert run_cli("inspect", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and reason in captured.err, captured.err
 
 
 def test_inspect_tree_shows_population_two_and_is_stable(tmp_path, capsys):

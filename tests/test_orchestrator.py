@@ -21,9 +21,10 @@ from communityfl.flcore import PLAN_FIELDS, FlCohort, TrainRequest, aggregate
 from communityfl.hashing import stable_u64
 from communityfl.netproto import Envelope, MsgType
 from communityfl.orchestrator import (
+    RECLUSTER_FLAG_RATE,
+    RECLUSTER_WINDOW,
     Coordinator,
     GuardVerdict,
-    RoundReport,
     SchedulerConfig,
     guard_update,
 )
@@ -34,6 +35,7 @@ from communityfl.transport import SimNetwork
 
 from conftest import (
     default_plan,
+    fixed_signature,
     make_community,
     make_metadata,
     make_task,
@@ -619,106 +621,103 @@ def test_guard_soundness_on_iid_clients():
     assert all(v == "accept" for r in run.reports for v in r.guard_verdicts.values())
 
 
-# -- metric ingestion -------------------------------------------------------------------
+# -- the recluster rule ------------------------------------------------------------------
 
 
-def _report(cohort_id: str, round: int, sched_round: int, flag_rate_one: bool) -> RoundReport:
-    verdict = "flag:loss_regression" if flag_rate_one else "accept"
-    return RoundReport(
-        cohort_id=cohort_id,
-        round=round,
-        sched_round=sched_round,
-        selected_task_ids=["t1"],
-        received_updates=1,
-        aggregate_pre_loss=1.0,
-        aggregate_post_loss=1.0,
-        guard_verdicts={"t1": verdict},
-        new_global_weights_hash=0,
-        status="committed",
-        reason=None,
-        executors={},
-        bytes_transferred=0,
-    )
+class _EchoTransport:
+    """Answers every request with an update that echoes its task, cohort and
+    round; the tasks in ``flagged`` report a loss regression the guard flags."""
+
+    def __init__(self, flagged=()):
+        self.flagged = set(flagged)
+
+    def exchange_round(self, items, sched_round):
+        arrivals = []
+        for task_id, env in items:
+            asked = env.payload
+            post_loss = 2.0 if task_id in self.flagged else 1.0
+            update = make_update(
+                task_id, [], cohort_id=asked["cohort_id"], round=asked["round"], post_loss=post_loss
+            )
+            arrivals.append((task_id, update))
+        return arrivals, 0
 
 
-def _coordinator_with_cohort(**config_overrides):
+def _coordinator_with_cohort(n_tasks=1, **config_overrides):
     coordinator = _coordinator(**config_overrides)
     coordinator.register_client(make_metadata("client-a"))
-    coordinator.submit_task(make_task("t1"))
+    shared = fixed_signature([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+    for i in range(1, n_tasks + 1):
+        coordinator.submit_task(make_task(f"t{i}", signature=shared))
     coordinator.ensure_cohorts()
-    cohort = coordinator.all_cohorts()[0]
+    (cohort,) = coordinator.all_cohorts()
     return coordinator, cohort
 
 
 def test_three_full_flag_reports_mark_cohort_for_recluster():
     coordinator, cohort = _coordinator_with_cohort()
+    transport = _EchoTransport(flagged={"t1"})
     for sched_round in (1, 2, 3):
-        cohort.round = sched_round  # simulate commits between reports
-        stats = coordinator.ingest_metrics(
-            _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=True)
-        )
-    assert list(stats.flag_rates) == [1.0, 1.0, 1.0]
-    assert cohort.cohort_id in coordinator.recluster_marks
+        assert coordinator.dirty_populations == set()
+        report = coordinator.run_round(cohort, transport, sched_round)
+        assert (report.status, report.flag_rate) == ("aborted", 1.0)
+    assert cohort.flag_rates == [1.0, 1.0, 1.0]
+    assert coordinator.dirty_populations == {cohort.population_id}
 
 
 def test_zero_flag_rate_never_marks():
     coordinator, cohort = _coordinator_with_cohort()
     for sched_round in (1, 2, 3, 4):
-        cohort.round = sched_round
-        stats = coordinator.ingest_metrics(
-            _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=False)
-        )
-    assert list(stats.flag_rates) == [0.0, 0.0, 0.0]  # the last RECLUSTER_WINDOW reports
-    assert coordinator.recluster_marks == set()
+        coordinator.run_round(cohort, _EchoTransport(), sched_round)
+    assert cohort.round == 4
+    assert cohort.flag_rates == [0.0, 0.0, 0.0]  # the last RECLUSTER_WINDOW rounds
+    assert coordinator.dirty_populations == set()
 
 
-def test_stale_report_ignored_with_warning():
-    coordinator, cohort = _coordinator_with_cohort()
-    cohort.round = 1
-    coordinator.ingest_metrics(_report(cohort.cohort_id, 0, 1, flag_rate_one=False))
-    stats = coordinator.ingest_metrics(_report(cohort.cohort_id, 0, 1, flag_rate_one=True))
-    assert list(stats.flag_rates) == [0.0]  # second one ignored
-    assert coordinator.warnings and "stale" in coordinator.warnings[0]
+def test_a_window_that_averages_exactly_the_threshold_does_not_mark():
+    coordinator, cohort = _coordinator_with_cohort(n_tasks=2)
+    transport = _EchoTransport(flagged={"t1"})
+    for sched_round in (1, 2, 3, 4):
+        coordinator.run_round(cohort, transport, sched_round)
+    assert cohort.flag_rates == [RECLUSTER_FLAG_RATE] * RECLUSTER_WINDOW
+    assert coordinator.dirty_populations == set()
 
 
-def test_report_for_an_unknown_cohort_stores_no_stats():
-    coordinator, cohort = _coordinator_with_cohort()
-    coordinator.ingest_metrics(_report("pop-gone-c001", 0, 1, flag_rate_one=True))
-    assert "pop-gone-c001" not in coordinator.cohort_stats
-    assert coordinator.warnings and "stale" in coordinator.warnings[0]
-
-
-def test_drift_reclusters_drop_the_stats_of_removed_cohorts():
-    run = run_simulation(builtin_scenarios()["drift"], mode="cohort")
-    coordinator = run.coordinator
-    assert any(event["removed_cohort_ids"] for event in coordinator.migration_log)
-    assert set(coordinator.cohort_stats) <= {c.cohort_id for c in coordinator.all_cohorts()}
+def test_drift_recluster_starts_the_rebuilt_cohorts_with_empty_windows():
+    # a cohort of the drift builtin flags 2 of 3 updates in rounds 5-7, so
+    # its population is reclustered after round 7; round 8 is all accepted
+    spec = builtin_scenarios()["drift"]
+    spec = dataclasses.replace(spec, scheduler=dataclasses.replace(spec.scheduler, rounds=8))
+    run = run_simulation(spec, mode="cohort")
+    assert any(event["removed_cohort_ids"] for event in run.coordinator.migration_log)
+    assert any(r.flag_rate > RECLUSTER_FLAG_RATE for r in run.reports if r.sched_round == 7)
+    for cohort in run.coordinator.all_cohorts():
+        assert cohort.flag_rates == [0.0]  # round 8 only
 
 
 @pytest.mark.parametrize("threshold", [0.8, 0.0])
 def test_recluster_of_a_marked_cohort_that_changes_nothing_logs_nothing(threshold):
-    coordinator, cohort = _coordinator_with_cohort(cohort_threshold=threshold)
+    coordinator, cohort = _coordinator_with_cohort(n_tasks=3, cohort_threshold=threshold)
+    transport = _EchoTransport(flagged={"t1", "t2"})
     for sched_round in (1, 2, 3):
-        cohort.round = sched_round
-        coordinator.ingest_metrics(
-            _report(cohort.cohort_id, sched_round - 1, sched_round, flag_rate_one=True)
-        )
-    assert coordinator.recluster_marks == {cohort.cohort_id}
-    coordinator.recluster_marked()
+        report = coordinator.run_round(cohort, transport, sched_round)
+        assert report.status == "committed"
+    assert coordinator.dirty_populations == {cohort.population_id}
+    coordinator.ensure_cohorts()
     (after,) = coordinator.all_cohorts()
     assert (after.cohort_id, after.round) == (cohort.cohort_id, 3)
     assert after.global_weights is cohort.global_weights
-    assert coordinator.recluster_marks == set()
+    assert coordinator.dirty_populations == set()
     assert coordinator.migration_log == []
     # the rebuilt structure starts a fresh flag-rate window
-    assert list(coordinator.cohort_stats[cohort.cohort_id].flag_rates) == []
+    assert after.flag_rates == []
 
 
 def test_task_submitted_after_setup_is_cohorted_at_the_next_recluster():
     coordinator, cohort = _coordinator_with_cohort()
     coordinator.submit_task(make_task("t2"))
     assert coordinator.dirty_populations == {cohort.population_id}
-    coordinator.recluster_marked()
+    coordinator.ensure_cohorts()
     assert coordinator.dirty_populations == set()
     members = {t for c in coordinator.all_cohorts() for t in c.member_task_ids}
     assert members == {"t1", "t2"}
@@ -772,4 +771,16 @@ def test_scheduler_config_validation():
         SchedulerConfig(clients_per_round=0)
     with pytest.raises(ConfigError):
         SchedulerConfig(guard_epsilon=-1.0)
+    # a float or bool count would reach range() in the round loop, and a NaN
+    # epsilon would pass every loss regression
+    for fields in (
+        {"rounds": 2.5},
+        {"rounds": True},
+        {"rounds": "3"},
+        {"clients_per_round": 2.5},
+        {"clients_per_round": True},
+        {"guard_epsilon": float("nan")},
+    ):
+        with pytest.raises(ConfigError):
+            SchedulerConfig(**fields)
     assert SchedulerConfig(cohort_threshold=0.0).cohort_threshold == 0.0  # global mode

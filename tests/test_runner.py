@@ -93,7 +93,6 @@ def test_run_summary_schema(tmp_path):
         "mean_holdout_accuracy",
         "comparison",
         "recluster_events",
-        "warnings",
         "aborted_cohorts",
         "wall_time_s",
     ):

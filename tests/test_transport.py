@@ -12,7 +12,7 @@ import pytest
 from communityfl import netproto, runner, transport
 from communityfl.client import FlClient
 from communityfl.community import Community, ParticipantMetadata
-from communityfl.errors import ProtocolError
+from communityfl.errors import ConfigError, ProtocolError
 from communityfl.flcore import FlTask, ModelUpdate, TrainRequest
 from communityfl.netproto import MsgType
 from communityfl.orchestrator import Coordinator, SchedulerConfig
@@ -560,6 +560,19 @@ def test_round_connections_disable_nagle_on_both_ends(tmp_path):
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert len(client_nodelay) == 1 and client_nodelay[0] != 0
+
+
+@pytest.mark.parametrize("recv_timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
+def test_server_refuses_a_receive_timeout_before_it_binds(recv_timeout_s):
+    # a negative or NaN timeout killed the accept thread at the first
+    # connection and left that socket open; 0 read every registration as EOF
+    coordinator = Coordinator(SchedulerConfig(), [make_community()])
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    with pytest.raises(ConfigError, match="recv_timeout_s must be a finite number > 0"):
+        SocketCoordinatorServer(coordinator, "127.0.0.1", port, 1, recv_timeout_s)
+    with pytest.raises(ConnectionRefusedError):  # nothing listens on the port
+        socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
 
 
 def test_server_close_stops_accept_thread_at_once():
