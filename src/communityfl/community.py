@@ -12,6 +12,9 @@ Cohort formation works on the signatures stacked once as rows of one matrix,
 cohort centroid in one row-wise pass, and a join recomputes that cohort's
 centroid from its member rows, so N tasks forming K cohorts cost O(N) numpy
 calls, O(N*K) scoring work and O(sum of squared cohort sizes) centroid work.
+Each cohort keeps its member rows and weights, in member order, in buffers
+that double when full, so a join appends one row and reads a slice instead of
+gathering the rows by a list of member indices.
 Cohort membership feeds every later digest, so the centroids must not change
 in their last bits: a centroid is the sum of ``alpha * row`` over the members
 in member order, starting from 0, exactly as Python's ``sum`` adds them. It is
@@ -152,11 +155,22 @@ class AdmitDecision:
 
 
 def signature_from_dataset(data: Dataset, quality_score: float = 1.0) -> DataSignature:
-    """Compute the signature of a local dataset (population std, ddof=0)."""
+    """Compute the signature of a local dataset (population std, ddof=0).
+
+    The moments are the ufunc calls that ``features.mean(axis=0)`` and
+    ``features.std(axis=0)`` make, in their order and on the same arrays, so
+    their bits are numpy's; the methods' Python wrappers cost more than the
+    arithmetic on a client's few dozen rows."""
+    features = data.features
+    n = features.shape[0]
+    mean = np.add.reduce(features, axis=0) / n
+    deviations = features - mean
+    np.square(deviations, out=deviations)
+    std = np.sqrt(np.add.reduce(deviations, axis=0) / n)
     hist = np.bincount(data.labels, minlength=data.n_classes).astype(np.float64)
     return DataSignature(
-        per_feature_mean=data.features.mean(axis=0),
-        per_feature_std=data.features.std(axis=0),
+        per_feature_mean=mean,
+        per_feature_std=std,
         label_histogram=hist / hist.sum(),
         n_samples=data.n_samples,
         quality_score=quality_score,
@@ -275,6 +289,9 @@ def _greedy_blocks(
     # row k is block k's centroid; a block of one is its member's own row
     centroids = np.empty_like(rows)
     block_rows: list[list[int]] = []
+    # each block's member rows and weights, in member order, in buffers that
+    # double when full: a join appends one row and slices the buffers
+    stacks: list[tuple[np.ndarray, np.ndarray]] = []
     for i, row in enumerate(rows):
         best = -1
         if block_rows:
@@ -289,16 +306,27 @@ def _greedy_blocks(
         if best < 0:
             centroids[len(block_rows)] = row
             block_rows.append([i])
+            stacks.append((rows[i : i + 1].copy(), weights[i : i + 1].copy()))
         else:
             members = block_rows[best]
+            size = len(members)
+            stack, stack_weights = stacks[best]
+            if size == len(stack):
+                stack = np.concatenate((stack, np.empty_like(stack)))
+                stack_weights = np.concatenate((stack_weights, np.empty_like(stack_weights)))
+                stacks[best] = stack, stack_weights
+            stack[size] = row
+            stack_weights[size] = weights[i]
             members.append(i)
-            centroids[best] = _centroid_row(rows[members], weights[members], n_features)
+            size += 1
+            centroids[best] = _centroid_row(stack[:size], stack_weights[:size], n_features)
     blocks = []
     for k, members in enumerate(block_rows):
         if len(members) == 1:
             centroid = signatures[order[members[0]]]
         else:
-            centroid = _row_signature(centroids[k], weights[members].sum(), n_features)
+            total = stacks[k][1][: len(members)].sum()
+            centroid = _row_signature(centroids[k], total, n_features)
         blocks.append(_Block(members=[order[i] for i in members], centroid=centroid))
     return blocks
 

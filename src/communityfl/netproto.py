@@ -8,11 +8,12 @@ The decoder is strict and total: any malformed input raises
 :class:`ProtocolError` and nothing else.
 
 Every message type's payload is validated against an explicit schema; unknown
-fields are rejected. Each schema is compiled once, at import, into a checker
-that builds a field's path only when it reports an error. The same schemas
-drive :func:`to_doc` and :func:`from_doc`, which convert domain records to and
-from documents; each record's pair is compiled once, too, into straight-line
-code that calls a converter only on the fields that need one. The JSON decoder
+fields are rejected. Each schema is compiled once, at import, into one
+straight-line checker with its nested documents inlined, which formats a
+field's path only in the ``raise`` that reports it. The same schemas drive
+:func:`to_doc` and :func:`from_doc`, which convert domain records to and from
+documents; each record's pair is compiled once, too, into straight-line code
+that calls a converter only on the fields that need one. The JSON decoder
 and the canonical encoder are built once and shared by every frame and
 thread. No schema declares a field that can carry raw feature or label
 arrays - model weights travel as base64-encoded float64 blobs and data is only
@@ -220,107 +221,101 @@ PAYLOAD_SCHEMAS: dict[MsgType, dict] = {
 }
 
 
-class _Fault(Exception):
-    """A value a compiled checker refuses. ``segments`` collects the path below
-    the checker's root, innermost first, as the fault propagates outwards."""
-
-    def __init__(self, what: str):
-        super().__init__(what)
-        self.what = what
-        self.segments: list[str] = []
-
-
-def _typed(types, what: str, refuse_bool: bool = False) -> Callable:
-    # bool is a subclass of int, but True is no integer on the wire
-    def check(value):
-        if not isinstance(value, types) or (refuse_bool and isinstance(value, bool)):
-            raise _Fault(what)
-
-    return check
+# the test that refuses a scalar held in {v}, and the failure it reports;
+# bool is a subclass of int, but True is no integer on the wire. An exact int
+# passes on its type alone
+_SCALAR_TESTS = {
+    "str": ("not isinstance({v}, str)", "expected string"),
+    "int": (
+        "type({v}) is not int and (not isinstance({v}, int) or isinstance({v}, bool))",
+        "expected integer",
+    ),
+    "float": ("not isinstance({v}, float)", "expected real"),
+    "number": ("not isinstance({v}, (int, float)) or isinstance({v}, bool)", "expected number"),
+}
 
 
-def _compile_value(spec: Field) -> Callable:
-    """A checker for one field: returns on success, raises ``_Fault``."""
-    if spec.kind == "str":
-        return _typed(str, "expected string")
-    if spec.kind == "int":
-        return _typed(int, "expected integer", refuse_bool=True)
-    if spec.kind == "float":
-        return _typed(float, "expected real")
-    if spec.kind == "number":
-        return _typed((int, float), "expected number", refuse_bool=True)
-    if spec.kind == "doc":
-        return _compile_doc(spec.schema)
-    check_item = _compile_value(spec.item)
-    if spec.kind == "list":
-
-        def check_list(value):
-            if not isinstance(value, list):
-                raise _Fault("expected list")
-            for i, item in enumerate(value):
-                try:
-                    check_item(item)
-                except _Fault as fault:
-                    fault.segments.append(f"[{i}]")
-                    raise
-
-        return check_list
-    if spec.kind == "map":
-
-        def check_map(value):
-            if not isinstance(value, dict):
-                raise _Fault("expected object")
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise _Fault("non-string key")
-                try:
-                    check_item(item)
-                except _Fault as fault:
-                    fault.segments.append(f".{key}")
-                    raise
-
-        return check_map
-    raise AssertionError(f"unknown field kind {spec.kind}")  # pragma: no cover
+def _key_fault(path: str, doc: dict, names: frozenset) -> ProtocolError:
+    """The error of a document whose keys are not its schema's: undeclared
+    fields are reported before missing ones."""
+    unknown = set(doc) - names
+    if unknown:
+        # key=str: a locally built payload may mix in non-string keys
+        return ProtocolError("malformed", f"{path}: undeclared fields {sorted(unknown, key=str)}")
+    return ProtocolError("malformed", f"{path}: missing fields {sorted(names - set(doc))}")
 
 
-def _compile_doc(schema: dict) -> Callable:
-    """A checker for a document: undeclared fields are reported before missing
-    ones, then each field is checked in declaration order."""
-    names = frozenset(schema)
-    fields = [(name, _compile_value(spec)) for name, spec in schema.items()]
+class _CheckerSource:
+    """The lines of one checker function under construction. A path is the
+    body of an f-string: the dotted field names, with ``{i<n>}`` and
+    ``{k<n>}`` standing for the list index or map key a loop is at. Roots and
+    field names are identifiers, so they need no escaping there."""
 
-    def check_doc(doc):
-        if not isinstance(doc, dict):
-            raise _Fault("expected object")
-        if doc.keys() != names:
-            unknown = set(doc) - names
-            if unknown:
-                # key=str: a locally built payload may mix in non-string keys
-                raise _Fault(f"undeclared fields {sorted(unknown, key=str)}")
-            raise _Fault(f"missing fields {sorted(names - set(doc))}")
-        for name, check in fields:
-            try:
-                check(doc[name])
-            except _Fault as fault:
-                fault.segments.append(f".{name}")
-                raise
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {
+            "ProtocolError": ProtocolError,
+            "_key_fault": _key_fault,
+        }
+        self.names = 0
 
-    return check_doc
+    def fresh(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def emit(self, depth: int, line: str):
+        self.lines.append("    " * depth + line)
+
+    def fault(self, depth: int, path: str, what: str):
+        self.emit(depth, f"raise ProtocolError('malformed', f{path + ': ' + what!r})")
+
+    def value(self, spec: Field, var: str, path: str, depth: int):
+        scalar = _SCALAR_TESTS.get(spec.kind)
+        if scalar is not None:
+            test, what = scalar
+            self.emit(depth, f"if {test.format(v=var)}:")
+            self.fault(depth + 1, path, what)
+        elif spec.kind == "doc":
+            self.doc(spec.schema, var, path, depth)
+        elif spec.kind == "list":
+            self.emit(depth, f"if not isinstance({var}, list):")
+            self.fault(depth + 1, path, "expected list")
+            index, item = self.fresh("i"), self.fresh("v")
+            self.emit(depth, f"for {index}, {item} in enumerate({var}):")
+            self.value(spec.item, item, f"{path}[{{{index}}}]", depth + 1)
+        elif spec.kind == "map":
+            self.emit(depth, f"if not isinstance({var}, dict):")
+            self.fault(depth + 1, path, "expected object")
+            key, item = self.fresh("k"), self.fresh("v")
+            self.emit(depth, f"for {key}, {item} in {var}.items():")
+            self.emit(depth + 1, f"if not isinstance({key}, str):")
+            self.fault(depth + 2, path, "non-string key")
+            self.value(spec.item, item, f"{path}.{{{key}}}", depth + 1)
+        else:  # pragma: no cover
+            raise AssertionError(f"unknown field kind {spec.kind}")
+
+    def doc(self, schema: dict, var: str, path: str, depth: int):
+        names = self.fresh("names")
+        self.namespace[names] = frozenset(schema)
+        self.emit(depth, f"if not isinstance({var}, dict):")
+        self.fault(depth + 1, path, "expected object")
+        self.emit(depth, f"if {var}.keys() != {names}:")
+        self.emit(depth + 1, f"raise _key_fault(f{path!r}, {var}, {names})")
+        for name, spec in schema.items():
+            field = self.fresh("v")
+            self.emit(depth, f"{field} = {var}[{name!r}]")
+            self.value(spec, field, f"{path}.{name}", depth)
 
 
 def _validator(schema: dict, root: str) -> Callable[[object], None]:
-    """Compile ``schema`` once; the returned function raises the
-    ``ProtocolError`` whose message names the dotted path from ``root``."""
-    check = _compile_doc(schema)
-
-    def validate(doc):
-        try:
-            check(doc)
-        except _Fault as fault:
-            path = root + "".join(reversed(fault.segments))
-            raise ProtocolError("malformed", f"{path}: {fault.what}") from None
-
-    return validate
+    """Compile ``schema`` into one straight-line function, nested documents
+    inlined, that raises the ``ProtocolError`` whose message names the dotted
+    path from ``root``. A document is checked in a fixed order: a non-object,
+    undeclared fields, missing fields, then each field in declaration order."""
+    source = _CheckerSource()
+    source.doc(schema, "doc", root, 1)
+    exec("def validate(doc):\n" + "\n".join(source.lines) + "\n", source.namespace)
+    return source.namespace["validate"]
 
 
 _VALIDATE_PAYLOAD = {t: _validator(schema, t.value) for t, schema in PAYLOAD_SCHEMAS.items()}
@@ -404,11 +399,15 @@ def _parse_finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_float=_parse_finite_float, parse_constant=_reject_constant)
 
 
+_ENVELOPE_KEYS = frozenset({"correlation_id", "msg_type", "payload", "version"})
+_MSG_TYPE_OF = {t.value: t for t in MsgType}
+
+
 def decode(frame: bytes) -> Envelope:
     """Parse exactly one frame; any malformed input raises ProtocolError."""
     if not isinstance(frame, (bytes, bytearray)) or len(frame) < 4:
         raise ProtocolError("truncated", "frame shorter than length prefix")
-    declared = _PREFIX.unpack(bytes(frame[:4]))[0]
+    (declared,) = _PREFIX.unpack_from(frame)
     if declared > MAX_BODY_BYTES:
         raise ProtocolError("size", f"declared body of {declared} bytes exceeds {MAX_BODY_BYTES}")
     body = bytes(frame[4:])
@@ -422,19 +421,19 @@ def decode(frame: bytes) -> Envelope:
         raise ProtocolError("malformed", f"body is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("malformed", "body is not a JSON object")
-    expected_keys = {"correlation_id", "msg_type", "payload", "version"}
-    if set(doc) != expected_keys:
-        raise ProtocolError("malformed", f"envelope keys {sorted(doc)} != {sorted(expected_keys)}")
+    if doc.keys() != _ENVELOPE_KEYS:
+        raise ProtocolError("malformed", f"envelope keys {sorted(doc)} != {sorted(_ENVELOPE_KEYS)}")
+    # a parsed document holds exact ints, so `type(...) is int` refuses bool
     version = doc["version"]
-    if not isinstance(version, int) or isinstance(version, bool) or version != PROTOCOL_VERSION:
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError("unsupported_version", f"version {version!r}")
     raw_type = doc["msg_type"]
     try:
-        msg_type = MsgType(raw_type)
-    except ValueError:
+        msg_type = _MSG_TYPE_OF[raw_type]
+    except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
         raise ProtocolError("unknown_msg_type", f"msg_type {raw_type!r}") from None
     cid = doc["correlation_id"]
-    if not isinstance(cid, int) or isinstance(cid, bool) or not 0 <= cid < 2**64:
+    if type(cid) is not int or not 0 <= cid < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
     _VALIDATE_PAYLOAD[msg_type](doc["payload"])
     # any other spelling of the same document (spacing, key order, escapes,

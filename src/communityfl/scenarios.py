@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -132,27 +133,50 @@ class ScenarioSpec:
             raise ConfigError("scenario defines no clients")
         if len(set(self.clients)) != len(self.clients):
             raise ConfigError("client ids must be unique")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
         if not self.clusters:
             raise ConfigError("scenario defines no clusters")
+        for cluster in self.clusters:
+            weight = cluster.weight
+            if not (_is_finite_real(weight) and weight >= 0):
+                raise ConfigError(f"cluster weight must be a finite number >= 0, got {weight!r}")
         total = sum(c.weight for c in self.clusters)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"cluster weights must sum to 1, got {total}")
         for value in (self.n_features, self.n_classes):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"n_features and n_classes must be ints, got {value!r}")
         if self.n_features < 1 or self.n_classes < 2:
             raise ConfigError("need n_features >= 1 and n_classes >= 2")
-        lo, hi = self.samples_per_client
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"invalid samples_per_client range ({lo}, {hi})")
+        counts = self.samples_per_client
+        if not (
+            isinstance(counts, (list, tuple))
+            and len(counts) == 2
+            and all(map(_is_int, counts))
+            and 1 <= counts[0] <= counts[1]
+        ):
+            raise ConfigError(
+                f"samples_per_client must be ints (lo, hi) with 1 <= lo <= hi, got {counts!r}"
+            )
+        if not _is_finite_real(self.class_sep):
+            raise ConfigError(f"class_sep must be a finite number, got {self.class_sep!r}")
+        if not (_is_finite_real(self.feature_std) and self.feature_std >= 0):
+            raise ConfigError(f"feature_std must be a finite number >= 0, got {self.feature_std!r}")
         if self.label_prior is not None:
-            if len(self.label_prior) != self.n_classes:
-                raise ConfigError("label_prior length must equal n_classes")
-            if abs(sum(self.label_prior) - 1.0) > 1e-9 or min(self.label_prior) < 0:
-                raise ConfigError("label_prior must be a probability vector")
+            prior = self.label_prior
+            if not isinstance(prior, (list, tuple)) or len(prior) != self.n_classes:
+                raise ConfigError("label_prior must be a list of n_classes numbers")
+            # a NaN fails every comparison, so finiteness is checked first
+            if not all(_is_finite_real(p) and p >= 0 for p in prior) or abs(sum(prior) - 1) > 1e-9:
+                raise ConfigError(f"label_prior must be a probability vector, got {prior!r}")
         for cluster in self.clusters:
-            if cluster.feature_shift is not None and len(cluster.feature_shift) != self.n_features:
-                raise ConfigError("feature_shift length must equal n_features")
+            shift = cluster.feature_shift
+            if shift is not None:
+                if not isinstance(shift, (list, tuple)) or len(shift) != self.n_features:
+                    raise ConfigError("feature_shift length must equal n_features")
+                if not all(map(_is_finite_real, shift)):
+                    raise ConfigError(f"feature_shift must hold finite numbers, got {shift!r}")
             if cluster.label_map is not None:
                 keys = set(cluster.label_map)
                 values = set(cluster.label_map.values())
@@ -193,13 +217,27 @@ class ScenarioSpec:
         for client_id, count in self.samples_override.items():
             if client_id not in known:
                 raise ConfigError("samples_override references unknown client")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            if not _is_int(count) or count < 1:
                 raise ConfigError(
                     f"samples_override for {client_id} must be an int >= 1, got {count!r}"
                 )
         for client_id in self.resources:
             if client_id not in known:
                 raise ConfigError("resources entry references unknown client")
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is no count or seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 # -- cluster assignment -------------------------------------------------------
@@ -231,10 +269,10 @@ def cluster_assignment(spec: ScenarioSpec) -> dict[str, int]:
 @dataclass(frozen=True)
 class _Mixture:
     """The constants of a scenario's blob mixture, computed once per scenario
-    and shared by every client drawn from it: the label prior, the class
-    centres, and each cluster's feature shift and label lookup table."""
+    and shared by every client drawn from it: the cumulative label prior, the
+    class centres, and each cluster's feature shift and label lookup table."""
 
-    prior: np.ndarray
+    cdf: np.ndarray
     centers: np.ndarray
     shifts: list[np.ndarray | None]
     luts: list[np.ndarray | None]
@@ -246,6 +284,9 @@ def _mixture(spec: ScenarioSpec) -> _Mixture:
         if spec.label_prior is not None
         else np.full(spec.n_classes, 1.0 / spec.n_classes)
     )
+    # Generator.choice(n, p=prior) builds this CDF on every call
+    cdf = prior.cumsum()
+    cdf /= cdf[-1]
     centers = np.zeros((spec.n_classes, spec.n_features), dtype=np.float64)
     centers[:, 0] = np.arange(spec.n_classes) * spec.class_sep
     shifts, luts = [], []
@@ -257,7 +298,7 @@ def _mixture(spec: ScenarioSpec) -> _Mixture:
             lut = np.arange(spec.n_classes)
             lut[list(cluster.label_map)] = list(cluster.label_map.values())
         luts.append(lut)
-    return _Mixture(prior, centers, shifts, luts)
+    return _Mixture(cdf, centers, shifts, luts)
 
 
 def _flip_rate(spec: ScenarioSpec, client_id: str) -> float:
@@ -283,7 +324,9 @@ def _draw_dataset(
     stream: str,
 ) -> Dataset:
     rng = np.random.default_rng(stable_u64(spec.seed, stream, client_id))
-    labels = rng.choice(spec.n_classes, size=n_samples, p=mixture.prior)
+    # the draw of rng.choice(n_classes, size=n_samples, p=prior), from the
+    # same uniforms, without re-checking the prior per client
+    labels = mixture.cdf.searchsorted(rng.random(n_samples), side="right")
     features = mixture.centers[labels] + spec.feature_std * rng.standard_normal(
         (n_samples, spec.n_features)
     )

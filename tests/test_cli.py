@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -69,6 +70,28 @@ def test_simulate_refuses_a_removed_scenario_field(tmp_path, capsys, section, fi
     assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and f"unexpected keyword argument '{field}'" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("seed", 1.5, "seed must be an int"),
+        ("class_sep", "x", "class_sep must be a finite number"),
+        ("class_sep", float("inf"), "class_sep must be a finite number"),
+        ("feature_std", float("nan"), "feature_std must be a finite number >= 0"),
+        ("samples_per_client", [20.5, 30], "samples_per_client must be ints"),
+        ("label_prior", [float("nan"), 0.3], "label_prior must be a probability vector"),
+    ],
+)
+def test_simulate_refuses_an_unchecked_number(tmp_path, capsys, field, value, reason):
+    # each of these used to run, or to fail with exit 1 inside data generation
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and reason in err
 
 
 @pytest.mark.parametrize(
@@ -235,6 +258,16 @@ def _wait_for_port(port: int, timeout: float = 20.0):
     raise TimeoutError(f"port {port} never opened")
 
 
+def _wait_for_log_line(path, text: str, process, timeout: float = 60.0):
+    deadline = time.monotonic() + timeout
+    while text not in path.read_text():
+        if process.poll() is not None:
+            raise AssertionError(f"server exited with {process.returncode}: {path.read_text()}")
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no {text!r} in the server log after {timeout} s")
+        time.sleep(0.05)
+
+
 def test_serve_sigterm_flushes_reports(tmp_path):
     import dataclasses
     import signal
@@ -250,15 +283,20 @@ def test_serve_sigterm_flushes_reports(tmp_path):
     scenarios.export_socket_bundle(spec, bundle)
     out = tmp_path / "out"
     port = _free_port()
-    server = subprocess.Popen(
-        [sys.executable, "-m", "communityfl.cli", "serve",
-         "--listen", f"127.0.0.1:{port}",
-         "--config", str(bundle / "server_config.json"),
-         "--out", str(out)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    # the server logs each finished cohort-round at debug level, to a file the
+    # test polls: "round 2 cohort" means round 1's row is stored
+    log_path = tmp_path / "serve.log"
+    with open(log_path, "w") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "communityfl.cli", "serve",
+             "--listen", f"127.0.0.1:{port}",
+             "--config", str(bundle / "server_config.json"),
+             "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=log,
+            text=True,
+            env={**os.environ, "COMMUNITYFL_LOG": "debug"},
+        )
     client = None
     try:
         _wait_for_port(port)
@@ -272,9 +310,10 @@ def test_serve_sigterm_flushes_reports(tmp_path):
             stderr=subprocess.PIPE,
             text=True,
         )
-        time.sleep(3.0)  # let some rounds complete
+        _wait_for_log_line(log_path, "round 2 cohort", server)
         server.send_signal(signal.SIGTERM)
-        stdout, stderr = server.communicate(timeout=30)
+        stdout, _ = server.communicate(timeout=30)
+        stderr = log_path.read_text()
         assert server.returncode == 0, stderr
         client.communicate(timeout=30)
     finally:

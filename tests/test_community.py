@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,15 +14,20 @@ from communityfl.community import (
     DataSignature,
     MigrationReport,
     _centroid_row,
+    _greedy_blocks,
+    _row_signature,
+    _similarities,
+    _stack,
     admit,
     form_cohorts,
     recluster,
+    signature_from_dataset,
     similarity,
     weighted_centroid,
 )
 from communityfl.errors import ConfigError, ShapeError
 from communityfl.flcore import FlPopulation
-from communityfl.tinylearn import init_weights
+from communityfl.tinylearn import Dataset, init_weights
 
 from conftest import (
     fixed_signature,
@@ -249,6 +254,32 @@ def test_signature_checks_refuse_exactly_what_numpy_checks_refused(
     for got, want in zip(stored, expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not got.flags.writeable
+
+
+@st.composite
+def _datasets(draw):
+    n_samples = draw(st.integers(1, 80))
+    n_features = draw(st.integers(1, 16))
+    n_classes = draw(st.integers(1, 5))
+    # squares of these magnitudes, summed over 80 rows, stay finite
+    element = st.one_of(st.just(-0.0), st.floats(-1e150, 1e150))
+    features = draw(arrays(np.float64, (n_samples, n_features), elements=element))
+    labels = draw(arrays(np.int64, n_samples, elements=st.integers(0, n_classes - 1)))
+    return features, labels, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datasets())
+@example((np.array([[2.5]]), np.array([0]), 1))  # one sample, one feature
+@example((np.array([[1.0, -3.0, 0.25]]), np.array([1]), 2))  # one sample
+@example((np.arange(24.0).reshape(24, 1) / 7, np.arange(24) % 3, 3))  # one feature
+def test_signature_moments_equal_numpy_mean_and_std(dataset):
+    features, labels, n_classes = dataset
+    signature = signature_from_dataset(Dataset(features, labels, n_classes))
+    assert signature.per_feature_mean.tobytes() == features.mean(axis=0).tobytes()
+    assert signature.per_feature_std.tobytes() == features.std(axis=0).tobytes()
+    hist = np.bincount(labels, minlength=n_classes) / labels.size
+    assert signature.label_histogram.tobytes() == hist.tobytes()
 
 
 # -- bit-exact cohort formation -----------------------------------------------------
@@ -493,6 +524,60 @@ def test_crowd_population_cohorts_match_golden_digest():
     assert digest.hexdigest() == (
         "d05f90da4b950378059b34aeb570b169c5f755039f67ddea9c95cd70a5cb02a1"
     )
+
+
+def _fancy_index_blocks(signatures, threshold):
+    """The join loop that recomputed a centroid from ``rows[members]``, a fancy
+    index by the block's member list, kept as the oracle of the buffered one:
+    [(members, centroid)] in block order."""
+    order = sorted(signatures)
+    rows, weights, n_features = _stack([signatures[t] for t in order])
+    if threshold == 0.0:
+        centroid = _centroid_row(rows, weights, n_features)
+        return [(order, _row_signature(centroid, weights.sum(), n_features))]
+    centroids = np.empty_like(rows)
+    block_rows = []
+    for i, row in enumerate(rows):
+        best = -1
+        if block_rows:
+            sims = _similarities(row, centroids[: len(block_rows)], n_features)
+            sims = np.where(sims >= threshold, sims, -np.inf)
+            best = int(sims.argmax())
+            if sims[best] == -np.inf:
+                best = -1
+        if best < 0:
+            centroids[len(block_rows)] = row
+            block_rows.append([i])
+        else:
+            members = block_rows[best]
+            members.append(i)
+            centroids[best] = _centroid_row(rows[members], weights[members], n_features)
+    blocks = []
+    for k, members in enumerate(block_rows):
+        if len(members) == 1:
+            centroid = signatures[order[members[0]]]
+        else:
+            centroid = _row_signature(centroids[k], weights[members].sum(), n_features)
+        blocks.append(([order[i] for i in members], centroid))
+    return blocks
+
+
+@st.composite
+def _populations(draw):
+    n_features = draw(st.sampled_from([1, 2, 16]))
+    n_classes = draw(st.integers(1, 5))
+    signatures = draw(st.lists(_signatures(n_features, n_classes), min_size=1, max_size=40))
+    return {f"t{i:03d}": s for i, s in enumerate(signatures)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_populations(), st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.8]), st.floats(0.0, 0.99)))
+def test_buffered_joins_match_fancy_indexed_joins_bytewise(signatures, threshold):
+    blocks = _greedy_blocks(signatures, threshold)
+    expected = _fancy_index_blocks(signatures, threshold)
+    assert [block.members for block in blocks] == [members for members, _ in expected]
+    for block, (_, centroid) in zip(blocks, expected):
+        assert _signature_bytes(block.centroid) == _signature_bytes(centroid)
 
 
 # -- cohort formation --------------------------------------------------------------

@@ -159,6 +159,56 @@ def test_unknown_msg_type():
     assert exc.value.code == "unknown_msg_type"
 
 
+_CID_MESSAGE = "correlation_id must be an unsigned 64-bit integer"
+
+
+@pytest.mark.parametrize(
+    "field, value, code, message",
+    [
+        *[
+            ("msg_type", v, "unknown_msg_type", f"msg_type {v!r}")
+            for v in ["Gossip", "register", 5, None, True, [], ["Register"], {}, {"a": 1}]
+        ],
+        *[
+            ("version", v, "unsupported_version", f"version {v!r}")
+            for v in [True, 2.0, "2", None, [], 3]
+        ],
+        *[
+            ("correlation_id", v, "malformed", _CID_MESSAGE)
+            for v in [True, False, -1, 2**64, 1.5, "1", None, [1]]
+        ],
+    ],
+)
+def test_envelope_fields_are_refused_with_their_messages(field, value, code, message):
+    # an unhashable msg_type is unknown too, not a crash
+    doc = json.loads(encode(_register_env())[4:])
+    doc[field] = value
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert (exc.value.code, exc.value.message) == (code, message)
+
+
+@pytest.mark.parametrize("added, removed", [("extra", None), (None, "payload")])
+def test_envelope_keys_are_refused_with_their_message(added, removed):
+    doc = json.loads(encode(_register_env())[4:])
+    if added:
+        doc[added] = 1
+    if removed:
+        del doc[removed]
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    expected = ["correlation_id", "msg_type", "payload", "version"]
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+    assert exc.value.message == f"envelope keys {sorted(doc)} != {expected}"
+
+
+def test_bytearray_frame_decodes_like_bytes():
+    frame = encode(_register_env())
+    assert decode(bytearray(frame)) == decode(frame)
+
+
 def test_trailing_bytes_rejected():
     frame = encode(_register_env())
     with pytest.raises(ProtocolError) as exc:

@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from communityfl import scenarios
 from communityfl.community import form_cohorts, similarity
 from communityfl.errors import ConfigError
 from communityfl.flcore import FlPopulation
+from communityfl.hashing import stable_u64
 from communityfl.orchestrator import SchedulerConfig
 from communityfl.scenarios import (
     ClusterSpec,
@@ -235,6 +238,29 @@ def test_spec_validation_errors():
         _basic_spec(
             faults=[scenarios.FaultSpec(round=1, client_id="c-0", kind="explode")]
         ).validate()
+    # each of these passed validation, then failed in generation or ran
+    nan, inf = float("nan"), float("inf")
+    for fields in (
+        {"label_prior": [nan, 0.3]},
+        {"label_prior": [0.7, nan]},
+        {"label_prior": ["a", "b"]},
+        {"label_prior": [True, False]},
+        {"seed": 1.5},
+        {"seed": True},
+        {"class_sep": "x"},
+        {"class_sep": inf},
+        {"class_sep": nan},
+        {"feature_std": nan},
+        {"feature_std": inf},
+        {"feature_std": -1.0},
+        {"samples_per_client": (20.5, 30)},
+        {"samples_per_client": (20, 30, 40)},
+        {"samples_per_client": (True, 30)},
+        {"clusters": [ClusterSpec(weight=nan)]},
+        {"clusters": [ClusterSpec(weight=1.0, feature_shift=[nan, 0.0])]},
+    ):
+        with pytest.raises(ConfigError):
+            _basic_spec(**fields).validate()
 
 
 def test_spec_unknown_field_rejected():
@@ -289,3 +315,37 @@ def test_generate_draws_each_client_as_generate_client_dataset_does(name):
         )
         assert client.dataset.features.tobytes() == alone.features.tobytes()
         assert client.dataset.labels.tobytes() == alone.labels.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(2, 5),
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).filter(lambda p: sum(p) > 0),
+    ),
+    st.integers(1, 120),
+    st.integers(0, 2**63),
+)
+@example([0.7, 0.3], 240, 11)
+@example([0.0, 1.0, 0.0], 1, 0)
+def test_label_draw_equals_generator_choice(prior, n_samples, seed):
+    # a drawn int is a class count with the uniform prior
+    if isinstance(prior, int):
+        n_classes, label_prior, p = prior, None, np.full(prior, 1.0 / prior)
+    else:
+        n_classes, label_prior = len(prior), [x / sum(prior) for x in prior]
+        p = np.asarray(label_prior)
+    spec = _basic_spec(seed=seed, n_classes=n_classes, label_prior=label_prior)
+    spec.validate()
+    dataset = scenarios.generate_client_dataset(spec, "c-0", 0, n_samples, "data")
+    # the labels and the features after them, drawn as they were drawn with
+    # Generator.choice: the same labels leave the stream at the same place
+    rng = np.random.default_rng(stable_u64(seed, "data", "c-0"))
+    labels = rng.choice(n_classes, size=n_samples, p=p)
+    centers = np.zeros((n_classes, spec.n_features))
+    centers[:, 0] = np.arange(n_classes) * spec.class_sep
+    features = centers[labels] + spec.feature_std * rng.standard_normal(
+        (n_samples, spec.n_features)
+    )
+    assert dataset.labels.tobytes() == labels.tobytes()
+    assert dataset.features.tobytes() == features.tobytes()
