@@ -2,8 +2,10 @@
 
 A round is answered in one place on both transports: :meth:`FlClient.answer`
 turns the coordinator's ``TrainRequest`` envelope into the ``ModelUpdateMsg``
-that echoes its correlation id, and :meth:`FlClient.report_metrics` delivers
-it with bounded retry and checks that the ``MetricsAck`` echoes it in turn.
+that echoes its correlation id (or into an ``Error`` when the round's work
+raises), and :meth:`FlClient.report_metrics` delivers it with bounded retry
+and checks that the ``MetricsAck`` echoes it in turn. A client's metadata,
+data, battery and neighbors are plain attributes of :class:`FlClient`.
 
 The metric pair attached to every update drives the server-side
 negative-transfer guard:
@@ -24,8 +26,7 @@ counts, and metric scalars are serialized.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -49,41 +50,27 @@ class RequestChannel(Protocol):
     def request(self, frame: bytes) -> bytes: ...
 
 
-@dataclass(frozen=True)
-class ResourceProfile:
-    battery: float = 1.0
-
-
-@dataclass(eq=False)
-class ClientState:
-    client_id: str
-    metadata: ParticipantMetadata
-    local_data: Dataset
-    resource_profile: ResourceProfile = field(default_factory=ResourceProfile)
-    neighbors: list[str] = field(default_factory=list)
-    trusted_neighbors: frozenset[str] = frozenset()
-
-
 class FlClient:
-    """A simulated or socket-attached federated client."""
+    """A simulated or socket-attached federated client.
+
+    ``battery``, ``neighbors`` and ``trusted_neighbors`` decide delegation
+    (see :meth:`handle_train_request`)."""
 
     def __init__(
         self,
         client_id: str,
         dataset: Dataset,
         metadata: ParticipantMetadata,
-        resource_profile: ResourceProfile | None = None,
-        neighbors: list[str] | None = None,
-        trusted_neighbors: frozenset[str] | None = None,
+        battery: float = 1.0,
+        neighbors: Iterable[str] = (),
+        trusted_neighbors: Iterable[str] = (),
     ):
-        self.state = ClientState(
-            client_id=client_id,
-            metadata=metadata,
-            local_data=dataset,
-            resource_profile=resource_profile or ResourceProfile(),
-            neighbors=list(neighbors or []),
-            trusted_neighbors=frozenset(trusted_neighbors or ()),
-        )
+        self.client_id = client_id
+        self.metadata = metadata
+        self.local_data = dataset
+        self.battery = battery
+        self.neighbors = list(neighbors)
+        self.trusted_neighbors = frozenset(trusted_neighbors)
         self.session_token: str | None = None
         self._correlation = 0
         self._split_cache: dict[float, tuple[Dataset, Dataset]] = {}
@@ -93,17 +80,11 @@ class FlClient:
         # (task_id, cohort_id) -> the update for the latest round asked
         self._update_cache: dict[tuple[str, str], ModelUpdate] = {}
 
-    # -- properties ---------------------------------------------------------
-
-    @property
-    def client_id(self) -> str:
-        return self.state.client_id
-
     def set_dataset(self, dataset: Dataset):
         """Replace local data (drift); invalidates the cached holdout split and
         the cached updates, which were trained and measured on the old data.
         The previous local weights stay: they are the guard's baseline."""
-        self.state.local_data = dataset
+        self.local_data = dataset
         self._split_cache.clear()
         self._update_cache.clear()
 
@@ -117,7 +98,7 @@ class FlClient:
         cached = self._split_cache.get(key)
         if cached is not None:
             return cached
-        data = self.state.local_data
+        data = self.local_data
         n = data.n_samples
         rng = np.random.default_rng(stable_u64("split", self.client_id))
         perm = rng.permutation(n)
@@ -160,7 +141,7 @@ class FlClient:
         env = Envelope(
             msg_type=MsgType.REGISTER,
             correlation_id=self._next_correlation(),
-            payload={"metadata": netproto.to_doc(self.state.metadata)},
+            payload={"metadata": netproto.to_doc(self.metadata)},
         )
         ack = self._exchange(channel, env)
         self.session_token = ack.payload["session_token"]
@@ -198,7 +179,7 @@ class FlClient:
         cached = self._update_cache.get(cache_key)
         if cached is not None and cached.round == req.round:
             return cached
-        data = self.state.local_data
+        data = self.local_data
         if req.weights.arch.n_features != data.n_features or (
             req.weights.arch.n_classes != data.n_classes
         ):
@@ -244,8 +225,8 @@ class FlClient:
         recorded executor changes.
         """
         if (
-            neighbor.client_id not in self.state.neighbors
-            or neighbor.client_id not in self.state.trusted_neighbors
+            neighbor.client_id not in self.neighbors
+            or neighbor.client_id not in self.trusted_neighbors
         ):
             raise DelegationError(
                 f"{neighbor.client_id!r} is not a trusted neighbor of {self.client_id!r}"
@@ -260,11 +241,11 @@ class FlClient:
         """Execute a request, auto-delegating when the battery is low and a
         trusted neighbor is reachable."""
         if (
-            self.state.resource_profile.battery < LOW_BATTERY_THRESHOLD
+            self.battery < LOW_BATTERY_THRESHOLD
             and resolve_neighbor is not None
         ):
-            for neighbor_id in sorted(self.state.trusted_neighbors):
-                if neighbor_id not in self.state.neighbors:
+            for neighbor_id in sorted(self.trusted_neighbors):
+                if neighbor_id not in self.neighbors:
                     continue
                 neighbor = resolve_neighbor(neighbor_id)
                 if neighbor is not None:
@@ -285,12 +266,18 @@ class FlClient:
 
         Both transports answer a round here: the reply echoes the request's
         correlation id, and ``resolve_neighbor`` lets a low-battery client
-        delegate (see :meth:`handle_train_request`).
+        delegate (see :meth:`handle_train_request`). When the round's work
+        raises, the reply is an ``Error`` with code ``train_failed``, which the
+        coordinator acks ``refused``: the client sits out that round only.
         """
         if env.msg_type != MsgType.TRAIN_REQUEST:
             raise ProtocolError("protocol_state", f"expected TrainRequest, got {env.msg_type}")
         req = netproto.from_doc(TrainRequest, env.payload)
-        update = self.handle_train_request(req, resolve_neighbor)
+        try:
+            update = self.handle_train_request(req, resolve_neighbor)
+        except Exception as exc:
+            logger.warning("client %s failed round %s: %r", self.client_id, req.round, exc)
+            return netproto.error_envelope(env.correlation_id, "train_failed", repr(exc))
         return Envelope(
             msg_type=MsgType.MODEL_UPDATE,
             correlation_id=env.correlation_id,
@@ -302,9 +289,9 @@ class FlClient:
     ) -> tuple[Envelope | None, int]:
         """Deliver one :meth:`answer` reply with bounded retry.
 
-        Returns (MetricsAck envelope, attempts). ``None`` after
-        ``REPORT_ATTEMPTS`` failed deliveries means the client drops out of
-        this round.
+        Returns (MetricsAck envelope, attempts); an ``Error`` reply is acked
+        too. ``None`` after ``REPORT_ATTEMPTS`` failed deliveries means the
+        client drops out of this round.
         """
         for attempts in range(1, REPORT_ATTEMPTS + 1):
             try:

@@ -63,13 +63,15 @@ class MsgType(str, Enum):
     ERROR = "Error"
 
 
-# each request type has exactly one response type; Error may answer any request
+# each request type has exactly one response type; Error may answer any
+# request, and a client's Error in place of its round's update is acked too
 RESPONSE_OF = {
     MsgType.REGISTER: MsgType.REGISTER_ACK,
     MsgType.LIST_COMMUNITIES: MsgType.COMMUNITY_LIST,
     MsgType.SUBMIT_TASK: MsgType.TASK_ACK,
     MsgType.TRAIN_REQUEST: MsgType.MODEL_UPDATE,
     MsgType.MODEL_UPDATE: MsgType.METRICS_ACK,
+    MsgType.ERROR: MsgType.METRICS_ACK,
 }
 
 

@@ -329,6 +329,8 @@ class Coordinator:
         asked = request.payload
         try:
             env = netproto.decode(frame)
+            if env.msg_type == MsgType.ERROR:  # the client could not do the round
+                raise ProtocolError(env.payload["code"], env.payload["message"])
             if env.msg_type != MsgType.MODEL_UPDATE:
                 raise ProtocolError("protocol_state", f"got {env.msg_type}, not ModelUpdateMsg")
             update = netproto.update_from_doc(env.payload["update"])

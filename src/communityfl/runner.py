@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netproto
-from .client import FlClient, ResourceProfile
+from .client import FlClient
 from .errors import ConfigError
 from .flcore import FlCohort
 from .hashing import digest_hex, weights_digest
@@ -104,7 +104,6 @@ class SimulationRun:
     spec: ScenarioSpec
     mode: str
     coordinator: Coordinator
-    network: SimNetwork
     clients: dict[str, FlClient]
     data: ScenarioData
     rows: list[dict] = field(default_factory=list)
@@ -235,49 +234,40 @@ def run_simulation(
     config = scheduler_for_mode(spec.scheduler, mode, seed)
     data = generate(spec)
     coordinator = Coordinator(config, data.communities)
-    network = SimNetwork(coordinator, spec.faults)
-    run = SimulationRun(
-        spec=spec, mode=mode, coordinator=coordinator, network=network, clients={}, data=data
-    )
-
-    for generated in data.clients:
-        client = FlClient(
-            client_id=generated.client_id,
-            dataset=generated.dataset,
-            metadata=generated.metadata,
-            resource_profile=ResourceProfile(battery=generated.resources.battery),
-            neighbors=list(generated.resources.neighbors),
-            trusted_neighbors=frozenset(generated.resources.trusted),
+    clients = {
+        generated.client_id: FlClient(
+            generated.client_id,
+            generated.dataset,
+            generated.metadata,
+            battery=generated.resources.battery,
+            neighbors=generated.resources.neighbors,
+            trusted_neighbors=generated.resources.trusted,
         )
-        network.add_client(client)
-        run.clients[client.client_id] = client
-
-    channel = network.control_channel()
-    for client_id in sorted(run.clients):
-        run.clients[client_id].register(channel)
+        for generated in data.clients
+    }
+    network = SimNetwork(coordinator, clients, spec.faults)
+    run = SimulationRun(spec=spec, mode=mode, coordinator=coordinator, clients=clients, data=data)
+    for client_id in sorted(clients):
+        clients[client_id].register(network)
     for task in data.tasks:  # already sorted by task_id
-        run.clients[task.client_id].submit_task(channel, task)
-        network.bind_task(task.task_id, task.client_id)
+        clients[task.client_id].submit_task(network, task)
     coordinator.ensure_cohorts()
 
-    holdout = _OmniscientHoldout(coordinator, run.clients)
+    holdout = _OmniscientHoldout(coordinator, clients)
 
     def drift(sched_round: int):
         for event in spec.drift_events:
             if event.round != sched_round:
                 continue
             dataset = apply_drift(data, event)
-            run.clients[event.client_id].set_dataset(dataset)
+            clients[event.client_id].set_dataset(dataset)
             holdout.drop_stacks()
-            generated = data.client(event.client_id)
-            # refresh the signature both locally and in the coordinator's
-            # registry so a later recluster sees the drifted distribution
-            for task in data.tasks:
-                if task.client_id == event.client_id:
-                    task.data_signature = generated.metadata.data_signature
+            # refresh the signature in the coordinator's registry so a later
+            # recluster sees the drifted distribution
+            signature = data.client(event.client_id).metadata.data_signature
             for task in coordinator.registry.tasks.values():
                 if task.client_id == event.client_id:
-                    task.data_signature = generated.metadata.data_signature
+                    task.data_signature = signature
             logger.info("round %d: client %s drifted", sched_round, event.client_id)
 
     _drive_rounds(coordinator, network, config.rounds, holdout, run.rows, run.reports, drift)

@@ -159,10 +159,16 @@ class ScenarioSpec:
             raise ConfigError(
                 f"samples_per_client must be ints (lo, hi) with 1 <= lo <= hi, got {counts!r}"
             )
-        if not _is_finite_real(self.class_sep):
-            raise ConfigError(f"class_sep must be a finite number, got {self.class_sep!r}")
-        if not (_is_finite_real(self.feature_std) and self.feature_std >= 0):
-            raise ConfigError(f"feature_std must be a finite number >= 0, got {self.feature_std!r}")
+        if not _is_scale(self.class_sep):
+            raise ConfigError(
+                f"class_sep must be a finite number of magnitude <= {_MAX_SCALE:g}, "
+                f"got {self.class_sep!r}"
+            )
+        if not (_is_scale(self.feature_std) and self.feature_std >= 0):
+            raise ConfigError(
+                f"feature_std must be a finite number >= 0 and <= {_MAX_SCALE:g}, "
+                f"got {self.feature_std!r}"
+            )
         if self.label_prior is not None:
             prior = self.label_prior
             if not isinstance(prior, (list, tuple)) or len(prior) != self.n_classes:
@@ -175,8 +181,11 @@ class ScenarioSpec:
             if shift is not None:
                 if not isinstance(shift, (list, tuple)) or len(shift) != self.n_features:
                     raise ConfigError("feature_shift length must equal n_features")
-                if not all(map(_is_finite_real, shift)):
-                    raise ConfigError(f"feature_shift must hold finite numbers, got {shift!r}")
+                if not all(map(_is_scale, shift)):
+                    raise ConfigError(
+                        f"feature_shift must hold finite numbers of magnitude <= {_MAX_SCALE:g}, "
+                        f"got {shift!r}"
+                    )
             if cluster.label_map is not None:
                 keys = set(cluster.label_map)
                 values = set(cluster.label_map.values())
@@ -221,9 +230,23 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"samples_override for {client_id} must be an int >= 1, got {count!r}"
                 )
-        for client_id in self.resources:
+        for client_id, resource in self.resources.items():
             if client_id not in known:
                 raise ConfigError("resources entry references unknown client")
+            battery = resource.battery
+            if not (_is_finite_real(battery) and 0 <= battery <= 1):
+                raise ConfigError(
+                    f"battery of {client_id} must be a finite number in [0, 1], got {battery!r}"
+                )
+            for name in ("neighbors", "trusted"):
+                ids = getattr(resource, name)
+                if not (
+                    isinstance(ids, (list, tuple))
+                    and all(isinstance(i, str) and i in known for i in ids)
+                ):
+                    raise ConfigError(
+                        f"{name} of {client_id} must be a list of known client ids, got {ids!r}"
+                    )
 
 
 def _is_int(value) -> bool:
@@ -238,6 +261,18 @@ def _is_finite_real(value) -> bool:
         return isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# The largest class_sep, feature_std or feature_shift entry. A data signature
+# sums each feature over a client's samples and squares its deviations from
+# the mean; at 1e155 those squares overflow to inf. Below 1e100 a feature
+# stays under 1e110 for any class count that fits in memory, so its square
+# and any sum of them stay far inside the float range.
+_MAX_SCALE = 1e100
+
+
+def _is_scale(value) -> bool:
+    return _is_finite_real(value) and abs(value) <= _MAX_SCALE
 
 
 # -- cluster assignment -------------------------------------------------------

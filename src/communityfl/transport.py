@@ -7,11 +7,13 @@ run reproduces the simulated run bit-exactly, ``rounds.jsonl`` included.
 Each hands a round's reply frame, undecoded, to ``Coordinator.receive_update``
 with the ``TrainRequest`` it answers and sends back the ``MetricsAck`` it
 returns, so both decide alike what a refused reply means: its client is out
-of that round only. The socket transport closes a session only when its
-connection fails or carries a bad frame length. The simulated network
-executes on a single thread in a fixed order (requests dispatched in ascending
-task id, delayed deliveries appended last) and applies scenario-scripted
-drop/delay faults to update delivery.
+of that round only. A client whose work for the round raises answers with an
+``Error`` that is refused the same way. The socket transport closes a session
+only when its connection fails or carries a bad frame length. The simulated
+network executes on a single thread in a fixed order (requests dispatched in
+ascending task id, delayed deliveries appended last) and applies
+scenario-scripted drop/delay faults to update delivery; the fault script is
+the only state it keeps.
 """
 
 from __future__ import annotations
@@ -36,92 +38,68 @@ logger = logging.getLogger(__name__)
 # -- deterministic in-process transport -----------------------------------------
 
 
-class _ControlChannel:
-    """Client-to-coordinator request channel used outside rounds."""
-
-    def __init__(self, network: "SimNetwork"):
-        self._network = network
-
-    def request(self, frame: bytes) -> bytes:
-        self._network.bytes_transferred += len(frame)
-        response = self._network.coordinator.handle_frame(frame)
-        self._network.bytes_transferred += len(response)
-        return response
-
-
 class _RoundChannel:
-    """Delivers one client's reply to ``request`` in one round; applies faults."""
+    """Delivers one client's reply to ``request`` in one round; applies faults
+    and counts the bytes of every delivery attempt and its ack."""
 
     def __init__(self, network: "SimNetwork", sched_round: int, client_id: str, request: Envelope):
-        self._network = network
-        self._sched_round = sched_round
-        self._client_id = client_id
+        self._coordinator = network.coordinator
+        self._fault = network.faults.get((sched_round, client_id))
         self._request = request
         self.delivered: ModelUpdate | None = None
         self.delayed = False
+        self.bytes_transferred = 0
 
     def request(self, frame: bytes) -> bytes:
-        network = self._network
-        fault = network.faults.get((self._sched_round, self._client_id))
-        network.bytes_transferred += len(frame)
-        if fault == "drop":
-            raise DeliveryError(f"scripted drop of {self._client_id} in round {self._sched_round}")
-        if fault == "delay":
-            self.delayed = True
-        self.delivered, response = network.coordinator.receive_update(frame, self._request)
-        network.bytes_transferred += len(response)
+        self.bytes_transferred += len(frame)
+        if self._fault == "drop":
+            raise DeliveryError("scripted drop")
+        self.delayed = self._fault == "delay"
+        self.delivered, response = self._coordinator.receive_update(frame, self._request)
+        self.bytes_transferred += len(response)
         return response
 
 
 class SimNetwork:
-    """Single-threaded deterministic message fabric for simulation mode."""
+    """Single-threaded deterministic message fabric for simulation mode.
 
-    def __init__(self, coordinator: Coordinator, faults=None):
+    It owns only the scenario's fault script: ``clients`` is the runner's
+    dict, and each task goes to the client the coordinator's registry names
+    as its owner. Clients register and submit tasks through :meth:`request`.
+    """
+
+    def __init__(self, coordinator: Coordinator, clients: dict[str, FlClient], faults=None):
         self.coordinator = coordinator
-        self.clients: dict[str, FlClient] = {}
-        self.task_owner: dict[str, str] = {}
+        self.clients = clients
         # (1-based round, client_id) -> "drop" | "delay"
         self.faults = {(f.round, f.client_id): f.kind for f in faults or ()}
-        self.bytes_transferred = 0
 
-    def add_client(self, client: FlClient):
-        self.clients[client.client_id] = client
-
-    def bind_task(self, task_id: str, client_id: str):
-        self.task_owner[task_id] = client_id
-
-    def control_channel(self) -> _ControlChannel:
-        return _ControlChannel(self)
-
-    def resolve_neighbor(self, client_id: str) -> FlClient | None:
-        return self.clients.get(client_id)
+    def request(self, frame: bytes) -> bytes:
+        """Serve one registration frame (Register, ListCommunities, SubmitTask)."""
+        return self.coordinator.handle_frame(frame)
 
     def exchange_round(
         self, items: list[tuple[str, Envelope]], sched_round: int
     ) -> tuple[list[tuple[str, ModelUpdate | None]], int]:
         """Deliver train requests in order; collect updates, delayed ones last."""
-        bytes_before = self.bytes_transferred
+        tasks = self.coordinator.registry.tasks
+        transferred = 0
         prompt: list[tuple[str, ModelUpdate | None]] = []
         delayed: list[tuple[str, ModelUpdate | None]] = []
         for task_id, env in items:
             frame = netproto.encode(env)
-            self.bytes_transferred += len(frame)
-            client = self.clients[self.task_owner[task_id]]
+            client = self.clients[tasks[task_id].client_id]
             channel = _RoundChannel(self, sched_round, client.client_id, env)
-            try:
-                reply = client.answer(netproto.decode(frame), self.resolve_neighbor)
-                ack, _attempts = client.report_metrics(reply, channel)
-            except Exception as exc:  # client-side task error -> round dropout
-                logger.warning("client %s failed round %s: %s", client.client_id, sched_round, exc)
-                ack = None
+            reply = client.answer(netproto.decode(frame), self.clients.get)
+            ack, _attempts = client.report_metrics(reply, channel)
+            transferred += len(frame) + channel.bytes_transferred
             if ack is None:
                 prompt.append((task_id, None))
             elif channel.delayed:
                 delayed.append((task_id, channel.delivered))
             else:
                 prompt.append((task_id, channel.delivered))
-        arrivals = prompt + delayed
-        return arrivals, self.bytes_transferred - bytes_before
+        return prompt + delayed, transferred
 
 
 # -- TCP socket transport ----------------------------------------------------------
@@ -366,12 +344,12 @@ def run_socket_client(
             communities = client.list_communities(channel)
             chosen = None
             for community in communities:
-                if admit(client.state.metadata, community).admitted:
+                if admit(client.metadata, community).admitted:
                     chosen = community
                     break
             if chosen is None:
                 raise ProtocolError("admission_rejected", "no community admits this client")
-            metadata = client.state.metadata
+            metadata = client.metadata
             task = build_task(
                 TaskSpec(f"{client.client_id}-t0", client.client_id, chosen.community_id),
                 chosen,

@@ -81,10 +81,20 @@ def test_simulate_refuses_a_removed_scenario_field(tmp_path, capsys, section, fi
         ("feature_std", float("nan"), "feature_std must be a finite number >= 0"),
         ("samples_per_client", [20.5, 30], "samples_per_client must be ints"),
         ("label_prior", [float("nan"), 0.3], "label_prior must be a probability vector"),
+        # the data signature's squared deviations overflowed to inf
+        ("class_sep", 1e155, "class_sep must be a finite number of magnitude <= 1e+100"),
+        ("class_sep", 1e300, "class_sep must be a finite number of magnitude <= 1e+100"),
+        ("feature_std", 1e200, "feature_std must be a finite number >= 0 and <= 1e+100"),
+        ("resources", {"u-01": {"battery": "low"}}, "battery of u-01 must be a finite number"),
+        ("resources", {"u-01": {"battery": float("nan")}}, "battery of u-01 must be a finite"),
+        ("resources", {"u-01": {"neighbors": "u-02"}}, "neighbors of u-01 must be a list of"),
+        ("resources", {"u-01": {"neighbors": ["ghost"]}}, "neighbors of u-01 must be a list of"),
+        ("resources", {"u-01": {"trusted": ["ghost"]}}, "trusted of u-01 must be a list of"),
     ],
 )
 def test_simulate_refuses_an_unchecked_number(tmp_path, capsys, field, value, reason):
-    # each of these used to run, or to fail with exit 1 inside data generation
+    # each of these used to run, or to fail with exit 1 or 3 inside data
+    # generation or rounds
     doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
     doc[field] = value
     path = tmp_path / "bad.json"

@@ -41,7 +41,7 @@ def _request(round=0, cohort="pop-x-c000", plan=None) -> TrainRequest:
 
 def _sim_env():
     coordinator = Coordinator(SchedulerConfig(seed=1), [make_community()])
-    network = SimNetwork(coordinator)
+    network = SimNetwork(coordinator, {})
     return coordinator, network
 
 
@@ -51,7 +51,7 @@ def _sim_env():
 def test_register_returns_token_and_stores_metadata():
     coordinator, network = _sim_env()
     client = _client()
-    token = client.register(network.control_channel())
+    token = client.register(network)
     assert token
     assert client.session_token == token
     assert coordinator.clients["client-a"].participant_id == "client-a"
@@ -60,10 +60,10 @@ def test_register_returns_token_and_stores_metadata():
 def test_reregister_replaces_metadata():
     coordinator, network = _sim_env()
     client = _client()
-    client.register(network.control_channel())
+    client.register(network)
     assert coordinator.clients["client-a"].interests == frozenset({"fitness"})
-    client.state.metadata = make_metadata("client-a", interests=("cycling",))
-    client.register(network.control_channel())
+    client.metadata = make_metadata("client-a", interests=("cycling",))
+    client.register(network)
     assert coordinator.clients["client-a"].interests == frozenset({"cycling"})
 
 
@@ -73,7 +73,7 @@ def test_register_invalid_metadata_rejected_as_protocol_error():
     # overlapping tag sets violate the criteria invariant; the server answers
     # with an Error envelope instead of crashing
     doc_safe = make_metadata("client-a")
-    client.state.metadata = doc_safe
+    client.metadata = doc_safe
     doc = netproto.to_doc(doc_safe)
     doc["criteria"]["required_tags"] = ["x"]
     doc["criteria"]["forbidden_tags"] = ["x"]
@@ -87,8 +87,8 @@ def test_register_invalid_metadata_rejected_as_protocol_error():
 def test_list_communities_roundtrip():
     coordinator, network = _sim_env()
     client = _client()
-    client.register(network.control_channel())
-    listed = client.list_communities(network.control_channel())
+    client.register(network)
+    listed = client.list_communities(network)
     assert [c.community_id for c in listed] == ["C1"]
     assert listed[0].default_plan == coordinator.communities["C1"].default_plan
 
@@ -97,7 +97,7 @@ def test_submit_requires_registration():
     _, network = _sim_env()
     client = _client()
     with pytest.raises(ProtocolError):
-        client.submit_task(network.control_channel(), make_task("t-1"))
+        client.submit_task(network, make_task("t-1"))
 
 
 def test_override_of_a_removed_plan_field_is_a_plan_error():
@@ -105,10 +105,10 @@ def test_override_of_a_removed_plan_field_is_a_plan_error():
     # overrides it is refused, not silently ignored
     _, network = _sim_env()
     client = _client()
-    client.register(network.control_channel())
+    client.register(network)
     task = make_task("t-1", overrides={"rounds_target": 5})
     with pytest.raises(ProtocolError) as exc:
-        client.submit_task(network.control_channel(), task)
+        client.submit_task(network, task)
     assert exc.value.code == "plan_error"
     assert exc.value.message == "unknown plan override fields: ['rounds_target']"
 

@@ -1,9 +1,9 @@
 """The schema blocks of the docs name the fields the code declares, in order.
 
-``docs/PROTOCOL.md`` lists every wire record and message payload, and
-``docs/SCENARIOS.md`` every ``community`` and ``task`` key. A field added to
-or removed from the code but not the docs, or the other way round, fails
-here.
+``docs/PROTOCOL.md`` lists every wire record and message payload and every
+error code, and ``docs/SCENARIOS.md`` every ``community`` and ``task`` key. A
+field or code added to or removed from the code but not the docs, or the
+other way round, fails here.
 """
 
 import re
@@ -14,7 +14,8 @@ from communityfl import flcore
 from communityfl.netproto import PAYLOAD_SCHEMAS, RECORD_SCHEMAS
 from communityfl.scenarios import CommunitySpec, TaskSpec
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 
 def _block_after(text: str, heading: str) -> str:
@@ -61,3 +62,23 @@ def test_scenarios_doc_lists_every_community_and_task_key_in_order():
     entries = _entries(_block_after((DOCS / "SCENARIOS.md").read_text(), "## Sub-documents"))
     assert entries["community"] == [f.name for f in fields(CommunitySpec)]
     assert entries["task"] == [f.name for f in fields(TaskSpec)]
+
+
+# the places the source names an error code: a ProtocolError's first argument,
+# handle_envelope's mapping of a domain error, and an error_envelope built
+# with a literal code
+_CODE_SITES = [
+    r'ProtocolError\(\s*"(\w+)"',
+    r'code, message = "(\w+)"',
+    r'error_envelope\([^,()]+,\s*"(\w+)"',
+]
+
+
+def test_protocol_doc_lists_every_error_code_the_source_emits():
+    text = (DOCS / "PROTOCOL.md").read_text()
+    listed = text[text.index("### Error codes") :].split("\n\n", 2)[1]
+    documented = set(re.findall(r"`(\w+)`", listed))
+    source = "\n".join(p.read_text() for p in (ROOT / "src" / "communityfl").glob("*.py"))
+    per_site = [set(re.findall(site, source)) for site in _CODE_SITES]
+    assert all(per_site)  # a pattern that no longer matches would hide codes
+    assert documented == set().union(*per_site)

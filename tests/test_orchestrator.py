@@ -163,22 +163,19 @@ def test_submission_order_invariance_over_all_permutations(rng):
 
 
 def _wire_clients(coordinator, datasets: dict[str, Dataset]):
-    network = SimNetwork(coordinator)
-    channel = network.control_channel()
-    for client_id, dataset in datasets.items():
-        client = FlClient(client_id, dataset, make_metadata(client_id))
-        network.add_client(client)
-        client.register(channel)
-    return network, channel
+    clients = {cid: FlClient(cid, data, make_metadata(cid)) for cid, data in datasets.items()}
+    network = SimNetwork(coordinator, clients)
+    for client in clients.values():
+        client.register(network)
+    return network
 
 
 def test_single_member_round_adopts_trained_weights():
     coordinator = _coordinator()
     data = separable_dataset(n=40, gap=4.0, seed=1)
-    network, channel = _wire_clients(coordinator, {"solo": data})
+    network = _wire_clients(coordinator, {"solo": data})
     task = make_task("solo-t", client_id="solo", signature=signature_from_dataset(data))
-    network.clients["solo"].submit_task(channel, task)
-    network.bind_task("solo-t", "solo")
+    network.clients["solo"].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
     transport = _RewritingTransport(network)
@@ -192,12 +189,11 @@ def test_single_member_round_adopts_trained_weights():
 def test_two_identical_clients_global_beats_initial_on_pooled_data():
     coordinator = _coordinator()
     data = separable_dataset(n=60, gap=3.0, seed=8)
-    network, channel = _wire_clients(coordinator, {"a": data, "b": data})
+    network = _wire_clients(coordinator, {"a": data, "b": data})
     signature = signature_from_dataset(data)
     for client_id in ("a", "b"):
         task = make_task(f"{client_id}-t", client_id=client_id, signature=signature)
-        network.clients[client_id].submit_task(channel, task)
-        network.bind_task(f"{client_id}-t", client_id)
+        network.clients[client_id].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
     initial = WeightVector(cohort.global_weights.values.copy(), cohort.global_weights.arch_id)
@@ -237,12 +233,11 @@ def test_clients_per_round_subselection(rng):
     coordinator = _coordinator(clients_per_round=2, min_updates_quorum=0.5)
     data = separable_dataset(n=40, gap=4.0, seed=1)
     datasets = {f"c{i}": data for i in range(4)}
-    network, channel = _wire_clients(coordinator, datasets)
+    network = _wire_clients(coordinator, datasets)
     shared = rand_signature(rng)
     for client_id in datasets:
         task = make_task(f"{client_id}-t", client_id=client_id, signature=shared)
-        network.clients[client_id].submit_task(channel, task)
-        network.bind_task(f"{client_id}-t", client_id)
+        network.clients[client_id].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
     selections = []
@@ -320,10 +315,9 @@ class _RewritingTransport:
 
 
 def _single_member_cohort(coordinator, data: Dataset):
-    network, channel = _wire_clients(coordinator, {"a": data})
+    network = _wire_clients(coordinator, {"a": data})
     task = make_task("a-t", client_id="a", signature=signature_from_dataset(data))
-    network.clients["a"].submit_task(channel, task)
-    network.bind_task("a-t", "a")
+    network.clients["a"].submit_task(network, task)
     coordinator.ensure_cohorts()
     return network, coordinator.all_cohorts()[0]
 

@@ -45,18 +45,14 @@ def _sim_round_setup(rng, faults=None, n_clients=3):
         ),
         [make_community()],
     )
-    network = SimNetwork(coordinator, faults)
-    channel = network.control_channel()
     shared = rand_signature(rng)
     data = separable_dataset(n=40, gap=4.0, seed=6)
-    for i in range(n_clients):
-        client_id = f"c{i}"
-        client = FlClient(client_id, data, make_metadata(client_id))
-        network.add_client(client)
-        client.register(channel)
+    clients = {f"c{i}": FlClient(f"c{i}", data, make_metadata(f"c{i}")) for i in range(n_clients)}
+    network = SimNetwork(coordinator, clients, faults)
+    for client_id, client in clients.items():
+        client.register(network)
         task = make_task(f"{client_id}-t", client_id=client_id, signature=shared)
-        client.submit_task(channel, task)
-        network.bind_task(task.task_id, client_id)
+        client.submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
     return coordinator, network, cohort
@@ -390,39 +386,62 @@ def test_socket_rounds_jsonl_equals_the_simulations(tmp_path, scenario):
     assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
 
 
-def _corrupt_u01(field, value, first_only):
-    """Set ``field`` of u-01's update in its replies (its first reply only, or
-    all), as ``answer`` sends them on either transport."""
+def _spoil_u01(field, value, first_only):
+    """The ``FlClient`` method that spoils u-01's replies (its first reply
+    only, or all) on either transport, and its name: ``field`` of the update
+    ``answer`` sends is set to ``value``, or, for ``field`` "training", the
+    round's work raises ``value``."""
+    spoiled = []
+
+    def spoil(reply_round):
+        if first_only and spoiled:
+            return False
+        spoiled.append(reply_round)
+        return True
+
+    if field == "training":
+        honest_work = FlClient.handle_train_request
+
+        def handle_train_request(self, req, resolve_neighbor=None):
+            if self.client_id == "u-01" and spoil(req.round):
+                raise value
+            return honest_work(self, req, resolve_neighbor)
+
+        return "handle_train_request", handle_train_request
     honest = FlClient.answer
-    corrupted = []
 
     def answer(self, env, resolve_neighbor=None):
         reply = honest(self, env, resolve_neighbor)
-        if self.client_id == "u-01" and not (first_only and corrupted):
+        if self.client_id == "u-01" and spoil(env.correlation_id):
             document, key = reply.payload["update"], field
             if field == "arch_id":
                 document = document["weights"]
             document[key] = value
-            corrupted.append(env.correlation_id)
         return reply
 
-    return answer
+    return "answer", answer
 
 
 @pytest.mark.parametrize(
     "field, value, first_only",
-    [("arch_id", "logreg:+2x2", True), ("n_samples", 0, False), ("n_samples", -5, False)],
+    [
+        ("arch_id", "logreg:+2x2", True),
+        ("n_samples", 0, False),
+        ("n_samples", -5, False),
+        ("training", RuntimeError("out of memory"), True),
+    ],
 )
 def test_a_refused_reply_drops_its_client_from_that_round_alike_on_both_transports(
     tmp_path, monkeypatch, field, value, first_only
 ):
     # the coordinator refuses the reply (a non-canonical arch id is malformed,
-    # n_samples < 1 fails the update's conversion) and acks it "refused": u-01
-    # is out of that round, not out of the run, and neither run raises
+    # n_samples < 1 fails the update's conversion, and a client whose training
+    # raised replies with an Error) and acks it "refused": u-01 is out of that
+    # round, not out of the run, and neither run raises
     spec = builtin_scenarios()["uniform"]
-    monkeypatch.setattr(FlClient, "answer", _corrupt_u01(field, value, first_only))
+    monkeypatch.setattr(FlClient, *_spoil_u01(field, value, first_only))
     sim = runner.run_simulation(spec, mode="cohort", out_dir=tmp_path / "sim")
-    monkeypatch.setattr(FlClient, "answer", _corrupt_u01(field, value, first_only))
+    monkeypatch.setattr(FlClient, *_spoil_u01(field, value, first_only))
     server, threads = _start_socket_run(tmp_path, spec)
     try:
         runner.run_socket_rounds(
