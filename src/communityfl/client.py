@@ -240,10 +240,7 @@ class FlClient:
     ) -> ModelUpdate:
         """Execute a request, auto-delegating when the battery is low and a
         trusted neighbor is reachable."""
-        if (
-            self.battery < LOW_BATTERY_THRESHOLD
-            and resolve_neighbor is not None
-        ):
+        if self.battery < LOW_BATTERY_THRESHOLD and resolve_neighbor is not None:
             for neighbor_id in sorted(self.trusted_neighbors):
                 if neighbor_id not in self.neighbors:
                     continue
