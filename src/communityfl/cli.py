@@ -97,8 +97,10 @@ def cmd_serve(args) -> int:
         communities = [netproto.from_file_doc(Community, doc) for doc in config_doc["communities"]]
         expected_tasks = int(config_doc["expected_tasks"])
         recv_timeout = float(config_doc.get("recv_timeout_s", 30.0))
+        ready_timeout = float(config_doc.get("ready_timeout_s", 120.0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read server config {args.config}: {exc}") from exc
+    transport.check_timeout("ready_timeout_s", ready_timeout)
     coordinator = Coordinator(scheduler, communities)
     try:
         server = transport.SocketCoordinatorServer(
@@ -122,7 +124,7 @@ def cmd_serve(args) -> int:
             scheduler.rounds,
             out_dir,
             scenario_name=config_doc.get("scenario", "socket"),
-            ready_timeout_s=float(config_doc.get("ready_timeout_s", 120.0)),
+            ready_timeout_s=ready_timeout,
         )
     except KeyboardInterrupt:
         print("shutting down, flushing reports", file=sys.stderr)

@@ -5,7 +5,9 @@ turns the coordinator's ``TrainRequest`` envelope into the ``ModelUpdateMsg``
 that echoes its correlation id (or into an ``Error`` when the round's work
 raises), and :meth:`FlClient.report_metrics` delivers it with bounded retry
 and checks that the ``MetricsAck`` echoes it in turn. A client's metadata,
-data, battery and neighbors are plain attributes of :class:`FlClient`.
+data, battery and neighbors are plain attributes of :class:`FlClient`, and the
+client is their only writer: a drift swaps data and signature together
+(:meth:`FlClient.set_dataset`) and reaches the coordinator as a re-Register.
 
 The metric pair attached to every update drives the server-side
 negative-transfer guard:
@@ -26,12 +28,13 @@ counts, and metric scalars are serialized.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterable, Protocol
+from dataclasses import replace
+from typing import Iterable, Protocol
 
 import numpy as np
 
 from . import netproto
-from .community import Community, ParticipantMetadata
+from .community import Community, ParticipantMetadata, signature_from_dataset
 from .errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from .flcore import FlTask, ModelUpdate, TrainRequest
 from .hashing import stable_u64
@@ -81,10 +84,16 @@ class FlClient:
         self._update_cache: dict[tuple[str, str], ModelUpdate] = {}
 
     def set_dataset(self, dataset: Dataset):
-        """Replace local data (drift); invalidates the cached holdout split and
-        the cached updates, which were trained and measured on the old data.
-        The previous local weights stay: they are the guard's baseline."""
+        """Replace local data (drift) and the signature in ``metadata``, which
+        keeps its quality score; a :meth:`register` afterwards tells the
+        coordinator. Invalidates the cached holdout split and the cached
+        updates, which were trained and measured on the old data. The previous
+        local weights stay: they are the guard's baseline."""
         self.local_data = dataset
+        quality = self.metadata.data_signature.quality_score
+        self.metadata = replace(
+            self.metadata, data_signature=signature_from_dataset(dataset, quality)
+        )
         self._split_cache.clear()
         self._update_cache.clear()
 
@@ -217,53 +226,39 @@ class FlClient:
         self._update_cache[cache_key] = update
         return update
 
-    def delegate(self, req: TrainRequest, neighbor: "FlClient") -> ModelUpdate:
+    def delegate(self, req: TrainRequest, neighbor_id: str) -> ModelUpdate:
         """Offload a training request to a trusted nearby device.
 
         The neighbor computes on this client's data shard with the task's own
         seeds, so the result is bit-identical to local execution; only the
         recorded executor changes.
         """
-        if (
-            neighbor.client_id not in self.neighbors
-            or neighbor.client_id not in self.trusted_neighbors
-        ):
+        if neighbor_id not in self.neighbors or neighbor_id not in self.trusted_neighbors:
             raise DelegationError(
-                f"{neighbor.client_id!r} is not a trusted neighbor of {self.client_id!r}"
+                f"{neighbor_id!r} is not a trusted neighbor of {self.client_id!r}"
             )
-        return self.execute_train_request(req, executor_id=neighbor.client_id)
+        return self.execute_train_request(req, executor_id=neighbor_id)
 
-    def handle_train_request(
-        self,
-        req: TrainRequest,
-        resolve_neighbor: Callable[[str], "FlClient"] | None = None,
-    ) -> ModelUpdate:
-        """Execute a request, auto-delegating when the battery is low and a
-        trusted neighbor is reachable."""
-        if self.battery < LOW_BATTERY_THRESHOLD and resolve_neighbor is not None:
-            for neighbor_id in sorted(self.trusted_neighbors):
-                if neighbor_id not in self.neighbors:
-                    continue
-                neighbor = resolve_neighbor(neighbor_id)
-                if neighbor is not None:
-                    logger.debug(
-                        "client %s delegating round %s to %s", self.client_id, req.round, neighbor_id
-                    )
-                    return self.delegate(req, neighbor)
+    def handle_train_request(self, req: TrainRequest) -> ModelUpdate:
+        """Execute a request; when the battery is low, delegate it to the
+        first trusted neighbor in id order."""
+        if self.battery < LOW_BATTERY_THRESHOLD:
+            trusted = sorted(self.trusted_neighbors.intersection(self.neighbors))
+            if trusted:
+                logger.debug(
+                    "client %s delegating round %s to %s", self.client_id, req.round, trusted[0]
+                )
+                return self.delegate(req, trusted[0])
         return self.execute_train_request(req)
 
     # -- round replies --------------------------------------------------------
 
-    def answer(
-        self,
-        env: Envelope,
-        resolve_neighbor: Callable[[str], "FlClient"] | None = None,
-    ) -> Envelope:
+    def answer(self, env: Envelope) -> Envelope:
         """Turn a ``TrainRequest`` envelope into its ``ModelUpdateMsg`` reply.
 
         Both transports answer a round here: the reply echoes the request's
-        correlation id, and ``resolve_neighbor`` lets a low-battery client
-        delegate (see :meth:`handle_train_request`). When the round's work
+        correlation id, and a low-battery client delegates alike on both
+        (see :meth:`handle_train_request`). When the round's work
         raises, the reply is an ``Error`` with code ``train_failed``, which the
         coordinator acks ``refused``: the client sits out that round only.
         """
@@ -271,7 +266,7 @@ class FlClient:
             raise ProtocolError("protocol_state", f"expected TrainRequest, got {env.msg_type}")
         req = netproto.from_doc(TrainRequest, env.payload)
         try:
-            update = self.handle_train_request(req, resolve_neighbor)
+            update = self.handle_train_request(req)
         except Exception as exc:
             logger.warning("client %s failed round %s: %r", self.client_id, req.round, exc)
             return netproto.error_envelope(env.correlation_id, "train_failed", repr(exc))

@@ -354,21 +354,31 @@ def form_cohorts(
     unknown = set(signatures) - population.member_task_ids
     if unknown:
         raise ConfigError(f"tasks not in population {population.population_id}: {sorted(unknown)}")
-    blocks = _greedy_blocks(signatures, threshold)
     initial = init_weights(population.config.model_arch, seed)
-    cohorts = []
-    for index, block in enumerate(blocks):
-        cohorts.append(
-            FlCohort(
-                cohort_id=f"{population.population_id}-c{index:03d}",
-                population_id=population.population_id,
-                member_task_ids=set(block.members),
-                centroid=block.centroid,
-                global_weights=_copy_weights(initial),
-                round=0,
-            )
-        )
-    return cohorts
+    return [
+        _cohort(population, f"{population.population_id}-c{index:03d}", block, initial)
+        for index, block in enumerate(_greedy_blocks(signatures, threshold))
+    ]
+
+
+def _cohort(
+    population: FlPopulation,
+    cohort_id: str,
+    block: _Block,
+    initial: WeightVector,
+    inherited: FlCohort | None = None,
+) -> FlCohort:
+    """The cohort of ``block``'s members: a new one starts at round 0 from its
+    own copy of ``initial``, an inherited one keeps the old cohort's global
+    model and round counter."""
+    return FlCohort(
+        cohort_id=cohort_id,
+        population_id=population.population_id,
+        member_task_ids=set(block.members),
+        centroid=block.centroid,
+        global_weights=_copy_weights(initial) if inherited is None else inherited.global_weights,
+        round=0 if inherited is None else inherited.round,
+    )
 
 
 def _copy_weights(w: WeightVector) -> WeightVector:
@@ -415,18 +425,18 @@ def recluster(
         tid: cohort.cohort_id for cohort in population.cohorts for tid in cohort.member_task_ids
     }
 
-    # candidate (overlap, old cohort) pairs per block, matched greedily so each
-    # old cohort is inherited by at most one block
-    candidates = []
+    # the samples each (block, old cohort) pair shares, tallied in one pass
+    # over block members; every n_samples is >= 1, so the pairs that share a
+    # member are the candidates, matched greedily so each old cohort is
+    # inherited by at most one block
+    overlaps: dict[tuple[str, int], int] = {}
     for b_index, block in enumerate(blocks):
-        members = set(block.members)
-        for old_id, old in old_cohorts.items():
-            overlap = sum(
-                new_signatures[tid].n_samples for tid in members & old.member_task_ids
-            )
-            if overlap > 0:
-                candidates.append((-overlap, old_id, b_index))
-    candidates.sort()
+        for tid in block.members:
+            old_id = old_of_task.get(tid)
+            if old_id is not None:
+                key = (old_id, b_index)
+                overlaps[key] = overlaps.get(key, 0) + new_signatures[tid].n_samples
+    candidates = sorted((-n, old_id, b_index) for (old_id, b_index), n in overlaps.items())
     assigned_old: dict[int, str] = {}
     used_old: set[str] = set()
     for neg_overlap, old_id, b_index in candidates:
@@ -447,26 +457,11 @@ def recluster(
     for b_index, block in enumerate(blocks):
         old_id = assigned_old.get(b_index)
         if old_id is not None:
-            old = old_cohorts[old_id]
-            cohort = FlCohort(
-                cohort_id=old_id,
-                population_id=population.population_id,
-                member_task_ids=set(block.members),
-                centroid=block.centroid,
-                global_weights=old.global_weights,
-                round=old.round,
-            )
+            cohort = _cohort(population, old_id, block, initial, old_cohorts[old_id])
         else:
             cohort_id = f"{population.population_id}-c{next_index:03d}"
+            cohort = _cohort(population, cohort_id, block, initial)
             next_index += 1
-            cohort = FlCohort(
-                cohort_id=cohort_id,
-                population_id=population.population_id,
-                member_task_ids=set(block.members),
-                centroid=block.centroid,
-                global_weights=_copy_weights(initial),
-                round=0,
-            )
             report.new_cohort_ids.append(cohort_id)
         new_cohorts.append(cohort)
         for tid in block.members:

@@ -222,8 +222,16 @@ class Coordinator:
     # -- registration and task intake ----------------------------------------
 
     def register_client(self, metadata: ParticipantMetadata) -> str:
-        """Store (or replace) a participant's metadata and issue a session token."""
+        """Store (or replace) a participant's metadata and issue a session token.
+
+        A re-registration's data signature becomes that of each of the
+        participant's tasks (a drifted client re-registers); it marks nothing
+        dirty, and the next recluster of the population reads it."""
         with self._lock:
+            if metadata.participant_id in self.clients:
+                for task in self.registry.tasks.values():
+                    if task.client_id == metadata.participant_id:
+                        task.data_signature = metadata.data_signature
             self.clients[metadata.participant_id] = metadata
             token = digest_hex(stable_u64("session", self.config.seed, metadata.participant_id))
             self.session_tokens[metadata.participant_id] = token
@@ -253,8 +261,12 @@ class Coordinator:
             if not decision.admitted:
                 raise AdmissionRefused(decision.reason)
             task.plan = self.build_plan(task, community)
+            is_new = task.task_id not in self.registry.tasks
             population_id = self.registry.assign_population(task)
-            self.dirty_populations.add(population_id)
+            if is_new:
+                # an identical resubmission (a socket reconnect) is a no-op and
+                # must not rebuild the population's cohorts
+                self.dirty_populations.add(population_id)
             return population_id
 
     # -- cohort bookkeeping ----------------------------------------------------
@@ -263,8 +275,8 @@ class Coordinator:
         return stable_u64(self.config.seed, population_id, "init")
 
     def ensure_cohorts(self):
-        """(Re)cohort every population marked dirty, by a task submission or
-        by :meth:`run_round`'s recluster rule: form its cohorts on first use,
+        """(Re)cohort every population marked dirty, by a new task or by
+        :meth:`run_round`'s recluster rule: form its cohorts on first use,
         recluster them afterwards. This is the only code that builds cohort
         structure; a rebuilt cohort is a new object with an empty flag-rate
         window."""

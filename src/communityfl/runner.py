@@ -259,15 +259,12 @@ def run_simulation(
         for event in spec.drift_events:
             if event.round != sched_round:
                 continue
-            dataset = apply_drift(data, event)
-            clients[event.client_id].set_dataset(dataset)
+            client = clients[event.client_id]
+            client.set_dataset(apply_drift(data, event))
+            # the re-Register carries the new signature to the coordinator's
+            # registry, where a later recluster reads it
+            client.register(network)
             holdout.drop_stacks()
-            # refresh the signature in the coordinator's registry so a later
-            # recluster sees the drifted distribution
-            signature = data.client(event.client_id).metadata.data_signature
-            for task in coordinator.registry.tasks.values():
-                if task.client_id == event.client_id:
-                    task.data_signature = signature
             logger.info("round %d: client %s drifted", sched_round, event.client_id)
 
     _drive_rounds(coordinator, network, config.rounds, holdout, run.rows, run.reports, drift)

@@ -512,31 +512,19 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
 
 
 def apply_drift(data: ScenarioData, event: DriftEvent) -> Dataset:
-    """Regenerate the drifted client's data from its new cluster distribution.
+    """The drifted client's data, regenerated from its new cluster distribution.
 
     The sample count is preserved; the RNG stream is keyed by (seed, client,
-    round) so repeated runs drift identically.
+    round) so repeated runs drift identically. ``data`` stays as
+    :func:`generate` made it: the client that receives the dataset owns it.
     """
-    client = data.client(event.client_id)
-    dataset = generate_client_dataset(
+    return generate_client_dataset(
         data.spec,
         event.client_id,
         event.new_cluster,
-        client.n_samples,
+        data.client(event.client_id).n_samples,
         f"drift:{event.round}",
     )
-    client.cluster_index = event.new_cluster
-    client.dataset = dataset
-    new_signature = signature_from_dataset(dataset)
-    client.metadata = ParticipantMetadata(
-        participant_id=client.metadata.participant_id,
-        device=client.metadata.device,
-        interests=client.metadata.interests,
-        expertise=client.metadata.expertise,
-        data_signature=new_signature,
-        criteria=client.metadata.criteria,
-    )
-    return dataset
 
 
 # -- JSON serialization ---------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Both carry the same length-prefixed frames and drive the same coordinator
 logic, and on both a client answers each ``TrainRequest`` through
-``FlClient.answer`` and ``FlClient.report_metrics``, so a zero-fault socket
-run reproduces the simulated run bit-exactly, ``rounds.jsonl`` included.
+``FlClient.answer`` and ``FlClient.report_metrics``, so for a scenario without
+scripted faults or drift a socket run gives the simulation's ``rounds.jsonl``
+and final weights bit-exactly, delegations included.
 Each hands a round's reply frame, undecoded, to ``Coordinator.receive_update``
 with the ``TrainRequest`` it answers and sends back the ``MetricsAck`` it
 returns, so both decide alike what a refused reply means: its client is out
@@ -19,7 +20,6 @@ the only state it keeps.
 from __future__ import annotations
 
 import logging
-import math
 import socket
 import threading
 
@@ -90,7 +90,7 @@ class SimNetwork:
             frame = netproto.encode(env)
             client = self.clients[tasks[task_id].client_id]
             channel = _RoundChannel(self, sched_round, client.client_id, env)
-            reply = client.answer(netproto.decode(frame), self.clients.get)
+            reply = client.answer(netproto.decode(frame))
             ack, _attempts = client.report_metrics(reply, channel)
             transferred += len(frame) + channel.bytes_transferred
             if ack is None:
@@ -103,6 +103,18 @@ class SimNetwork:
 
 
 # -- TCP socket transport ----------------------------------------------------------
+
+
+def check_timeout(name: str, value: float) -> float:
+    """Refuse a timeout that socket and thread waits mishandle: below 0 or
+    above ``threading.TIMEOUT_MAX`` they raise, NaN kills the accept thread or
+    waits 0 s, and 0 reads every registration as EOF."""
+    if not 0.0 < value <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"{name} must be a finite number > 0 and at most {threading.TIMEOUT_MAX:g} s, "
+            f"got {value}"
+        )
+    return value
 
 
 def _set_nodelay(sock: socket.socket):
@@ -213,13 +225,9 @@ class SocketCoordinatorServer:
         expected_tasks: int,
         recv_timeout_s: float = 30.0,
     ):
-        # a negative or NaN timeout kills the accept thread at its first
-        # connection, and 0 reads every registration as EOF
-        if not 0.0 < recv_timeout_s < math.inf:
-            raise ConfigError(f"recv_timeout_s must be a finite number > 0, got {recv_timeout_s}")
         self.coordinator = coordinator
         self.expected_tasks = expected_tasks
-        self.recv_timeout_s = recv_timeout_s
+        self.recv_timeout_s = check_timeout("recv_timeout_s", recv_timeout_s)
         self._sessions: dict[str, SocketChannel] = {}
         self._sessions_lock = threading.Lock()
         self._ready = threading.Event()

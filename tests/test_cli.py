@@ -388,6 +388,24 @@ def test_serve_refuses_community_document_off_schema(tmp_path, capsys):
     assert "Community.criteria.required_tags: expected list" in err
 
 
+@pytest.mark.parametrize("ready_timeout_s", [1e300, float("nan")])
+def test_serve_refuses_a_ready_timeout_before_it_binds(tmp_path, capsys, ready_timeout_s):
+    # 1e300 raised OverflowError once the server was up; NaN waited 0 s and
+    # reported that the clients did not register
+    spec = scenarios.builtin_scenarios()["uniform"]
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    config_path = bundle / "server_config.json"
+    config = json.loads(config_path.read_text())
+    config["ready_timeout_s"] = ready_timeout_s
+    config_path.write_text(json.dumps(config))
+    code = run_cli("serve", "--listen", f"127.0.0.1:{_free_port()}", "--config", str(config_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "ready_timeout_s must be a finite number > 0" in captured.err
+    assert "listening on" not in captured.out
+
+
 @pytest.mark.parametrize("command, flag", [("serve", "--listen"), ("client", "--connect")])
 @pytest.mark.parametrize("port", ["70000", "65536", "²"])
 def test_address_with_a_port_out_of_range_is_a_config_error(tmp_path, capsys, command, flag, port):

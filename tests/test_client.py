@@ -230,7 +230,7 @@ def test_delegate_bit_identical_to_local():
     owner = _client("owner", neighbors=["helper"], trusted_neighbors=frozenset({"helper"}))
     helper = _client("helper")
     local = _client("owner").execute_train_request(_request())
-    delegated = owner.delegate(_request(), helper)
+    delegated = owner.delegate(_request(), helper.client_id)
     assert np.array_equal(delegated.weights.values, local.weights.values)
     assert delegated.pre_metrics == local.pre_metrics
     assert delegated.executor_id == "helper"
@@ -240,10 +240,10 @@ def test_delegate_untrusted_refused():
     owner = _client("owner", neighbors=["helper"])  # known but not trusted
     helper = _client("helper")
     with pytest.raises(DelegationError):
-        owner.delegate(_request(), helper)
+        owner.delegate(_request(), helper.client_id)
     stranger = _client("stranger")
     with pytest.raises(DelegationError):
-        owner.delegate(_request(), stranger)
+        owner.delegate(_request(), stranger.client_id)
 
 
 def test_low_battery_triggers_auto_delegation_in_scenario():

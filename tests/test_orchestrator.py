@@ -459,8 +459,8 @@ def test_non_finite_weights_off_the_wire_flagged_and_refused_by_aggregate(
     before = cohort.global_weights.values.copy()
     honest = FlClient.answer
 
-    def answer(self, env, resolve_neighbor=None):
-        reply = honest(self, env, resolve_neighbor)
+    def answer(self, env):
+        reply = honest(self, env)
         values = np.zeros(before.size)
         values[2] = bad
         reply.payload["update"]["weights"] = netproto.weights_to_wire(
@@ -509,8 +509,8 @@ def test_wrong_architecture_update_does_not_crash_the_run(arch_id, monkeypatch):
     honest = FlClient.answer
     corrupted = []
 
-    def answer(self, env, resolve_neighbor=None):
-        reply = honest(self, env, resolve_neighbor)
+    def answer(self, env):
+        reply = honest(self, env)
         if self.client_id == "u-01" and not corrupted:
             reply.payload["update"]["weights"]["arch_id"] = arch_id
             corrupted.append(env.correlation_id)
@@ -715,6 +715,27 @@ def test_task_submitted_after_setup_is_cohorted_at_the_next_recluster():
     assert coordinator.dirty_populations == set()
     members = {t for c in coordinator.all_cohorts() for t in c.member_task_ids}
     assert members == {"t1", "t2"}
+
+
+def test_an_identical_resubmission_keeps_its_population_cohorts():
+    # a socket client that reconnects registers and submits its task again;
+    # the no-op must not rebuild the cohorts and empty their flag-rate windows
+    run = run_simulation(builtin_scenarios()["uniform"])
+    coordinator = run.coordinator
+    before = {c.cohort_id: c for c in coordinator.all_cohorts()}
+    windows = {cohort_id: list(c.flag_rates) for cohort_id, c in before.items()}
+    assert windows and all(len(w) == RECLUSTER_WINDOW for w in windows.values())
+    task = coordinator.registry.tasks[min(coordinator.registry.tasks)]
+    client = run.clients[task.client_id]
+    network = SimNetwork(coordinator, run.clients)
+    client.register(network)
+    client.submit_task(network, task)
+    assert coordinator.dirty_populations == set()
+    coordinator.ensure_cohorts()
+    after = coordinator.all_cohorts()
+    assert [c.cohort_id for c in after] == sorted(before)
+    assert all(c is before[c.cohort_id] for c in after)
+    assert {c.cohort_id: c.flag_rates for c in after} == windows
 
 
 def test_recluster_resolves_planted_drift_within_two_points():

@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from communityfl import netproto, runner, scenarios
 from communityfl.cli import main as cli_main
 from communityfl.client import FlClient
 from communityfl.orchestrator import Coordinator
-from communityfl.scenarios import FaultSpec, builtin_scenarios
+from communityfl.community import signature_from_dataset
+from communityfl.scenarios import FaultSpec, builtin_scenarios, generate
 from communityfl.tinylearn import evaluate
 
 
@@ -161,8 +163,8 @@ def test_summary_accuracy_equals_direct_evaluate_after_drift(tmp_path):
         total = correct = 0.0
         for task_id in sorted(cohort.member_task_ids):
             task = run.coordinator.registry.tasks[task_id]
-            generated = run.data.client(task.client_id)
-            fresh = FlClient(task.client_id, generated.dataset, generated.metadata)
+            current = run.clients[task.client_id]
+            fresh = FlClient(task.client_id, current.local_data, current.metadata)
             holdout = fresh.split(task.plan.eval_holdout_fraction)[1]
             metrics = evaluate(cohort.global_weights, holdout)
             assert doc["per_task_holdout_accuracy"][task_id] == metrics.accuracy
@@ -172,6 +174,50 @@ def test_summary_accuracy_equals_direct_evaluate_after_drift(tmp_path):
         final = doc["per_cohort"][cohort.cohort_id]["final_holdout_accuracy"]
         assert final == correct / total
     assert seen_drifted
+
+
+def _signature_fields(signature):
+    return (
+        signature.per_feature_mean.tolist(),
+        signature.per_feature_std.tolist(),
+        signature.label_histogram.tolist(),
+        signature.n_samples,
+        signature.quality_score,
+    )
+
+
+def test_a_drift_reaches_every_copy_of_the_signature_and_leaves_the_scenario_data():
+    # the drifted client swaps its data and signature and re-registers; the
+    # coordinator's stored metadata and the client's task follow, and the
+    # generated scenario stays as generate made it
+    spec = builtin_scenarios()["drift"]
+    (event,) = spec.drift_events
+    run = runner.run_simulation(spec, mode="cohort")
+    client = run.clients[event.client_id]
+    current = _signature_fields(signature_from_dataset(client.local_data))
+    tasks = [
+        task
+        for task in run.coordinator.registry.tasks.values()
+        if task.client_id == event.client_id
+    ]
+    assert tasks
+    copies = [client.metadata, run.coordinator.clients[event.client_id], *tasks]
+    for holder in copies:
+        assert _signature_fields(holder.data_signature) == current
+
+    fresh = generate(spec)
+    assert _signature_fields(fresh.client(event.client_id).metadata.data_signature) != current
+    assert [c.client_id for c in run.data.clients] == [c.client_id for c in fresh.clients]
+    for kept, made in zip(run.data.clients, fresh.clients):
+        assert kept.cluster_index == made.cluster_index
+        assert np.array_equal(kept.dataset.features, made.dataset.features)
+        assert np.array_equal(kept.dataset.labels, made.dataset.labels)
+        assert _signature_fields(kept.metadata.data_signature) == _signature_fields(
+            made.metadata.data_signature
+        )
+    for kept, made in zip(run.data.tasks, fresh.tasks):
+        assert kept.task_id == made.task_id
+        assert _signature_fields(kept.data_signature) == _signature_fields(made.data_signature)
 
 
 class _SetUpDone(Exception):

@@ -145,17 +145,14 @@ def test_drift_changes_only_the_target_client():
         drift_events=[DriftEvent(round=2, client_id="c-0", new_cluster=1)],
     )
     before = generate(spec)
-    untouched_before = {
-        c.client_id: c.dataset.features.copy() for c in before.clients if c.client_id != "c-0"
-    }
-    target_before = before.client("c-0").dataset.features.copy()
-    apply_drift(before, spec.drift_events[0])
-    target_after = before.client("c-0").dataset.features
+    features_before = {c.client_id: c.dataset.features.copy() for c in before.clients}
+    target_after = apply_drift(before, spec.drift_events[0]).features
+    target_before = features_before["c-0"]
     assert target_after.shape == target_before.shape  # sample count preserved
     assert np.any(target_after != target_before)
+    # the drifted dataset goes to its client; the generated scenario is unchanged
     for client in before.clients:
-        if client.client_id != "c-0":
-            assert np.array_equal(client.dataset.features, untouched_before[client.client_id])
+        assert np.array_equal(client.dataset.features, features_before[client.client_id])
 
 
 def test_drift_regeneration_deterministic():

@@ -16,7 +16,7 @@ from communityfl.errors import ConfigError, ProtocolError
 from communityfl.flcore import FlTask, ModelUpdate, TrainRequest
 from communityfl.netproto import MsgType
 from communityfl.orchestrator import Coordinator, SchedulerConfig
-from communityfl.scenarios import FaultSpec, builtin_scenarios, export_socket_bundle
+from communityfl.scenarios import FaultSpec, ResourceSpec, builtin_scenarios, export_socket_bundle
 from communityfl.tinylearn import Dataset, EvalMetrics, init_weights, make_arch
 from communityfl.transport import SimNetwork, SocketCoordinatorServer, run_socket_client
 
@@ -113,7 +113,7 @@ def test_reply_claiming_another_tasks_round_is_flagged_and_not_recorded(rng, mon
     monkeypatch.setattr(
         liar,
         "handle_train_request",
-        lambda req, resolve=None: dataclasses.replace(honest(req, resolve), task_id="c1-t"),
+        lambda req: dataclasses.replace(honest(req), task_id="c1-t"),
     )
     acks = []
     receive = coordinator.receive_update
@@ -202,6 +202,11 @@ def _start_socket_run(tmp_path, spec, drop_client=None):
 
     def client_main(client_id):
         client, task = _bundle_client(bundle, client_id)
+        # what a device knows of its own battery and neighbors
+        resources = spec.resources.get(client_id, ResourceSpec())
+        client.battery = resources.battery
+        client.neighbors = list(resources.neighbors)
+        client.trusted_neighbors = frozenset(resources.trusted)
         if client_id == drop_client:
             # register and submit, then vanish before serving any round
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -386,6 +391,28 @@ def test_socket_rounds_jsonl_equals_the_simulations(tmp_path, scenario):
     assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
 
 
+def test_a_low_battery_client_delegates_alike_on_both_transports(tmp_path):
+    # delegation only relabels training done on the client's own shard, so a
+    # socket client with the same battery and neighbors records the same executor
+    resources = {"u-01": ResourceSpec(battery=0.1, neighbors=["u-02"], trusted=["u-02"])}
+    spec = dataclasses.replace(builtin_scenarios()["uniform"], resources=resources)
+    runner.run_simulation(spec, mode="cohort", out_dir=tmp_path / "sim")
+    server, threads = _start_socket_run(tmp_path, spec)
+    try:
+        runner.run_socket_rounds(
+            server, spec.scheduler.rounds, tmp_path / "socket", scenario_name=spec.name
+        )
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    sim_jsonl = (tmp_path / "sim" / "rounds.jsonl").read_bytes()
+    first = json.loads(sim_jsonl.splitlines()[0])
+    assert first["executors"]["u-01-t0"] == "u-02"
+    assert (tmp_path / "socket" / "rounds.jsonl").read_bytes() == sim_jsonl
+
+
 def _spoil_u01(field, value, first_only):
     """The ``FlClient`` method that spoils u-01's replies (its first reply
     only, or all) on either transport, and its name: ``field`` of the update
@@ -402,16 +429,16 @@ def _spoil_u01(field, value, first_only):
     if field == "training":
         honest_work = FlClient.handle_train_request
 
-        def handle_train_request(self, req, resolve_neighbor=None):
+        def handle_train_request(self, req):
             if self.client_id == "u-01" and spoil(req.round):
                 raise value
-            return honest_work(self, req, resolve_neighbor)
+            return honest_work(self, req)
 
         return "handle_train_request", handle_train_request
     honest = FlClient.answer
 
-    def answer(self, env, resolve_neighbor=None):
-        reply = honest(self, env, resolve_neighbor)
+    def answer(self, env):
+        reply = honest(self, env)
         if self.client_id == "u-01" and spoil(env.correlation_id):
             document, key = reply.payload["update"], field
             if field == "arch_id":
@@ -581,10 +608,11 @@ def test_round_connections_disable_nagle_on_both_ends(tmp_path):
     assert len(client_nodelay) == 1 and client_nodelay[0] != 0
 
 
-@pytest.mark.parametrize("recv_timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("recv_timeout_s", [-1.0, 0.0, float("nan"), float("inf"), 1e10])
 def test_server_refuses_a_receive_timeout_before_it_binds(recv_timeout_s):
     # a negative or NaN timeout killed the accept thread at the first
-    # connection and left that socket open; 0 read every registration as EOF
+    # connection and left that socket open; 0 read every registration as EOF;
+    # one above threading.TIMEOUT_MAX killed it with OverflowError
     coordinator = Coordinator(SchedulerConfig(), [make_community()])
     with socket.create_server(("127.0.0.1", 0)) as probe:
         port = probe.getsockname()[1]
