@@ -93,9 +93,18 @@ class DataSignature:
             negative_std = negative_std or s < 0.0
         if negative_std:
             raise ShapeError("per-feature std must be elementwise >= 0")
-        if hist.ndim != 1 or hist.size < 1 or any(h < 0.0 for h in hist.tolist()):
+        if hist.ndim != 1 or hist.size < 1:
             raise ShapeError("label histogram must be a non-negative 1-D vector")
-        if not abs(float(hist.sum()) - 1.0) <= 1e-9:  # also refuses NaN
+        # numpy sums fewer than 8 values one by one from +0.0, and pairwise
+        # from 8 on: below 8 this fold is its sum bit for bit, without a call
+        total = 0.0
+        for share in hist.tolist():
+            if share < 0.0:
+                raise ShapeError("label histogram must be a non-negative 1-D vector")
+            total += share
+        if hist.size >= 8:
+            total = float(hist.sum())
+        if not abs(total - 1.0) <= 1e-9:  # also refuses NaN
             raise ShapeError(f"label histogram must sum to 1, got {hist.sum()!r}")
         if self.n_samples < 1:
             raise ShapeError(f"n_samples must be >= 1, got {self.n_samples}")

@@ -5,7 +5,12 @@ in canonical form: sorted keys, no spaces, no escapes ``json`` does not need,
 and shortest round-trip number literals. The decoder refuses any other
 spelling, so ``encode(decode(frame)) == frame`` for every frame it accepts.
 The decoder is strict and total: any malformed input raises
-:class:`ProtocolError` and nothing else.
+:class:`ProtocolError` and nothing else. The one frame it only parses is the
+last one its own thread's ``encode`` returned: ``encode`` checked that
+payload and wrote that body, so every frame ``encode`` returns is one the
+full checks accept, with the same envelope. An in-process exchange decodes
+each frame once, without the second check; a frame from a socket takes the
+full path.
 
 Every message type's payload is validated against an explicit schema; unknown
 fields are rejected. Each schema is compiled once, at import, into one
@@ -13,7 +18,7 @@ straight-line checker with its nested documents inlined, which formats a
 field's path only in the ``raise`` that reports it. The same schemas drive
 :func:`to_doc` and :func:`from_doc`, which convert domain records to and from
 documents; each record's pair is compiled once, too, into straight-line code
-that calls a converter only on the fields that need one. The JSON decoder
+that calls a converter only on the fields that need one. The JSON decoders
 and the canonical encoder are built once and shared by every frame and
 thread. No schema declares a field that can carry raw feature or label
 arrays - model weights travel as base64-encoded float64 blobs and data is only
@@ -28,6 +33,7 @@ import base64
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Callable
@@ -339,9 +345,21 @@ def error_envelope(correlation_id: int, code: str, message: str) -> Envelope:
     return Envelope(MsgType.ERROR, correlation_id, {"code": code, "message": message})
 
 
+class _OwnFrame(threading.local):
+    """The frame this thread's ``encode`` returned last, which ``decode``
+    accepts without checking it again."""
+
+    frame: bytes | None = None
+
+
+_OWN_FRAME = _OwnFrame()
+
+
 def encode(env: Envelope) -> bytes:
     """Serialize to a length-prefixed canonical-JSON frame of ``PROTOCOL_VERSION``."""
-    if not isinstance(env.correlation_id, int) or not 0 <= env.correlation_id < 2**64:
+    cid = env.correlation_id
+    # True is an int to isinstance, but decode refuses the `true` it writes
+    if not isinstance(cid, int) or isinstance(cid, bool) or not 0 <= cid < 2**64:
         raise ProtocolError("malformed", "correlation_id must be an unsigned 64-bit integer")
     _VALIDATE_PAYLOAD[env.msg_type](env.payload)
     doc = {
@@ -353,7 +371,9 @@ def encode(env: Envelope) -> bytes:
     body = _canonical_body(doc)
     if len(body) > MAX_BODY_BYTES:
         raise ProtocolError("size", f"body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
-    return _PREFIX.pack(len(body)) + body
+    frame = _PREFIX.pack(len(body)) + body
+    _OWN_FRAME.frame = frame
+    return frame
 
 
 # The C encoder behind json.dumps(doc, sort_keys=True, separators=(",", ":"),
@@ -399,6 +419,9 @@ def _parse_finite_float(literal: str) -> float:
 # new decoder and scanner per call. Threads may share it: the scanner's only
 # state between calls is a memo that interns object keys, which it clears
 _DECODER = json.JSONDecoder(parse_float=_parse_finite_float, parse_constant=_reject_constant)
+# for the frame encode wrote last: its floats are reprs of finite floats and
+# it holds no NaN or Infinity, so the hooks above would have nothing to catch
+_PLAIN_DECODER = json.JSONDecoder()
 
 
 _ENVELOPE_KEYS = frozenset({"correlation_id", "msg_type", "payload", "version"})
@@ -409,6 +432,11 @@ def decode(frame: bytes) -> Envelope:
     """Parse exactly one frame; any malformed input raises ProtocolError."""
     if not isinstance(frame, (bytes, bytearray)) or len(frame) < 4:
         raise ProtocolError("truncated", "frame shorter than length prefix")
+    if frame == _OWN_FRAME.frame:
+        # encode validated this frame's payload and wrote its canonical
+        # body, so the checks below would pass it; only the parse is left
+        doc = _PLAIN_DECODER.decode(frame[4:].decode("utf-8"))
+        return Envelope(_MSG_TYPE_OF[doc["msg_type"]], doc["correlation_id"], doc["payload"])
     (declared,) = _PREFIX.unpack_from(frame)
     if declared > MAX_BODY_BYTES:
         raise ProtocolError("size", f"declared body of {declared} bytes exceeds {MAX_BODY_BYTES}")

@@ -471,11 +471,9 @@ def write_artifacts(
     cohorts_doc = build_cohorts_doc(coordinator, scenario_name, mode)
     (out_dir / "cohorts.json").write_text(json.dumps(cohorts_doc, indent=2, sort_keys=True) + "\n")
     summary.comparison = _merge_comparison(out_dir, mode, summary.mean_holdout_accuracy)
-    doc = summary.to_doc()
-    (out_dir / f"run_summary.{mode}.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "run_summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(summary.to_doc(), indent=2, sort_keys=True) + "\n"
+    (out_dir / f"run_summary.{mode}.json").write_text(text)
+    (out_dir / "run_summary.json").write_text(text)
 
 
 def _merge_comparison(out_dir: Path, mode: str, mean_accuracy: float) -> dict:

@@ -14,6 +14,7 @@ RNG streams from stable hashes of (seed, purpose, client).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from math import isfinite
 from pathlib import Path
@@ -849,6 +850,13 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, Path]:
     """Write server config plus per-client data/metadata/task files so the same
     scenario can run over TCP with ``communityfl serve`` / ``communityfl client``."""
+    # a client session submits one task, and serve waits for every task in
+    # expected_tasks: a client with two would keep it waiting to its timeout
+    for client_id, count in Counter(task.client_id for task in spec.tasks).items():
+        if count > 1:
+            raise ConfigError(
+                f"client {client_id!r} has {count} tasks; a socket session carries one"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = generate(spec)
@@ -863,9 +871,7 @@ def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, P
     paths["server"] = out / "server_config.json"
     paths["server"].write_text(json.dumps(server_config, indent=2, sort_keys=True) + "\n")
 
-    tasks_by_client: dict[str, list] = {}
-    for task in data.tasks:
-        tasks_by_client.setdefault(task.client_id, []).append(task)
+    tasks_by_client = {task.client_id: task for task in data.tasks}
     for client in data.clients:
         base = out / client.client_id
         data_doc = {
@@ -879,9 +885,9 @@ def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, P
         (base.parent / f"{client.client_id}.metadata.json").write_text(
             json.dumps(netproto.to_doc(client.metadata), indent=2, sort_keys=True) + "\n"
         )
-        tasks = tasks_by_client.get(client.client_id, [])
-        if tasks:
+        task = tasks_by_client.get(client.client_id)
+        if task is not None:
             (base.parent / f"{client.client_id}.task.json").write_text(
-                json.dumps(netproto.to_doc(tasks[0]), indent=2, sort_keys=True) + "\n"
+                json.dumps(netproto.to_doc(task), indent=2, sort_keys=True) + "\n"
             )
     return paths

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from communityfl import netproto
 from communityfl.community import (
     CollaborationCriteria,
     Community,
@@ -14,6 +15,7 @@ from communityfl.community import (
 )
 from communityfl.flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate
 from communityfl.hashing import stable_u64
+from communityfl.netproto import Envelope
 from communityfl.tinylearn import Dataset, EvalMetrics, WeightVector, make_arch
 
 ARCH_2X2 = make_arch(2, 2)
@@ -48,6 +50,13 @@ def fixed_signature(mean, std, hist, n_samples: int = 100, quality: float = 1.0)
         n_samples=n_samples,
         quality_score=quality,
     )
+
+
+def decode_strictly(frame: bytes) -> Envelope:
+    """``netproto.decode`` on its full path. ``decode`` only parses the frame
+    that this thread's ``encode`` returned last; this forgets that frame."""
+    netproto._OWN_FRAME.frame = None
+    return netproto.decode(frame)
 
 
 def make_update(

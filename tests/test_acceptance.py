@@ -31,7 +31,7 @@ from communityfl.netproto import PAYLOAD_SCHEMAS, Envelope, MsgType, decode, enc
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.tinylearn import Dataset, WeightVector, loss_and_gradient, make_arch
 
-from conftest import make_task, make_update, near_signature, rand_signature
+from conftest import decode_strictly, make_task, make_update, near_signature, rand_signature
 from test_flcore import naive_weighted_mean
 from test_netproto import _random_value
 from test_community import all_partitions, min_intra_similarity, two_cluster_signatures
@@ -280,7 +280,7 @@ def test_criterion_8_protocol_robustness(rng, tmp_path):
                 ),
             )
             frame = encode(env)
-            assert encode(decode(frame)) == frame
+            assert encode(decode_strictly(frame)) == frame
 
         # zero-fault socket run reproduces the simulation bit-exactly
         spec = scenarios.builtin_scenarios()["uniform"]

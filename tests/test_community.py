@@ -256,6 +256,32 @@ def test_signature_checks_refuse_exactly_what_numpy_checks_refused(
         assert not got.flags.writeable
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-12), st.sampled_from([0.0, 1e16])),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9]),
+)
+def test_histogram_sum_is_numpys_for_every_length(counts, error):
+    # DataSignature folds fewer than 8 shares itself and asks numpy from 8 on;
+    # its verdict and message at the 1e-9 tolerance must be numpy's either way
+    total = sum(counts)
+    hist = [c / total for c in counts] if total > 0 else [1.0] + [0.0] * (len(counts) - 1)
+    hist[0] += error
+    args = ([0.0], [1.0], hist, 1, 1.0)
+    try:
+        _numpy_signature_check(*args)
+    except ShapeError as exc:
+        with pytest.raises(ShapeError) as refused:
+            DataSignature(*args)
+        assert str(refused.value) == str(exc)
+        return
+    DataSignature(*args)
+
+
 @st.composite
 def _datasets(draw):
     n_samples = draw(st.integers(1, 80))

@@ -29,6 +29,8 @@ from communityfl.flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, Tra
 from communityfl.netproto import Envelope, MsgType, decode, encode
 from communityfl.tinylearn import EvalMetrics, WeightVector, make_arch
 
+from conftest import decode_strictly
+
 ARCH = make_arch(2, 2)
 MLP = make_arch(2, 2, hidden_units=3)
 PLAN = FlPlan(
@@ -227,7 +229,7 @@ def test_every_message_type_has_a_golden_frame():
 def test_frame_bytes_are_pinned(msg_type):
     frame = encode(_envelopes()[msg_type])
     assert frame == GOLDEN[msg_type]
-    assert encode(decode(frame)) == frame
+    assert encode(decode_strictly(frame)) == frame
 
 
 @pytest.mark.parametrize("record", [METADATA, COMMUNITY, TASK, REQUEST, UPDATE], ids=type)

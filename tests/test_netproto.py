@@ -1,16 +1,20 @@
 import base64
 import copy
 import dataclasses
+import enum
 import io
 import json
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from communityfl import netproto
+from communityfl import netproto, runner, scenarios
 from communityfl.community import Community, DataSignature, ParticipantMetadata
 from communityfl.errors import ConfigError, ProtocolError
 from communityfl.flcore import FlTask, ModelUpdate, TrainRequest
@@ -31,7 +35,7 @@ from communityfl.netproto import (
 )
 from communityfl.tinylearn import EvalMetrics, WeightVector, make_arch
 
-from conftest import make_community, make_metadata, make_task, make_update
+from conftest import decode_strictly, make_community, make_metadata, make_task, make_update
 
 
 def _register_env(correlation_id: int = 42) -> Envelope:
@@ -94,7 +98,7 @@ def test_random_envelopes_reencode_byte_exact(rng):
             payload=_random_value(Field("doc", schema=PAYLOAD_SCHEMAS[msg_type]), rng),
         )
         frame = encode(env)
-        decoded = decode(frame)
+        decoded = decode_strictly(frame)
         assert encode(decoded) == frame
 
 
@@ -105,7 +109,7 @@ def test_every_message_type_roundtrips(rng):
             correlation_id=7,
             payload=_random_value(Field("doc", schema=PAYLOAD_SCHEMAS[msg_type]), rng),
         )
-        assert decode(encode(env)) == env
+        assert decode_strictly(encode(env)) == env
 
 
 # -- strict decoding ------------------------------------------------------------------
@@ -206,7 +210,7 @@ def test_envelope_keys_are_refused_with_their_message(added, removed):
 
 def test_bytearray_frame_decodes_like_bytes():
     frame = encode(_register_env())
-    assert decode(bytearray(frame)) == decode(frame)
+    assert decode_strictly(bytearray(frame)) == decode_strictly(frame)
 
 
 def test_trailing_bytes_rejected():
@@ -415,22 +419,48 @@ def test_task_and_community_doc_roundtrip():
 # -- decoder properties --------------------------------------------------------------
 
 
-def _values(spec: Field):
-    """Hypothesis strategy for any value the schema field accepts."""
-    if spec.kind == "str":
-        return st.text(max_size=6)
-    if spec.kind == "int":
-        return st.integers(-(2**70), 2**70)
-    if spec.kind == "float":
-        return st.floats(allow_nan=False, allow_infinity=False)
-    if spec.kind == "number":
-        return st.one_of(st.integers(-(2**70), 2**70), _values(Field("float")))
+_TEXT = st.text(max_size=6)
+_INTEGERS = st.integers(-(2**70), 2**70)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_KEYS = st.text(max_size=4)
+_LEAVES = {
+    "str": _TEXT,
+    "key": _KEYS,
+    "int": _INTEGERS,
+    "float": _FLOATS,
+    "number": st.one_of(_INTEGERS, _FLOATS),
+}
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**40
+
+
+# leaves of a locally built payload: subclasses of str, int and float that a
+# field accepts and encode writes as their plain values
+_LOCAL_LEAVES = {
+    "str": st.one_of(_TEXT, st.sampled_from(MsgType)),
+    "key": st.one_of(_KEYS, st.sampled_from(MsgType)),
+    "int": st.one_of(_INTEGERS, st.sampled_from(_Level)),
+    "float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "number": st.one_of(_INTEGERS, st.sampled_from(_Level), _FLOATS, _FLOATS.map(np.float64)),
+}
+
+
+def _values(spec: Field, leaves: dict = _LEAVES):
+    """Hypothesis strategy for any value the schema field accepts, with its
+    scalars and map keys drawn from ``leaves``."""
+    if spec.kind in leaves:
+        return leaves[spec.kind]
     if spec.kind == "list":
-        return st.lists(_values(spec.item), max_size=3)
+        return st.lists(_values(spec.item, leaves), max_size=3)
     if spec.kind == "map":
-        return st.dictionaries(st.text(max_size=4), _values(spec.item), max_size=3)
+        return st.dictionaries(leaves["key"], _values(spec.item, leaves), max_size=3)
     if spec.kind == "doc":
-        return st.fixed_dictionaries({name: _values(sub) for name, sub in spec.schema.items()})
+        return st.fixed_dictionaries(
+            {name: _values(sub, leaves) for name, sub in spec.schema.items()}
+        )
     raise AssertionError(spec.kind)
 
 
@@ -467,7 +497,7 @@ def _spelled_frames(draw):
 @given(_spelled_frames())
 def test_every_accepted_frame_reencodes_to_itself(frame):
     try:
-        env = decode(frame)
+        env = decode_strictly(frame)
     except ProtocolError as exc:
         assert exc.code == "malformed"
         return
@@ -954,3 +984,131 @@ def test_prebuilt_encoder_refuses_what_json_dumps_refuses(doc):
         netproto._canonical_body(doc)
     assert refused.value.code == "malformed"
     assert refused.value.message == f"payload not JSON-serializable: {dumped.value}"
+
+
+# -- frames this thread encoded ------------------------------------------------------
+
+
+def test_encode_refuses_a_bool_correlation_id_as_decode_does():
+    # True is an int to isinstance; the frame would say `true`, which decode refuses
+    with pytest.raises(ProtocolError) as exc:
+        encode(Envelope(MsgType.LIST_COMMUNITIES, True, {}))
+    assert exc.value.code == "malformed"
+    assert exc.value.message == "correlation_id must be an unsigned 64-bit integer"
+
+
+def _decode_on_another_thread(frame: bytes):
+    result = []
+    thread = threading.Thread(target=lambda: result.append(_outcome(decode, frame)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return result[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(MsgType, key=lambda t: t.value)),
+    st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_Level)),
+    st.data(),
+)
+def test_own_frame_decodes_as_the_full_path_does(msg_type, correlation_id, data):
+    schema = PAYLOAD_SCHEMAS[msg_type]
+    payload = data.draw(_values(Field("doc", schema=schema), _LOCAL_LEAVES))
+    frame = encode(Envelope(msg_type, correlation_id, payload))
+    own = decode(frame)
+    outcome, elsewhere = _decode_on_another_thread(frame)
+    assert outcome == "ok"
+    for full in (decode_strictly(frame), elsewhere):
+        assert own.msg_type is full.msg_type
+        assert type(own.correlation_id) is type(full.correlation_id) is int
+        assert own.correlation_id == full.correlation_id == correlation_id
+        assert _same_document(own.payload, full.payload)
+
+
+@pytest.fixture
+def canonical_body_calls(monkeypatch):
+    """The number of ``_canonical_body`` calls so far, in any thread."""
+    calls = []
+    canonical_body = netproto._canonical_body
+
+    def counted(doc):
+        calls.append(1)
+        return canonical_body(doc)
+
+    monkeypatch.setattr(netproto, "_canonical_body", counted)
+    return lambda: len(calls)
+
+
+def test_a_frame_from_another_thread_takes_the_full_path(canonical_body_calls):
+    frame = encode(_register_env())
+    assert canonical_body_calls() == 1
+    assert _decode_on_another_thread(frame) == ("ok", _register_env())
+    assert canonical_body_calls() == 2  # validated and re-encoded there
+    assert decode(frame) == _register_env()
+    assert canonical_body_calls() == 2  # only parsed here, where it was encoded
+    encode(_register_env(correlation_id=7))  # the thread keeps only its last frame
+    assert decode(frame) == _register_env()
+    assert canonical_body_calls() == 4
+
+
+@pytest.mark.parametrize(
+    "canonical, other",
+    [
+        (b'{"correlation_id":3,', b'{"correlation_id": 3,'),
+        (b'"loss":0.25', b'"loss":2.5e-1'),
+        (b'"accuracy":1.0', b'"accuracy":1e0'),  # the same length
+    ],
+)
+def test_a_variant_of_the_own_frame_is_malformed(canonical, other):
+    update = make_update("t", [0.0, 0.0], post_loss=0.25)
+    env = Envelope(MsgType.MODEL_UPDATE, 3, {"update": netproto.to_doc(update)})
+    env.payload["update"]["post_metrics"]["accuracy"] = 1.0
+    body = encode(env)[4:]
+    assert body.count(canonical) == 1
+    body = body.replace(canonical, other)
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+    assert exc.value.message == "body is not in canonical form"
+
+
+def test_a_simulation_writes_each_frame_once(canonical_body_calls, monkeypatch):
+    frames = []
+    monkeypatch.setattr(netproto, "encode", lambda env: frames.append(1) or encode(env))
+    runner.run_simulation(scenarios.builtin_scenarios()["uniform"], mode="cohort")
+    assert len(frames) > 100
+    assert canonical_body_calls() == len(frames)
+
+
+def test_each_thread_keeps_its_own_frame(canonical_body_calls):
+    # more threads than cores, switching often, and each yielding between
+    # its encode and its decode: had the threads one slot, another thread's
+    # encode would land there, and the decode would check the frame in full
+    start = threading.Barrier(4)
+    errors = []
+
+    def work(worker: int):
+        try:
+            start.wait(timeout=10)
+            for i in range(300):
+                env = _register_env(correlation_id=worker * 1000 + i)
+                frame = encode(env)
+                time.sleep(0)
+                assert decode(frame) == env
+        except Exception as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    assert canonical_body_calls() == 4 * 300

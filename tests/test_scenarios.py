@@ -300,6 +300,17 @@ def test_export_socket_bundle(tmp_path):
         assert (tmp_path / f"{client_id}.task.json").exists()
 
 
+def test_export_socket_bundle_refuses_a_client_with_two_tasks(tmp_path):
+    # a session submits one task, so serve would wait for the second one
+    # until its ready timeout
+    spec = builtin_scenarios()["uniform"]
+    spec.tasks.append(TaskSpec(task_id="u-01-t1", client_id="u-01", community_id="U1"))
+    with pytest.raises(ConfigError) as exc:
+        scenarios.export_socket_bundle(spec, tmp_path)
+    assert str(exc.value) == "client 'u-01' has 2 tasks; a socket session carries one"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["heartrate", "poison"])
 def test_generate_draws_each_client_as_generate_client_dataset_does(name):
     # generate computes the mixture's constants once per scenario; every
