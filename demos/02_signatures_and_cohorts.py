@@ -28,7 +28,9 @@ print(f"{len(data.tasks)} tasks -> {len(registry.populations)} populations")
 population = registry.population_of("M2.1a")
 print(f"population {population.population_id}: {sorted(population.member_task_ids)}")
 
-signatures = registry.signatures_of(population)
+# a task's data signature is its participant's, the one the client registers
+registered = {client.client_id: client.metadata.data_signature for client in data.clients}
+signatures = {t: registered[registry.tasks[t].client_id] for t in population.member_task_ids}
 print("pairwise similarity, same planted cluster:",
       round(similarity(signatures["M2.1a"], signatures["M2.1b"]), 3))
 print("pairwise similarity, across clusters:    ",

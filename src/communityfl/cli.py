@@ -233,7 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a scenario deterministically")
     simulate.add_argument("--scenario", required=True, help="builtin name or JSON file")
     simulate.add_argument("--mode", choices=["cohort", "global"], default="cohort")
-    simulate.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    simulate.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="replace the scheduler seed, which picks cohort members and initial "
+        "cohort weights; the data keep the scenario's seed",
+    )
     simulate.add_argument("--out", required=True, help="artifact output directory")
     simulate.set_defaults(func=cmd_simulate)
 

@@ -119,14 +119,14 @@ class DataSignature:
 
 @dataclass(eq=False)
 class ParticipantMetadata:
-    """Self-description a participant shares with the coordinator."""
+    """Self-description a participant shares with the coordinator; its data
+    signature describes the data every task of the participant trains on."""
 
     participant_id: str
     device: DeviceDescriptor
     interests: frozenset[str]
     expertise: frozenset[str]
     data_signature: DataSignature
-    criteria: CollaborationCriteria
 
     def __post_init__(self):
         if not self.participant_id:

@@ -71,14 +71,15 @@ PLAN_FIELDS = tuple(f.name for f in fields(FlPlan))
 
 @dataclass(eq=False)
 class FlTask:
-    """One client's learning job. ``plan`` is resolved by the orchestrator by
-    merging the community's default plan with ``plan_overrides``."""
+    """One client's learning job, trained on that client's data: the signature
+    the client registered describes them. ``plan`` is resolved by the
+    orchestrator by merging the community's default plan with
+    ``plan_overrides``."""
 
     task_id: str
     client_id: str
     community_id: str
     config: ConfigSignature
-    data_signature: "DataSignature"  # noqa: F821 - defined in community module
     plan_overrides: dict[str, float | int] = field(default_factory=dict)
     plan: FlPlan | None = None
 
@@ -174,9 +175,6 @@ class PopulationRegistry:
     def population_of(self, task_id: str) -> FlPopulation:
         task = self.tasks[task_id]
         return self.populations[task.config.population_id()]
-
-    def signatures_of(self, population: FlPopulation) -> dict[str, "DataSignature"]:  # noqa: F821
-        return {tid: self.tasks[tid].data_signature for tid in population.member_task_ids}
 
 
 def aggregate(updates: Iterable[ModelUpdate], weighted: bool = True) -> WeightVector:

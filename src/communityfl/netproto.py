@@ -51,7 +51,7 @@ from .errors import ConfigError, ProtocolError, ShapeError
 from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _PREFIX = struct.Struct(">I")
 
@@ -140,7 +140,6 @@ RECORD_SCHEMAS[ParticipantMetadata] = {
     "interests": f_list(F_STR),
     "expertise": f_list(F_STR),
     "data_signature": f_doc(DataSignature),
-    "criteria": f_doc(CollaborationCriteria),
 }
 
 RECORD_SCHEMAS[ModelArch] = {
@@ -170,7 +169,6 @@ RECORD_SCHEMAS[FlTask] = {
     "client_id": F_STR,
     "community_id": F_STR,
     "config": f_doc(ConfigSignature),
-    "data_signature": f_doc(DataSignature),
     "plan_overrides": f_map(F_NUMBER),
 }
 
@@ -217,7 +215,7 @@ RECORD_SCHEMAS[TrainRequest] = {
 
 PAYLOAD_SCHEMAS: dict[MsgType, dict] = {
     MsgType.REGISTER: {"metadata": f_doc(ParticipantMetadata)},
-    MsgType.REGISTER_ACK: {"participant_id": F_STR, "session_token": F_STR},
+    MsgType.REGISTER_ACK: {"session_token": F_STR},
     MsgType.LIST_COMMUNITIES: {},
     MsgType.COMMUNITY_LIST: {"communities": f_list(f_doc(Community))},
     MsgType.SUBMIT_TASK: {"task": f_doc(FlTask), "session_token": F_STR},

@@ -28,6 +28,7 @@ import numpy as np
 from . import netproto
 from .community import (
     Community,
+    DataSignature,
     ParticipantMetadata,
     admit,
     form_cohorts,
@@ -224,20 +225,18 @@ class Coordinator:
     def register_client(self, metadata: ParticipantMetadata) -> str:
         """Store (or replace) a participant's metadata and issue a session token.
 
-        A re-registration's data signature becomes that of each of the
-        participant's tasks (a drifted client re-registers); it marks nothing
-        dirty, and the next recluster of the population reads it."""
+        The metadata's data signature is the one signature of each of the
+        participant's tasks. A re-registration (a drifted client re-registers)
+        replaces it for all of them; it marks nothing dirty, and the next
+        recluster of the population reads it."""
         with self._lock:
-            if metadata.participant_id in self.clients:
-                for task in self.registry.tasks.values():
-                    if task.client_id == metadata.participant_id:
-                        task.data_signature = metadata.data_signature
             self.clients[metadata.participant_id] = metadata
             token = digest_hex(stable_u64("session", self.config.seed, metadata.participant_id))
             self.session_tokens[metadata.participant_id] = token
             return token
 
-    def build_plan(self, task: FlTask, community: Community) -> FlPlan:
+    @staticmethod
+    def build_plan(task: FlTask, community: Community) -> FlPlan:
         """Translate a task into a fully-populated plan."""
         plan = merge_plan(community.default_plan, task.plan_overrides)
         min_samples = community.criteria.min_samples
@@ -274,6 +273,10 @@ class Coordinator:
     def _population_seed(self, population_id: str) -> int:
         return stable_u64(self.config.seed, population_id, "init")
 
+    def signature_of(self, task_id: str) -> DataSignature:
+        """The data signature of a task: the one its participant registered."""
+        return self.clients[self.registry.tasks[task_id].client_id].data_signature
+
     def ensure_cohorts(self):
         """(Re)cohort every population marked dirty, by a new task or by
         :meth:`run_round`'s recluster rule: form its cohorts on first use,
@@ -284,7 +287,7 @@ class Coordinator:
             threshold = self.config.cohort_threshold
             for population_id in sorted(self.dirty_populations):
                 population = self.registry.populations[population_id]
-                signatures = self.registry.signatures_of(population)
+                signatures = {t: self.signature_of(t) for t in population.member_task_ids}
                 seed = self._population_seed(population_id)
                 if not population.cohorts:
                     population.cohorts = form_cohorts(population, signatures, threshold, seed)
@@ -365,7 +368,7 @@ class Coordinator:
         self,
         cohort: FlCohort,
         transport: RoundTransport,
-        sched_round: int | None = None,
+        sched_round: int,
     ) -> RoundReport:
         """Execute one guarded aggregation round for a cohort, then apply the
         recluster rule: the round's flag rate joins the cohort's window of its
@@ -375,7 +378,6 @@ class Coordinator:
         with self._lock:
             if not cohort.member_task_ids:
                 raise ConfigError(f"cohort {cohort.cohort_id} has no members")
-            sched_round = cohort.round if sched_round is None else sched_round
             selected = self._select_members(cohort, sched_round)
             items = []
             for task_id in selected:
@@ -401,9 +403,9 @@ class Coordinator:
                     verdicts[task_id] = GuardVerdict(False, "cohort_mismatch")
                 elif update.round != cohort.round:
                     verdicts[task_id] = GuardVerdict(False, "round_mismatch")
-                elif update.n_samples > self.registry.tasks[task_id].data_signature.n_samples:
+                elif update.n_samples > self.signature_of(task_id).n_samples:
                     # n_samples sets the aggregation weight; a client trains on
-                    # a subset of the data its signature counts
+                    # a subset of the data its registered signature counts
                     verdicts[task_id] = GuardVerdict(False, "n_samples_exceeds_signature")
                 elif update.weights.arch_id != cohort.global_weights.arch_id:
                     # aggregate refuses mixed architectures, even of equal
@@ -475,10 +477,7 @@ class Coordinator:
                 return Envelope(
                     msg_type=MsgType.REGISTER_ACK,
                     correlation_id=env.correlation_id,
-                    payload={
-                        "participant_id": metadata.participant_id,
-                        "session_token": token,
-                    },
+                    payload={"session_token": token},
                 )
             if env.msg_type == MsgType.LIST_COMMUNITIES:
                 docs = [

@@ -25,15 +25,14 @@ from . import netproto
 from .community import (
     CollaborationCriteria,
     Community,
-    DataSignature,
     DeviceDescriptor,
     ParticipantMetadata,
     signature_from_dataset,
 )
-from .errors import ConfigError
+from .errors import ConfigError, PlanError
 from .flcore import ConfigSignature, FlPlan, FlTask
 from .hashing import stable_u64
-from .orchestrator import SchedulerConfig
+from .orchestrator import Coordinator, SchedulerConfig
 from .tinylearn import Dataset, make_arch
 
 FL_ALGORITHM = "fedavg"
@@ -193,6 +192,18 @@ class ScenarioSpec:
                 valid = set(range(self.n_classes))
                 if not (keys <= valid and values <= valid):
                     raise ConfigError("label_map refers to labels outside [0, n_classes)")
+        # a community is built, and so checked, as the run builds it
+        built = {}
+        for cspec in self.communities:
+            owner = f"community {cspec.community_id!r}"
+            _check_types(owner, vars(cspec), CommunitySpec)
+            try:
+                community = build_community(cspec, self.n_features, self.n_classes)
+            except (ConfigError, PlanError) as exc:
+                raise ConfigError(f"{owner}: {exc}") from None
+            built[cspec.community_id] = (cspec, community)
+        for task in self.tasks:
+            _check_types(f"task {task.task_id!r}", vars(task), TaskSpec)
         known = set(self.clients)
         community_ids = {c.community_id for c in self.communities}
         if len(community_ids) != len(self.communities):
@@ -248,6 +259,23 @@ class ScenarioSpec:
                     raise ConfigError(
                         f"{name} of {client_id} must be a list of known client ids, got {ids!r}"
                     )
+        # each task's plan, as the coordinator builds it at submission; tasks
+        # without overrides share their community's default plan
+        plain = set()
+        for task in self.tasks:
+            if not task.plan_overrides and task.community_id in plain:
+                continue
+            owner = f"task {task.task_id!r}"
+            # merge_plan refuses an override that names no plan field
+            overrides = {k: v for k, v in task.plan_overrides.items() if k in _FIELD_TYPES[FlPlan]}
+            _check_types(f"{owner} plan override", overrides, FlPlan)
+            cspec, community = built[task.community_id]
+            try:
+                Coordinator.build_plan(build_task(task, community, cspec.device_type), community)
+            except PlanError as exc:
+                raise ConfigError(f"{owner}: {exc}") from None
+            if not task.plan_overrides:
+                plain.add(task.community_id)
 
 
 def _is_int(value) -> bool:
@@ -262,6 +290,34 @@ def _is_finite_real(value) -> bool:
         return isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# the check and its description for each field annotation of CommunitySpec,
+# TaskSpec and FlPlan (a plan override sets a FlPlan field)
+_TYPE_CHECKS = {
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (_is_int, "an int"),
+    "float": (_is_finite_real, "a finite number"),
+    # a string is a sequence too, but it would become a set of characters
+    "list[str]": (
+        lambda value: isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value),
+        "a list of strings",
+    ),
+    "dict[str, float | int]": (lambda value: isinstance(value, dict), "an object"),
+}
+_FIELD_TYPES = {
+    cls: {f.name: f.type for f in fields(cls)} for cls in (CommunitySpec, TaskSpec, FlPlan)
+}
+
+
+def _check_types(owner: str, values: dict, record: type):
+    """Refuse a value of a type the run cannot use: the wire would cast or
+    refuse it, or a comparison with it would raise or pass by accident
+    (``True`` is no epoch count)."""
+    for name, value in values.items():
+        check, description = _TYPE_CHECKS[_FIELD_TYPES[record][name]]
+        if not check(value):
+            raise ConfigError(f"{owner}: {name} must be {description}, got {value!r}")
 
 
 # The largest class_sep, feature_std or feature_shift entry. A data signature
@@ -435,9 +491,7 @@ def build_community(spec: CommunitySpec, n_features: int, n_classes: int) -> Com
     )
 
 
-def build_task(
-    task_spec: TaskSpec, community: Community, device_type: str, signature: DataSignature
-) -> FlTask:
+def build_task(task_spec: TaskSpec, community: Community, device_type: str) -> FlTask:
     return FlTask(
         task_id=task_spec.task_id,
         client_id=task_spec.client_id,
@@ -448,7 +502,6 @@ def build_task(
             model_arch=community.base_model,
             objective=community.objective,
         ),
-        data_signature=signature,
         plan_overrides=dict(task_spec.plan_overrides),
     )
 
@@ -488,7 +541,6 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
             interests=tags,
             expertise=frozenset(),
             data_signature=signature_from_dataset(dataset),
-            criteria=CollaborationCriteria(),
         )
         clients.append(
             GeneratedClient(
@@ -501,13 +553,11 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
             )
         )
 
-    by_id = {c.client_id: c for c in clients}
     tasks = []
     for task_spec in spec.tasks:
         community = community_by_id[task_spec.community_id]
         device_type = community_specs[task_spec.community_id].device_type
-        signature = by_id[task_spec.client_id].metadata.data_signature
-        tasks.append(build_task(task_spec, community, device_type, signature))
+        tasks.append(build_task(task_spec, community, device_type))
     tasks.sort(key=lambda t: t.task_id)
     return ScenarioData(spec=spec, clients=clients, communities=communities, tasks=tasks)
 

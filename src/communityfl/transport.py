@@ -357,12 +357,10 @@ def run_socket_client(
                     break
             if chosen is None:
                 raise ProtocolError("admission_rejected", "no community admits this client")
-            metadata = client.metadata
             task = build_task(
                 TaskSpec(f"{client.client_id}-t0", client.client_id, chosen.community_id),
                 chosen,
-                metadata.device.device_type,
-                metadata.data_signature,
+                client.metadata.device.device_type,
             )
         client.submit_task(channel, task)
         while True:

@@ -88,11 +88,9 @@ def make_task(
     client_id: str = "client-a",
     objective: str = "objective-1",
     community_id: str = "C1",
-    signature: DataSignature | None = None,
     device_type: str = "tracker",
     overrides: dict | None = None,
 ) -> FlTask:
-    rng = np.random.default_rng(stable_u64("task", task_id))
     return FlTask(
         task_id=task_id,
         client_id=client_id,
@@ -103,7 +101,6 @@ def make_task(
             model_arch=ARCH_2X2,
             objective=objective,
         ),
-        data_signature=signature if signature is not None else rand_signature(rng),
         plan_overrides=dict(overrides or {}),
     )
 
@@ -126,24 +123,26 @@ def make_metadata(
     expertise=(),
     n_samples: int = 200,
     quality: float = 1.0,
-    criteria: CollaborationCriteria | None = None,
+    signature: DataSignature | None = None,
 ) -> ParticipantMetadata:
-    rng = np.random.default_rng(stable_u64("metadata", participant_id))
-    sig = rand_signature(rng)
-    sig = DataSignature(
-        per_feature_mean=sig.per_feature_mean,
-        per_feature_std=sig.per_feature_std,
-        label_histogram=sig.label_histogram,
-        n_samples=n_samples,
-        quality_score=quality,
-    )
+    """A participant's metadata. Its data signature is ``signature`` if given,
+    else one drawn from the participant id with ``n_samples`` and ``quality``."""
+    if signature is None:
+        rng = np.random.default_rng(stable_u64("metadata", participant_id))
+        sig = rand_signature(rng)
+        signature = DataSignature(
+            per_feature_mean=sig.per_feature_mean,
+            per_feature_std=sig.per_feature_std,
+            label_histogram=sig.label_histogram,
+            n_samples=n_samples,
+            quality_score=quality,
+        )
     return ParticipantMetadata(
         participant_id=participant_id,
         device=DeviceDescriptor("acme", "tracker-mk1", "tracker", "1.0.0"),
         interests=frozenset(interests),
         expertise=frozenset(expertise),
-        data_signature=sig,
-        criteria=criteria or CollaborationCriteria(),
+        data_signature=signature,
     )
 
 

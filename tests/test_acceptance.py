@@ -149,14 +149,13 @@ def test_criterion_4_population_and_cohort_partitions(rng):
             trial_rng = np.random.default_rng(1000 + trial)
             objectives = [f"obj-{i}" for i in range(4)]
             bases = {o: rand_signature(trial_rng) for o in objectives}
-            tasks = [
-                make_task(
-                    f"task-{i:02d}",
-                    objective=(obj := objectives[int(trial_rng.integers(0, 4))]),
-                    signature=near_signature(bases[obj], trial_rng),
-                )
-                for i in range(50)
-            ]
+            # each task has its own participant, whose registered signature
+            # is the task's
+            tasks, registered = [], {}
+            for i in range(50):
+                obj = objectives[int(trial_rng.integers(0, 4))]
+                registered[f"client-{i:02d}"] = near_signature(bases[obj], trial_rng)
+                tasks.append(make_task(f"task-{i:02d}", client_id=f"client-{i:02d}", objective=obj))
             registry = PopulationRegistry()
             for i in trial_rng.permutation(50):
                 registry.assign_population(tasks[int(i)])
@@ -164,7 +163,7 @@ def test_criterion_4_population_and_cohort_partitions(rng):
             for population in registry.populations.values():
                 cohorts = form_cohorts(
                     population,
-                    registry.signatures_of(population),
+                    {t: registered[registry.tasks[t].client_id] for t in population.member_task_ids},
                     threshold=0.6,
                     seed=trial,
                 )
@@ -187,10 +186,9 @@ def test_criterion_5_planted_cluster_recovery(rng):
         assert len(coarsest) == 1
         oracle = {frozenset(b) for b in coarsest[0]}
 
-        tasks = {tid: make_task(tid, signature=sig, objective="x") for tid, sig in signatures.items()}
         population = FlPopulation(
             population_id="pop-oracle",
-            config=next(iter(tasks.values())).config,
+            config=make_task("config-only", objective="x").config,
             member_task_ids=set(signatures),
         )
         cohorts = form_cohorts(population, signatures, tau, seed=0)

@@ -104,6 +104,19 @@ def test_simulate_refuses_an_unchecked_number(tmp_path, capsys, field, value, re
     assert "configuration error" in err and reason in err
 
 
+def test_simulate_refuses_a_community_field_before_it_generates_data(tmp_path, capsys):
+    # "epochs": "2" ended in a TypeError traceback and exit 1 inside the run
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
+    doc["communities"][0]["epochs"] = "2"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: community 'U1': epochs must be an int, got '2'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value, reason",
     [

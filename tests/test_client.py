@@ -70,13 +70,12 @@ def test_reregister_replaces_metadata():
 def test_register_invalid_metadata_rejected_as_protocol_error():
     coordinator, network = _sim_env()
     client = _client()
-    # overlapping tag sets violate the criteria invariant; the server answers
-    # with an Error envelope instead of crashing
+    # a label histogram that does not sum to 1 violates the signature
+    # invariant; the server answers with an Error envelope instead of crashing
     doc_safe = make_metadata("client-a")
     client.metadata = doc_safe
     doc = netproto.to_doc(doc_safe)
-    doc["criteria"]["required_tags"] = ["x"]
-    doc["criteria"]["forbidden_tags"] = ["x"]
+    doc["data_signature"]["label_histogram"] = [0.5, 0.75]
     env = netproto.Envelope(netproto.MsgType.REGISTER, 5, {"metadata": doc})
     response = coordinator.handle_envelope(env)
     assert response.msg_type == netproto.MsgType.ERROR

@@ -610,13 +610,11 @@ def test_buffered_joins_match_fancy_indexed_joins_bytewise(signatures, threshold
 
 
 def _population_with(signatures: dict):
-    tasks = {tid: make_task(tid, signature=sig, objective="shared") for tid, sig in signatures.items()}
-    population = FlPopulation(
+    return FlPopulation(
         population_id="pop-test",
-        config=next(iter(tasks.values())).config,
+        config=make_task("config-only", objective="shared").config,
         member_task_ids=set(signatures),
     )
-    return population
 
 
 def two_cluster_signatures(rng, n_per=2, gap=6.0):

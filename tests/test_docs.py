@@ -1,7 +1,7 @@
 """The schema blocks of the docs name the fields the code declares, in order.
 
 ``docs/PROTOCOL.md`` lists every wire record and message payload and every
-error code, and ``docs/SCENARIOS.md`` every ``community`` and ``task`` key. A
+error code and names the current protocol version, and ``docs/SCENARIOS.md`` every ``community`` and ``task`` key. A
 field or code added to or removed from the code but not the docs, or the
 other way round, fails here.
 """
@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from communityfl import flcore
-from communityfl.netproto import PAYLOAD_SCHEMAS, RECORD_SCHEMAS
+from communityfl.netproto import PAYLOAD_SCHEMAS, PROTOCOL_VERSION, RECORD_SCHEMAS
 from communityfl.scenarios import CommunitySpec, TaskSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +56,12 @@ def test_protocol_doc_lists_every_record_and_payload_field_in_order():
     documented[flcore.TrainRequest] = payloads["TrainRequest"]  # the payload is the record
     assert {cls: list(schema) for cls, schema in RECORD_SCHEMAS.items()} == documented
     assert {t.value: list(schema) for t, schema in PAYLOAD_SCHEMAS.items()} == payloads
+
+
+def test_protocol_doc_names_the_current_version():
+    text = (DOCS / "PROTOCOL.md").read_text()
+    envelope = text[text.index("## Envelope") :].split("\n\n", 3)[2]
+    assert re.findall(r"currently `(\d+)`", envelope) == [str(PROTOCOL_VERSION)]
 
 
 def test_scenarios_doc_lists_every_community_and_task_key_in_order():

@@ -59,7 +59,6 @@ METADATA = ParticipantMetadata(
     interests=frozenset({"sleep", "Fitness", "running"}),
     expertise=frozenset(),
     data_signature=SIGNATURE,
-    criteria=CollaborationCriteria(),
 )
 CONFIG = ConfigSignature(
     device_type="tracker", fl_algorithm="fedavg", model_arch=ARCH, objective="hr"
@@ -69,7 +68,6 @@ TASK = FlTask(
     client_id="p1",
     community_id="C1",
     config=CONFIG,
-    data_signature=SIGNATURE,
     plan_overrides={"learning_rate": 0.0625, "epochs": 3},
 )
 COMMUNITY = Community(
@@ -103,7 +101,7 @@ def _envelopes() -> dict[MsgType, Envelope]:
             MsgType.REGISTER, 1, {"metadata": netproto.to_doc(METADATA)}
         ),
         MsgType.REGISTER_ACK: Envelope(
-            MsgType.REGISTER_ACK, 1, {"participant_id": "p1", "session_token": "tok-1"}
+            MsgType.REGISTER_ACK, 1, {"session_token": "tok-1"}
         ),
         MsgType.LIST_COMMUNITIES: Envelope(
             MsgType.LIST_COMMUNITIES, 2, {}
@@ -138,26 +136,24 @@ def _envelopes() -> dict[MsgType, Envelope]:
 
 GOLDEN = {
     MsgType.REGISTER: (
-        b'\x00\x00\x01\xe4'
+        b'\x00\x00\x01\x89'
         b'{"correlation_id":1,"msg_type":"Register",'
-        b'"payload":{"metadata":{"criteria":{"forbidden_tags":[],'
-        b'"min_data_quality":0.0,"min_samples":0,"required_tags":[]},'
-        b'"data_signature":{"label_histogram":[0.25,0.75],"n_samples":40,'
-        b'"per_feature_mean":[0.5,-1.25],"per_feature_std":[1.0,0.75],'
-        b'"quality_score":1.0},"device":{"device_type":"tracker","firmware":"1.0",'
-        b'"manufacturer":"acme","model":"band-2"},"expertise":[],'
+        b'"payload":{"metadata":{"data_signature":{"label_histogram":[0.25,0.75],'
+        b'"n_samples":40,"per_feature_mean":[0.5,-1.25],"per_feature_std":[1.0,'
+        b'0.75],"quality_score":1.0},"device":{"device_type":"tracker",'
+        b'"firmware":"1.0","manufacturer":"acme","model":"band-2"},"expertise":[],'
         b'"interests":["fitness","running","sleep"],"participant_id":"p1"}},'
-        b'"version":2}'
+        b'"version":3}'
     ),
     MsgType.REGISTER_ACK: (
-        b'\x00\x00\x00s'
+        b'\x00\x00\x00]'
         b'{"correlation_id":1,"msg_type":"RegisterAck",'
-        b'"payload":{"participant_id":"p1","session_token":"tok-1"},"version":2}'
+        b'"payload":{"session_token":"tok-1"},"version":3}'
     ),
     MsgType.LIST_COMMUNITIES: (
         b'\x00\x00\x00J'
         b'{"correlation_id":2,"msg_type":"ListCommunities","payload":{},'
-        b'"version":2}'
+        b'"version":3}'
     ),
     MsgType.COMMUNITY_LIST: (
         b'\x00\x00\x01\xe2'
@@ -168,25 +164,23 @@ GOLDEN = {
         b'"min_data_quality":0.5,"min_samples":10,"required_tags":["fitness",'
         b'"sleep"]},"default_plan":{"batch_size":16,"epochs":2,'
         b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
-        b'"objective":"hr","purpose":"sleep study"}]},"version":2}'
+        b'"objective":"hr","purpose":"sleep study"}]},"version":3}'
     ),
     MsgType.SUBMIT_TASK: (
-        b'\x00\x00\x02\x01'
+        b'\x00\x00\x01q'
         b'{"correlation_id":3,"msg_type":"SubmitTask",'
         b'"payload":{"session_token":"tok-1","task":{"client_id":"p1",'
         b'"community_id":"C1","config":{"device_type":"tracker",'
         b'"fl_algorithm":"fedavg","model_arch":{"arch_id":"logreg:2x2",'
         b'"hidden_units":0,"n_classes":2,"n_features":2},"objective":"hr"},'
-        b'"data_signature":{"label_histogram":[0.25,0.75],"n_samples":40,'
-        b'"per_feature_mean":[0.5,-1.25],"per_feature_std":[1.0,0.75],'
-        b'"quality_score":1.0},"plan_overrides":{"epochs":3,'
-        b'"learning_rate":0.0625},"task_id":"p1-t0"}},"version":2}'
+        b'"plan_overrides":{"epochs":3,"learning_rate":0.0625},"task_id":"p1-t0"}},'
+        b'"version":3}'
     ),
     MsgType.TASK_ACK: (
         b'\x00\x00\x00t'
         b'{"correlation_id":3,"msg_type":"TaskAck",'
         b'"payload":{"population_id":"pop-9d061bb765","task_id":"p1-t0"},'
-        b'"version":2}'
+        b'"version":3}'
     ),
     MsgType.TRAIN_REQUEST: (
         b'\x00\x00\x01e'
@@ -195,7 +189,7 @@ GOLDEN = {
         b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
         b'"round":3,"task_id":"p1-t0","weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}},'
-        b'"version":2}'
+        b'"version":3}'
     ),
     MsgType.MODEL_UPDATE: (
         b'\x00\x00\x01\xa2'
@@ -206,17 +200,17 @@ GOLDEN = {
         b'"n_samples":10},"round":3,"task_id":"p1-t0",'
         b'"weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}}},'
-        b'"version":2}'
+        b'"version":3}'
     ),
     MsgType.METRICS_ACK: (
         b'\x00\x00\x00\x85'
         b'{"correlation_id":18446744073709551615,"msg_type":"MetricsAck",'
-        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":2}'
+        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":3}'
     ),
     MsgType.ERROR: (
         b'\x00\x00\x00~'
         b'{"correlation_id":0,"msg_type":"Error","payload":{"code":"malformed",'
-        b'"message":"payload.round: expected integer"},"version":2}'
+        b'"message":"payload.round: expected integer"},"version":3}'
     ),
 }
 

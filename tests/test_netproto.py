@@ -154,6 +154,27 @@ def test_version_1_update_with_session_token_is_refused_by_version():
     assert exc.value.message == "ModelUpdateMsg: undeclared fields ['session_token']"
 
 
+def test_version_2_submission_with_a_task_signature_is_refused_by_version():
+    # what a version-2 client sends: the task with the copy of its
+    # participant's signature that version 3 dropped
+    task = netproto.to_doc(make_task("t1"))
+    task["data_signature"] = netproto.to_doc(make_metadata("client-a").data_signature)
+    payload = {"task": task, "session_token": "tok"}
+    doc = {"correlation_id": 3, "msg_type": "SubmitTask", "payload": payload, "version": 2}
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "unsupported_version"
+    assert exc.value.message == "version 2"
+    # the same payload at the current version names the field it no longer has
+    doc["version"] = PROTOCOL_VERSION
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+    assert exc.value.message == "SubmitTask.task: undeclared fields ['data_signature']"
+
+
 def test_unknown_msg_type():
     doc = json.loads(encode(_register_env())[4:])
     doc["msg_type"] = "Gossip"
@@ -175,7 +196,7 @@ _CID_MESSAGE = "correlation_id must be an unsigned 64-bit integer"
         ],
         *[
             ("version", v, "unsupported_version", f"version {v!r}")
-            for v in [True, 2.0, "2", None, [], 3]
+            for v in [True, 3.0, "3", None, [], 4]
         ],
         *[
             ("correlation_id", v, "malformed", _CID_MESSAGE)
@@ -838,10 +859,10 @@ def _one_record_of_each_class() -> dict[type, object]:
         weights=weights,
         pre_metrics=EvalMetrics(loss=np.float64(0.75), accuracy=0.5, n_samples=np.int64(3)),
     )
-    task = dataclasses.replace(make_task("t", signature=signature), plan_overrides={"epochs": 3})
+    task = dataclasses.replace(make_task("t"), plan_overrides={"epochs": 3})
     community = make_community()
     roots = [
-        make_metadata("p", interests=("Sleep", "fitness")),
+        make_metadata("p", interests=("Sleep", "fitness"), signature=signature),
         task,
         community,
         update,
@@ -941,8 +962,8 @@ def test_compiled_writers_cast_like_the_generic_ones(cls):
 
 def test_compiled_converters_fail_on_the_first_bad_field_in_schema_order():
     doc = netproto.to_doc(_RECORDS[ParticipantMetadata])
-    del doc["criteria"]
-    doc["device"] = []  # before criteria in the schema
+    del doc["data_signature"]
+    doc["device"] = []  # before data_signature in the schema
     for read in (_GENERIC_READ[ParticipantMetadata], netproto._FROM_DOC[ParticipantMetadata]):
         with pytest.raises(TypeError):
             read(doc)

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -128,15 +130,17 @@ def test_submit_same_config_tasks_share_population():
 
 
 def test_submission_order_invariance_over_all_permutations(rng):
+    # each task has its own participant, and so its own registered signature
     def build_tasks():
-        sig_near = [make_task(f"t{i}", objective="alpha") for i in range(2)]
-        sig_far = [make_task(f"t{i}", objective="beta") for i in range(2, 4)]
+        sig_near = [make_task(f"t{i}", client_id=f"c{i}", objective="alpha") for i in range(2)]
+        sig_far = [make_task(f"t{i}", client_id=f"c{i}", objective="beta") for i in range(2, 4)]
         return sig_near + sig_far
 
     reference = None
     for perm in itertools.permutations(range(4)):
         coordinator = _coordinator()
-        coordinator.register_client(make_metadata("client-a"))
+        for i in range(4):
+            coordinator.register_client(make_metadata(f"c{i}"))
         tasks = build_tasks()
         for i in perm:
             coordinator.submit_task(tasks[i])
@@ -163,7 +167,11 @@ def test_submission_order_invariance_over_all_permutations(rng):
 
 
 def _wire_clients(coordinator, datasets: dict[str, Dataset]):
-    clients = {cid: FlClient(cid, data, make_metadata(cid)) for cid, data in datasets.items()}
+    """Register one client per dataset, its metadata carrying that data's signature."""
+    clients = {
+        cid: FlClient(cid, data, make_metadata(cid, signature=signature_from_dataset(data)))
+        for cid, data in datasets.items()
+    }
     network = SimNetwork(coordinator, clients)
     for client in clients.values():
         client.register(network)
@@ -174,7 +182,7 @@ def test_single_member_round_adopts_trained_weights():
     coordinator = _coordinator()
     data = separable_dataset(n=40, gap=4.0, seed=1)
     network = _wire_clients(coordinator, {"solo": data})
-    task = make_task("solo-t", client_id="solo", signature=signature_from_dataset(data))
+    task = make_task("solo-t", client_id="solo")
     network.clients["solo"].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
@@ -190,9 +198,8 @@ def test_two_identical_clients_global_beats_initial_on_pooled_data():
     coordinator = _coordinator()
     data = separable_dataset(n=60, gap=3.0, seed=8)
     network = _wire_clients(coordinator, {"a": data, "b": data})
-    signature = signature_from_dataset(data)
     for client_id in ("a", "b"):
-        task = make_task(f"{client_id}-t", client_id=client_id, signature=signature)
+        task = make_task(f"{client_id}-t", client_id=client_id)
         network.clients[client_id].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
@@ -227,16 +234,14 @@ def test_round_monotonicity_and_quorum_abort():
     assert cohort.round == 7  # 8 scheduled, 1 aborted
 
 
-def test_clients_per_round_subselection(rng):
-    from conftest import rand_signature
-
+def test_clients_per_round_subselection():
+    # four clients with the same data register one shared signature
     coordinator = _coordinator(clients_per_round=2, min_updates_quorum=0.5)
     data = separable_dataset(n=40, gap=4.0, seed=1)
     datasets = {f"c{i}": data for i in range(4)}
     network = _wire_clients(coordinator, datasets)
-    shared = rand_signature(rng)
     for client_id in datasets:
-        task = make_task(f"{client_id}-t", client_id=client_id, signature=shared)
+        task = make_task(f"{client_id}-t", client_id=client_id)
         network.clients[client_id].submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
@@ -316,7 +321,7 @@ class _RewritingTransport:
 
 def _single_member_cohort(coordinator, data: Dataset):
     network = _wire_clients(coordinator, {"a": data})
-    task = make_task("a-t", client_id="a", signature=signature_from_dataset(data))
+    task = make_task("a-t", client_id="a")
     network.clients["a"].submit_task(network, task)
     coordinator.ensure_cohorts()
     return network, coordinator.all_cohorts()[0]
@@ -529,6 +534,82 @@ def test_wrong_architecture_update_does_not_crash_the_run(arch_id, monkeypatch):
     assert later and all(r.status == "committed" for r in later)
 
 
+# -- one signature per participant ------------------------------------------------------
+
+
+def test_one_registered_signature_governs_admission_cohorts_and_the_sample_bound():
+    # a task carries no signature of its own: admission, cohort placement and
+    # the n_samples bound all read its participant's registered one, and a
+    # re-Register changes all three at once
+    coordinator = _coordinator(criteria=CollaborationCriteria(min_samples=50))
+    near = fixed_signature([0.0, 0.0], [1.0, 1.0], [0.5, 0.5], n_samples=200)
+    far = fixed_signature([9.0, 9.0], [1.0, 1.0], [0.1, 0.9], n_samples=40)
+    for client_id in ("a", "b"):
+        coordinator.register_client(make_metadata(client_id, signature=near))
+        coordinator.submit_task(make_task(f"{client_id}-t", client_id=client_id))
+    coordinator.ensure_cohorts()
+    (cohort,) = coordinator.all_cohorts()
+    claims = {"a-t": 200, "b-t": 200}
+    report = coordinator.run_round(cohort, _EchoTransport(n_samples=claims), 1)
+    assert report.guard_verdicts == {"a-t": "accept", "b-t": "accept"}
+
+    drifted = make_metadata("a", signature=far)
+    coordinator.register_client(drifted)
+    assert not hasattr(coordinator.registry.tasks["a-t"], "data_signature")
+    assert coordinator.signature_of("a-t") is drifted.data_signature
+    # the bound: a's data now count 40 samples
+    claims = {"a-t": 41, "b-t": 200}
+    report = coordinator.run_round(cohort, _EchoTransport(n_samples=claims), 2)
+    assert report.guard_verdicts == {"a-t": "flag:n_samples_exceeds_signature", "b-t": "accept"}
+    # admission: 40 samples are below the community's minimum of 50
+    with pytest.raises(AdmissionRefused) as refused:
+        coordinator.submit_task(make_task("a-t2", client_id="a"))
+    assert refused.value.reason == "min_samples"
+    # cohort placement: the next recluster of the population moves a-t away
+    coordinator.dirty_populations.add(cohort.population_id)
+    coordinator.ensure_cohorts()
+    placed = {t: c.cohort_id for c in coordinator.all_cohorts() for t in c.member_task_ids}
+    assert placed.keys() == {"a-t", "b-t"}
+    assert placed["a-t"] != placed["b-t"]
+
+
+def _frame(msg_type: MsgType, payload: dict) -> bytes:
+    doc = {
+        "correlation_id": 5,
+        "msg_type": msg_type.value,
+        "payload": payload,
+        "version": netproto.PROTOCOL_VERSION,
+    }
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack(">I", len(body)) + body
+
+
+def test_registration_fields_that_version_3_removed_are_malformed():
+    coordinator = _coordinator()
+    metadata = make_metadata("client-a")
+    token = coordinator.register_client(metadata)
+    # the participant-side criteria that no code obeyed
+    stale_metadata = netproto.to_doc(metadata)
+    stale_metadata["criteria"] = netproto.to_doc(CollaborationCriteria())
+    # the task's copy of its participant's signature
+    stale_task = netproto.to_doc(make_task("t-1"))
+    stale_task["data_signature"] = netproto.to_doc(metadata.data_signature)
+    for frame, message in (
+        (
+            _frame(MsgType.REGISTER, {"metadata": stale_metadata}),
+            "Register.metadata: undeclared fields ['criteria']",
+        ),
+        (
+            _frame(MsgType.SUBMIT_TASK, {"task": stale_task, "session_token": token}),
+            "SubmitTask.task: undeclared fields ['data_signature']",
+        ),
+    ):
+        reply = netproto.decode(coordinator.handle_frame(frame))
+        assert reply == netproto.error_envelope(0, "malformed", message)
+    assert coordinator.registry.tasks == {}
+    assert coordinator.clients == {"client-a": metadata}
+
+
 # -- the negative-transfer guard -------------------------------------------------------
 
 
@@ -620,10 +701,12 @@ def test_guard_soundness_on_iid_clients():
 
 class _EchoTransport:
     """Answers every request with an update that echoes its task, cohort and
-    round; the tasks in ``flagged`` report a loss regression the guard flags."""
+    round; the tasks in ``flagged`` report a loss regression the guard flags,
+    and a task in ``n_samples`` claims that many samples (else 1)."""
 
-    def __init__(self, flagged=()):
+    def __init__(self, flagged=(), n_samples=None):
         self.flagged = set(flagged)
+        self.n_samples = n_samples or {}
 
     def exchange_round(self, items, sched_round):
         arrivals = []
@@ -631,18 +714,25 @@ class _EchoTransport:
             asked = env.payload
             post_loss = 2.0 if task_id in self.flagged else 1.0
             update = make_update(
-                task_id, [], cohort_id=asked["cohort_id"], round=asked["round"], post_loss=post_loss
+                task_id,
+                [],
+                n_samples=self.n_samples.get(task_id, 1),
+                cohort_id=asked["cohort_id"],
+                round=asked["round"],
+                post_loss=post_loss,
             )
             arrivals.append((task_id, update))
         return arrivals, 0
 
 
 def _coordinator_with_cohort(n_tasks=1, **config_overrides):
+    """One cohort of tasks t1..tn, each of its own participant c1..cn, and
+    every participant registered with one shared signature."""
     coordinator = _coordinator(**config_overrides)
-    coordinator.register_client(make_metadata("client-a"))
     shared = fixed_signature([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
     for i in range(1, n_tasks + 1):
-        coordinator.submit_task(make_task(f"t{i}", signature=shared))
+        coordinator.register_client(make_metadata(f"c{i}", signature=shared))
+        coordinator.submit_task(make_task(f"t{i}", client_id=f"c{i}"))
     coordinator.ensure_cohorts()
     (cohort,) = coordinator.all_cohorts()
     return coordinator, cohort
@@ -709,7 +799,8 @@ def test_recluster_of_a_marked_cohort_that_changes_nothing_logs_nothing(threshol
 
 def test_task_submitted_after_setup_is_cohorted_at_the_next_recluster():
     coordinator, cohort = _coordinator_with_cohort()
-    coordinator.submit_task(make_task("t2"))
+    coordinator.register_client(make_metadata("c2"))
+    coordinator.submit_task(make_task("t2", client_id="c2"))
     assert coordinator.dirty_populations == {cohort.population_id}
     coordinator.ensure_cohorts()
     assert coordinator.dirty_populations == set()

@@ -188,8 +188,8 @@ def _signature_fields(signature):
 
 def test_a_drift_reaches_every_copy_of_the_signature_and_leaves_the_scenario_data():
     # the drifted client swaps its data and signature and re-registers; the
-    # coordinator's stored metadata and the client's task follow, and the
-    # generated scenario stays as generate made it
+    # coordinator's stored metadata follows, the client's task reads its
+    # signature from there, and the generated scenario stays as generate made it
     spec = builtin_scenarios()["drift"]
     (event,) = spec.drift_events
     run = runner.run_simulation(spec, mode="cohort")
@@ -201,9 +201,11 @@ def test_a_drift_reaches_every_copy_of_the_signature_and_leaves_the_scenario_dat
         if task.client_id == event.client_id
     ]
     assert tasks
-    copies = [client.metadata, run.coordinator.clients[event.client_id], *tasks]
+    copies = [client.metadata, run.coordinator.clients[event.client_id]]
     for holder in copies:
         assert _signature_fields(holder.data_signature) == current
+    for task in tasks:
+        assert _signature_fields(run.coordinator.signature_of(task.task_id)) == current
 
     fresh = generate(spec)
     assert _signature_fields(fresh.client(event.client_id).metadata.data_signature) != current
@@ -217,7 +219,7 @@ def test_a_drift_reaches_every_copy_of_the_signature_and_leaves_the_scenario_dat
         )
     for kept, made in zip(run.data.tasks, fresh.tasks):
         assert kept.task_id == made.task_id
-        assert _signature_fields(kept.data_signature) == _signature_fields(made.data_signature)
+        assert (kept.config, kept.plan_overrides) == (made.config, made.plan_overrides)
 
 
 class _SetUpDone(Exception):

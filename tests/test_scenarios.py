@@ -199,7 +199,7 @@ def test_uniform_builtin_single_cohort_up_to_090():
         config=data.tasks[0].config,
         member_task_ids={t.task_id for t in data.tasks},
     )
-    signatures = {t.task_id: t.data_signature for t in data.tasks}
+    signatures = {t.task_id: data.client(t.client_id).metadata.data_signature for t in data.tasks}
     for tau in (0.3, 0.8, 0.9):
         assert len(form_cohorts(population, signatures, tau, seed=1)) == 1
 
@@ -258,6 +258,26 @@ def test_spec_validation_errors():
     ):
         with pytest.raises(ConfigError):
             _basic_spec(**fields).validate()
+    # each of these community or task fields of the uniform builtin was
+    # checked only when the run used it: it ended in a TypeError, ran with
+    # a value the wire casts or the run misreads, or failed in generation,
+    # at registration or on the wire
+    for section, fields, message in (
+        ("communities", {"epochs": "2"}, "'U1': epochs must be an int, got '2'"),
+        ("communities", {"min_samples": "50"}, "'U1': min_samples must be an int"),
+        ("communities", {"epochs": True}, "'U1': epochs must be an int, got True"),
+        ("communities", {"required_tags": "fitness"}, "required_tags must be a list of strings"),
+        ("communities", {"shuffle_seed": 1.5}, "'U1': shuffle_seed must be an int, got 1.5"),
+        ("communities", {"learning_rate": nan}, "learning_rate must be a finite number"),
+        ("communities", {"eval_holdout_fraction": 1.0}, "eval_holdout_fraction must be in (0,1)"),
+        ("communities", {"batch_size": 64}, "batch_size 64 exceeds the community's minimum"),
+        ("tasks", {"plan_overrides": {"epochs": "3"}}, "plan override: epochs must be an int"),
+    ):
+        doc = scenarios.spec_to_doc(builtin_scenarios()["uniform"])
+        doc[section][0].update(fields)
+        with pytest.raises(ConfigError) as err:
+            scenarios.spec_from_doc(doc)
+        assert message in str(err.value)
 
 
 def test_spec_unknown_field_rejected():

@@ -45,13 +45,17 @@ def _sim_round_setup(rng, faults=None, n_clients=3):
         ),
         [make_community()],
     )
+    # every client registers one shared signature, so they form one cohort
     shared = rand_signature(rng)
     data = separable_dataset(n=40, gap=4.0, seed=6)
-    clients = {f"c{i}": FlClient(f"c{i}", data, make_metadata(f"c{i}")) for i in range(n_clients)}
+    clients = {
+        f"c{i}": FlClient(f"c{i}", data, make_metadata(f"c{i}", signature=shared))
+        for i in range(n_clients)
+    }
     network = SimNetwork(coordinator, clients, faults)
     for client_id, client in clients.items():
         client.register(network)
-        task = make_task(f"{client_id}-t", client_id=client_id, signature=shared)
+        task = make_task(f"{client_id}-t", client_id=client_id)
         client.submit_task(network, task)
     coordinator.ensure_cohorts()
     cohort = coordinator.all_cohorts()[0]
@@ -491,7 +495,7 @@ def test_a_refused_reply_drops_its_client_from_that_round_alike_on_both_transpor
         assert (report.received_updates, report.status) == (len(spec.tasks), "committed")
 
 
-def test_socket_client_refuses_an_ack_that_does_not_echo_its_update(rng):
+def test_socket_client_refuses_an_ack_that_does_not_echo_its_update():
     # a coordinator that registers the client, asks one round and acks the
     # reply under another correlation id
     coordinator = Coordinator(SchedulerConfig(), [make_community()])
@@ -518,7 +522,7 @@ def test_socket_client_refuses_an_ack_that_does_not_echo_its_update(rng):
     thread = threading.Thread(target=fake_coordinator, daemon=True)
     thread.start()
     client = FlClient("c0", separable_dataset(n=40, gap=4.0, seed=6), make_metadata("c0"))
-    task = make_task("c0-t", client_id="c0", signature=rand_signature(rng))
+    task = make_task("c0-t", client_id="c0")
     host, port = listener.getsockname()[:2]
     try:
         with pytest.raises(ProtocolError) as err:
@@ -537,11 +541,11 @@ def _wait_for(condition, timeout_s=5.0):
         time.sleep(0.01)
 
 
-def test_resubmitted_task_closes_the_session_it_replaces(rng):
+def test_resubmitted_task_closes_the_session_it_replaces():
     coordinator = Coordinator(SchedulerConfig(), [make_community()])
     server = SocketCoordinatorServer(coordinator, "127.0.0.1", 0, expected_tasks=2)
     client = FlClient("c0", separable_dataset(n=40, gap=4.0, seed=6), make_metadata("c0"))
-    task = make_task("c0-t", client_id="c0", signature=rand_signature(rng))
+    task = make_task("c0-t", client_id="c0")
     channels = []
 
     def connect_and_submit():
