@@ -101,7 +101,11 @@ class FlClient:
         """Deterministic train/holdout split, stable for a fixed client seed.
 
         The pair is built once per fraction; repeat calls return the same
-        (read-only) datasets until :meth:`set_dataset` replaces the data.
+        (read-only) datasets until :meth:`set_dataset` replaces the data. Each
+        half keeps its rows in their original order and is taken with
+        :meth:`Dataset.rows`, so the checked local data is not checked again.
+        A client with one sample has no row to hold out: its empty holdout
+        raises ``ShapeError``.
         """
         key = float(holdout_fraction)
         cached = self._split_cache.get(key)
@@ -112,17 +116,11 @@ class FlClient:
         rng = np.random.default_rng(stable_u64("split", self.client_id))
         perm = rng.permutation(n)
         n_holdout = min(n - 1, max(1, int(round(key * n))))
-        train_idx, holdout_idx = np.sort(perm[n_holdout:]), np.sort(perm[:n_holdout])
-        train = Dataset(
-            features=data.features[train_idx],
-            labels=data.labels[train_idx],
-            n_classes=data.n_classes,
-        )
-        holdout = Dataset(
-            features=data.features[holdout_idx],
-            labels=data.labels[holdout_idx],
-            n_classes=data.n_classes,
-        )
+        train_idx, holdout_idx = perm[n_holdout:], perm[:n_holdout]
+        # the two halves are views of perm, which nothing else holds
+        train_idx.sort()
+        holdout_idx.sort()
+        train, holdout = data.rows(train_idx), data.rows(holdout_idx)
         self._split_cache[key] = (train, holdout)
         return train, holdout
 

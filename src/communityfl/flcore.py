@@ -97,6 +97,20 @@ class FlCohort:
     # the flag rates of this cohort's last rounds, which the coordinator's
     # recluster rule reads; a rebuilt cohort starts with an empty window
     flag_rates: list[float] = field(default_factory=list)
+    # the member set sorted_members last sorted, and its result
+    _sorted_of: frozenset[str] = field(default=frozenset(), init=False, repr=False)
+    _sorted: tuple[str, ...] = field(default=(), init=False, repr=False)
+
+    def sorted_members(self) -> tuple[str, ...]:
+        """``member_task_ids`` in ascending order. The set is sorted again only
+        when it differs from the one sorted last, so a change made in place
+        is seen too."""
+        if self._sorted_of != self.member_task_ids:
+            members = frozenset(self.member_task_ids)
+            # the result first: a reader that sees the new set sees its result
+            self._sorted = tuple(sorted(members))
+            self._sorted_of = members
+        return self._sorted
 
 
 @dataclass(eq=False)
@@ -160,7 +174,14 @@ class PopulationRegistry:
     def assign_population(self, task: FlTask) -> str:
         existing = self.tasks.get(task.task_id)
         if existing is not None:
-            if existing.config == task.config and existing.client_id == task.client_id:
+            # the plan is built from the community and the overrides, so a
+            # match on these four is the same task (a socket reconnect, say)
+            if (
+                existing.config == task.config
+                and existing.client_id == task.client_id
+                and existing.community_id == task.community_id
+                and existing.plan_overrides == task.plan_overrides
+            ):
                 return existing.config.population_id()
             raise DuplicateTaskError(f"task id {task.task_id!r} already registered")
         pop_id = task.config.population_id()

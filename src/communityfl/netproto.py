@@ -508,9 +508,27 @@ def _read_exact(stream: IO[bytes], n: int) -> bytes | None:
 # domain <-> document converters
 
 
+class _LastWeights(threading.local):
+    """The weight values this thread's ``weights_to_wire`` encoded last, and
+    their base64 text: a round sends one cohort model to each member."""
+
+    values: np.ndarray | None = None
+    text: str = ""
+
+
+_LAST_WEIGHTS = _LastWeights()
+
+
 def weights_to_wire(w: WeightVector) -> dict:
-    blob = np.ascontiguousarray(w.values, dtype="<f8").tobytes()
-    return {"arch_id": w.arch_id, "values": base64.b64encode(blob).decode("ascii")}
+    last = _LAST_WEIGHTS
+    # the values are read-only, so the same array encodes to the same text;
+    # holding it keeps its id from being reused by another array
+    if w.values is not last.values:
+        blob = np.ascontiguousarray(w.values, dtype="<f8").tobytes()
+        last.text = base64.b64encode(blob).decode("ascii")
+        last.values = w.values
+    # a fresh dict each call: payload documents are never shared
+    return {"arch_id": w.arch_id, "values": last.text}
 
 
 def wire_to_weights(doc: dict) -> WeightVector:

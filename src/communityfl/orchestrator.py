@@ -318,7 +318,7 @@ class Coordinator:
     # -- rounds -----------------------------------------------------------------
 
     def _select_members(self, cohort: FlCohort, sched_round: int) -> list[str]:
-        members = sorted(cohort.member_task_ids)
+        members = cohort.sorted_members()
         if self.config.clients_per_round == "all":
             k = len(members)
         else:

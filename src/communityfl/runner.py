@@ -32,7 +32,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,8 @@ class RunSummary:
     wall_time_s: float
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        # json.dumps reads the fields' maps as they are; asdict would deep-copy them
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def scheduler_for_mode(config: SchedulerConfig, mode: str, seed: int | None) -> SchedulerConfig:
@@ -123,12 +124,12 @@ class _HoldoutStack:
     sizes: list[int]
 
 
-def _cohort_holdout_accuracy(members: list[tuple[str, float, int]]) -> float:
-    """Sample-weighted mean of per-member holdout accuracies."""
+def _cohort_holdout_accuracy(hits: list[int], sizes: list[int]) -> float:
+    """Sample-weighted mean of the per-member holdout accuracies ``hit / n``."""
     total = 0
     acc = 0.0
-    for _, accuracy, n in members:
-        acc += accuracy * n
+    for hit, n in zip(hits, sizes):
+        acc += hit / n * n
         total += n
     return acc / total if total else 0.0
 
@@ -149,7 +150,7 @@ class _OmniscientHoldout:
         self._stacks.clear()
 
     def _stack(self, cohort: FlCohort) -> _HoldoutStack:
-        task_ids = tuple(sorted(cohort.member_task_ids))
+        task_ids = cohort.sorted_members()
         stack = self._stacks.get(cohort.cohort_id)
         if stack is not None and stack.task_ids == task_ids:
             return stack
@@ -172,30 +173,30 @@ class _OmniscientHoldout:
         self._stacks[cohort.cohort_id] = stack
         return stack
 
-    def _member_accuracy(self, cohort: FlCohort) -> list[tuple[str, float, int]]:
-        """(task_id, accuracy, holdout size) of the cohort model on each
-        member's holdout, in task-id order, from one forward pass over the
-        stacked holdouts. ``hits / n`` is bit-equal to
-        ``evaluate(...).accuracy`` on that holdout."""
+    def _member_hits(self, cohort: FlCohort) -> tuple[tuple[str, ...], list[int], list[int]]:
+        """Task ids, holdout hits and holdout sizes of the cohort's members in
+        task-id order, from one forward pass of the cohort model over the
+        stacked holdouts. ``hit / n`` is bit-equal to ``evaluate(...).accuracy``
+        on that member's holdout."""
         if not cohort.member_task_ids:
-            return []
+            return (), [], []
         stack = self._stack(cohort)
         hits = grouped_hits(cohort.global_weights, stack.features, stack.labels, stack.offsets)
-        return [(t, int(h) / n, n) for t, h, n in zip(stack.task_ids, hits, stack.sizes)]
+        return stack.task_ids, hits.tolist(), stack.sizes
 
     def fill(self, cohort: FlCohort, report: RoundReport, rows: list[dict]):
-        members = self._member_accuracy(cohort)
-        rows[-1]["global_holdout_acc"] = _fmt(_cohort_holdout_accuracy(members))
+        _, hits, sizes = self._member_hits(cohort)
+        rows[-1]["global_holdout_acc"] = _fmt(_cohort_holdout_accuracy(hits, sizes))
 
     def final(self, reports: list[RoundReport]) -> tuple[dict[str, float], dict[str, float]]:
         """Per-task and per-cohort accuracy of the final cohort models."""
         per_task: dict[str, float] = {}
         per_cohort: dict[str, float] = {}
         for cohort in self._coordinator.all_cohorts():
-            members = self._member_accuracy(cohort)
-            per_cohort[cohort.cohort_id] = _cohort_holdout_accuracy(members)
-            for task_id, accuracy, _ in members:
-                per_task[task_id] = accuracy
+            task_ids, hits, sizes = self._member_hits(cohort)
+            per_cohort[cohort.cohort_id] = _cohort_holdout_accuracy(hits, sizes)
+            for task_id, hit, n in zip(task_ids, hits, sizes):
+                per_task[task_id] = hit / n
         return per_task, per_cohort
 
 

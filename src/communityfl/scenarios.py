@@ -131,6 +131,9 @@ class ScenarioSpec:
             raise ConfigError("scenario name must be non-empty")
         if not self.clients:
             raise ConfigError("scenario defines no clients")
+        for client_id in self.clients:
+            if not isinstance(client_id, str):
+                raise ConfigError(f"client ids must be strings, got {client_id!r}")
         if len(set(self.clients)) != len(self.clients):
             raise ConfigError("client ids must be unique")
         if not _is_int(self.seed):
@@ -216,7 +219,10 @@ class ScenarioSpec:
                 raise ConfigError(f"task {task.task_id} references unknown client")
             if task.community_id not in community_ids:
                 raise ConfigError(f"task {task.task_id} references unknown community")
+        # a client id is looked up in a set and a round compared with ints,
+        # so a value of another type would raise or never match
         for event in self.drift_events:
+            _check_entry("drift event", event, ("round", "new_cluster"))
             if event.client_id not in known:
                 raise ConfigError("drift event references unknown client")
             if not 0 <= event.new_cluster < len(self.clusters):
@@ -224,11 +230,15 @@ class ScenarioSpec:
             if event.round < 1:
                 raise ConfigError("drift round is 1-based")
         for p in self.poison:
+            _check_entry("poison spec", p, ())
             if p.client_id not in known:
                 raise ConfigError("poison spec references unknown client")
-            if not 0.0 <= p.label_flip_rate <= 1.0:
-                raise ConfigError("label_flip_rate must be in [0,1]")
+            if not (_is_finite_real(p.label_flip_rate) and 0.0 <= p.label_flip_rate <= 1.0):
+                raise ConfigError(
+                    f"label_flip_rate must be a number in [0,1], got {p.label_flip_rate!r}"
+                )
         for fault in self.faults:
+            _check_entry("fault", fault, ("round",))
             if fault.client_id not in known:
                 raise ConfigError("fault references unknown client")
             if fault.kind not in ("drop", "delay"):
@@ -281,6 +291,17 @@ class ScenarioSpec:
 def _is_int(value) -> bool:
     # bool is a subclass of int, but True is no count or seed
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_entry(owner: str, entry, int_fields: tuple[str, ...]):
+    """Refuse a drift, poison or fault entry whose client id is not a string
+    or whose ``int_fields`` are not ints."""
+    if not isinstance(entry.client_id, str):
+        raise ConfigError(f"{owner}: client_id must be a string, got {entry.client_id!r}")
+    for name in int_fields:
+        value = getattr(entry, name)
+        if not _is_int(value):
+            raise ConfigError(f"{owner}: {name} must be an int, got {value!r}")
 
 
 def _is_finite_real(value) -> bool:

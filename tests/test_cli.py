@@ -90,6 +90,11 @@ def test_simulate_refuses_a_removed_scenario_field(tmp_path, capsys, section, fi
         ("resources", {"u-01": {"neighbors": "u-02"}}, "neighbors of u-01 must be a list of"),
         ("resources", {"u-01": {"neighbors": ["ghost"]}}, "neighbors of u-01 must be a list of"),
         ("resources", {"u-01": {"trusted": ["ghost"]}}, "trusted of u-01 must be a list of"),
+        (
+            "drift_events",
+            [{"round": "2", "client_id": "u-01", "new_cluster": 0}],
+            "drift event: round must be an int, got '2'",
+        ),
     ],
 )
 def test_simulate_refuses_an_unchecked_number(tmp_path, capsys, field, value, reason):

@@ -5,6 +5,7 @@ from communityfl import netproto
 from communityfl.client import FlClient
 from communityfl.errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from communityfl.flcore import TrainRequest
+from communityfl.hashing import stable_u64
 from communityfl.orchestrator import Coordinator, SchedulerConfig
 from communityfl.runner import run_simulation
 from communityfl.scenarios import (
@@ -14,7 +15,7 @@ from communityfl.scenarios import (
     ScenarioSpec,
     TaskSpec,
 )
-from communityfl.tinylearn import evaluate, init_weights, make_arch
+from communityfl.tinylearn import Dataset, evaluate, init_weights, make_arch
 from communityfl.transport import SimNetwork, _RoundChannel
 
 from conftest import default_plan, make_community, make_metadata, make_task, separable_dataset
@@ -147,6 +148,26 @@ def test_split_cached_until_set_dataset():
     fresh = client.split(0.25)
     assert fresh[0] is not first[0] and fresh[1] is not first[1]
     assert not fresh[1].features.flags.writeable
+
+
+def test_split_halves_equal_the_checked_constructor_on_their_rows():
+    client = _client(n=40)
+    data = client.local_data
+    perm = np.random.default_rng(stable_u64("split", client.client_id)).permutation(40)
+    for part, index in zip(client.split(0.25), (np.sort(perm[10:]), np.sort(perm[:10]))):
+        checked = Dataset(features=data.features[index], labels=data.labels[index], n_classes=2)
+        assert part.features.tobytes() == checked.features.tobytes()
+        assert part.labels.tobytes() == checked.labels.tobytes()
+        assert part.n_classes == checked.n_classes
+
+
+def test_split_of_a_one_sample_client_raises_shape_error():
+    # the one sample trains, so the holdout would be empty
+    data = separable_dataset(n=2)
+    one = Dataset(features=data.features[:1], labels=data.labels[:1], n_classes=2)
+    client = FlClient("solo", one, make_metadata("solo"))
+    with pytest.raises(ShapeError):
+        client.split(0.25)
 
 
 def test_set_dataset_invalidates_split():

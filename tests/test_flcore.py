@@ -6,6 +6,7 @@ import pytest
 
 from communityfl.errors import DuplicateTaskError, EmptyAggregationError, PlanError, ShapeError
 from communityfl.flcore import (
+    FlCohort,
     PopulationRegistry,
     aggregate,
     merge_plan,
@@ -216,6 +217,40 @@ def test_resubmitting_identical_task_is_idempotent():
     again = registry.assign_population(make_task("t1", objective="alpha"))
     assert first == again
     assert len(registry.populations[first].member_task_ids) == 1
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"community_id": "C2"},
+        {"overrides": {"epochs": 5, "learning_rate": 0.9}},
+        {"client_id": "client-b"},
+        {"objective": "beta"},
+    ],
+)
+def test_resubmission_that_changes_the_task_is_a_conflict(changed):
+    # the registry would keep the first task and silently drop the change
+    registry = PopulationRegistry()
+    task = make_task("t1", objective="alpha", overrides={"epochs": 2})
+    registry.assign_population(task)
+    with pytest.raises(DuplicateTaskError):
+        registry.assign_population(
+            make_task("t1", **{"objective": "alpha", "overrides": {"epochs": 2}, **changed})
+        )
+    assert registry.tasks["t1"] is task
+
+
+def test_sorted_members_follow_the_member_set():
+    cohort = FlCohort("c", "pop", {"t2", "t1"}, centroid=None, global_weights=None)
+    first = cohort.sorted_members()
+    assert first == ("t1", "t2")
+    assert cohort.sorted_members() is first  # an unchanged set is not sorted again
+    cohort.member_task_ids.add("t0")  # in place
+    assert cohort.sorted_members() == ("t0", "t1", "t2")
+    cohort.member_task_ids = {"t3"}  # replaced
+    assert cohort.sorted_members() == ("t3",)
+    cohort.member_task_ids.clear()
+    assert cohort.sorted_members() == ()
 
 
 def test_population_partition_on_random_fifty_tasks(rng):

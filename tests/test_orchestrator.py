@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import itertools
 import json
@@ -16,6 +17,7 @@ from communityfl.errors import (
     ConfigError,
     DuplicateTaskError,
     PlanError,
+    ProtocolError,
     ShapeError,
     UnregisteredClientError,
 )
@@ -738,6 +740,34 @@ def _coordinator_with_cohort(n_tasks=1, **config_overrides):
     return coordinator, cohort
 
 
+class _RecordingTransport(_EchoTransport):
+    """An ``_EchoTransport`` that keeps each round's request envelopes."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def exchange_round(self, items, sched_round):
+        self.requests.append([env for _, env in items])
+        return super().exchange_round(items, sched_round)
+
+
+def test_a_rounds_requests_carry_equal_but_distinct_weights_documents():
+    coordinator, cohort = _coordinator_with_cohort(n_tasks=3)
+    transport = _RecordingTransport()
+    for sched_round in (1, 2):
+        weights = cohort.global_weights
+        coordinator.run_round(cohort, transport, sched_round)
+        blob = base64.b64encode(weights.values.astype("<f8").tobytes()).decode("ascii")
+        documents = [env.payload["weights"] for env in transport.requests[-1]]
+        assert len(documents) == 3
+        assert all(d == {"arch_id": weights.arch_id, "values": blob} for d in documents)
+        assert len({id(d) for d in documents}) == 3
+    # the round committed, so the second round sent the new cohort model
+    first, second = transport.requests
+    assert first[0].payload["weights"] != second[0].payload["weights"]
+
+
 def test_three_full_flag_reports_mark_cohort_for_recluster():
     coordinator, cohort = _coordinator_with_cohort()
     transport = _EchoTransport(flagged={"t1"})
@@ -827,6 +857,26 @@ def test_an_identical_resubmission_keeps_its_population_cohorts():
     assert [c.cohort_id for c in after] == sorted(before)
     assert all(c is before[c.cohort_id] for c in after)
     assert {c.cohort_id: c.flag_rates for c in after} == windows
+
+
+def test_a_resubmission_with_a_new_plan_is_refused_and_keeps_the_old_plan():
+    run = run_simulation(builtin_scenarios()["uniform"])
+    coordinator = run.coordinator
+    task = coordinator.registry.tasks["u-01-t0"]
+    plan = task.plan
+    client = run.clients["u-01"]
+    network = SimNetwork(coordinator, run.clients)
+    client.register(network)
+    changed = dataclasses.replace(task, plan_overrides={"epochs": 5, "learning_rate": 0.9})
+    with pytest.raises(ProtocolError) as err:
+        client.submit_task(network, changed)
+    assert err.value.code == "duplicate_task"
+    assert coordinator.registry.tasks["u-01-t0"] is task
+    assert (task.plan, task.plan.epochs, task.plan.learning_rate) == (plan, 2, 0.3)
+    assert coordinator.dirty_populations == set()
+    # the identical task is still acked
+    client.submit_task(network, dataclasses.replace(task, plan=None))
+    assert coordinator.registry.tasks["u-01-t0"] is task
 
 
 def test_recluster_resolves_planted_drift_within_two_points():

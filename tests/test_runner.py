@@ -176,6 +176,62 @@ def test_summary_accuracy_equals_direct_evaluate_after_drift(tmp_path):
     assert seen_drifted
 
 
+def _direct_accuracy(run, cohort) -> float:
+    """The sample-weighted holdout accuracy of the cohort model, one
+    ``evaluate`` per member holdout."""
+    total = correct = 0.0
+    for task_id in sorted(cohort.member_task_ids):
+        task = run.coordinator.registry.tasks[task_id]
+        holdout = run.clients[task.client_id].split(task.plan.eval_holdout_fraction)[1]
+        metrics = evaluate(cohort.global_weights, holdout)
+        correct += metrics.accuracy * metrics.n_samples
+        total += metrics.n_samples
+    return correct / total
+
+
+def test_a_changed_member_set_rebuilds_the_holdout_stack():
+    # the stack is kept while the cohort's member set equals the one it was
+    # built from; a set changed in place or replaced must rebuild it
+    run = runner.run_simulation(builtin_scenarios()["uniform"])
+    (cohort,) = run.coordinator.all_cohorts()
+    holdout = runner._OmniscientHoldout(run.coordinator, run.clients)
+    members = sorted(cohort.member_task_ids)
+    assert len(members) == 4
+
+    def check(expected_members):
+        rows = [{"global_holdout_acc": ""}]
+        holdout.fill(cohort, None, rows)
+        expected = _direct_accuracy(run, cohort)
+        assert rows[0]["global_holdout_acc"] == runner._fmt(expected)
+        assert holdout.final([])[1] == {cohort.cohort_id: expected}
+        assert holdout._stacks[cohort.cohort_id].task_ids == tuple(expected_members)
+        return holdout._stacks[cohort.cohort_id]
+
+    first = check(members)
+    assert check(members) is first  # unchanged: the stack is kept
+    cohort.member_task_ids.discard(members[1])  # in place
+    second = check(members[:1] + members[2:])
+    assert second is not first
+    cohort.member_task_ids = {members[3], members[0]}  # replaced
+    third = check([members[0], members[3]])
+    assert third is not second
+    cohort.member_task_ids.add(members[1])  # in place, back to three
+    check([members[0], members[1], members[3]])
+
+
+def test_summary_doc_dumps_as_asdict_does(tmp_path):
+    # drift's summary holds every kind of field: nested maps, and recluster
+    # events with lists inside
+    run = runner.run_simulation(builtin_scenarios()["drift"], out_dir=tmp_path)
+    summary = run.summary
+    assert summary.per_cohort and summary.recluster_events
+    doc = summary.to_doc()
+    assert list(doc) == list(dataclasses.asdict(summary))
+    dumped = json.dumps(doc, indent=2, sort_keys=True)
+    assert dumped == json.dumps(dataclasses.asdict(summary), indent=2, sort_keys=True)
+    assert (tmp_path / "run_summary.json").read_text() == dumped + "\n"
+
+
 def _signature_fields(signature):
     return (
         signature.per_feature_mean.tolist(),

@@ -278,6 +278,33 @@ def test_spec_validation_errors():
         with pytest.raises(ConfigError) as err:
             scenarios.spec_from_doc(doc)
         assert message in str(err.value)
+    # each of these client ids or drift, poison and fault entries ended in a
+    # TypeError traceback, or (the fractional fault round) ran and never fired
+    drift = {"round": 2, "client_id": "u-01", "new_cluster": 0}
+    poison = {"client_id": "u-01", "label_flip_rate": 0.5}
+    for name, path, value, message in (
+        ("uniform", ("clients", 0), ["u-01"], "client ids must be strings, got ['u-01']"),
+        ("uniform", ("drift_events",), [{**drift, "round": "2"}], "round must be an int, got '2'"),
+        ("uniform", ("drift_events",), [{**drift, "client_id": ["x"]}], "client_id must be a str"),
+        ("uniform", ("drift_events",), [{**drift, "new_cluster": 0.0}], "new_cluster must be an"),
+        (
+            "uniform",
+            ("poison",),
+            [{**poison, "label_flip_rate": "0.5"}],
+            "label_flip_rate must be a number in [0,1], got '0.5'",
+        ),
+        ("uniform", ("poison",), [{**poison, "client_id": ["u-01"]}], "poison spec: client_id"),
+        ("dropout", ("faults", 0, "round"), 1.5, "fault: round must be an int, got 1.5"),
+        ("dropout", ("faults", 0, "client_id"), 7, "fault: client_id must be a string, got 7"),
+    ):
+        doc = scenarios.spec_to_doc(builtin_scenarios()[name])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            scenarios.spec_from_doc(doc)
+        assert message in str(err.value)
 
 
 def test_spec_unknown_field_rejected():

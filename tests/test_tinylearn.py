@@ -258,6 +258,52 @@ def test_grouped_hits_match_per_group_evaluate(rng, hidden_units):
     assert 0 < hits.sum() < sum(sizes)  # both hits and misses exercised
 
 
+def _array_facts(a: np.ndarray):
+    return (a.tobytes(), a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_rows_equal_the_checked_constructor_on_those_rows(n, n_features, n_classes, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dataset = Dataset(
+        features=rng.normal(0, 3, (n, n_features)),
+        labels=rng.integers(0, n_classes, n),
+        n_classes=n_classes,
+    )
+    positions = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    if data.draw(st.booleans()):
+        positions.sort()
+    index = np.array(positions, dtype=np.int64)
+    rows = dataset.rows(index)
+    checked = Dataset(
+        features=dataset.features[index], labels=dataset.labels[index], n_classes=n_classes
+    )
+    assert type(rows) is Dataset
+    assert _array_facts(rows.features) == _array_facts(checked.features)
+    assert _array_facts(rows.labels) == _array_facts(checked.labels)
+    assert rows.n_classes == checked.n_classes
+    assert not rows.features.flags.writeable and not rows.labels.flags.writeable
+    # one copy each: the rows share no memory with the dataset they came from
+    assert not np.shares_memory(rows.features, dataset.features)
+    assert not np.shares_memory(rows.labels, dataset.labels)
+
+
+def test_rows_refuse_an_empty_index_as_the_constructor_does():
+    dataset = separable_dataset(n=6)
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(ShapeError) as from_rows:
+        dataset.rows(empty)
+    with pytest.raises(ShapeError) as from_constructor:
+        Dataset(features=dataset.features[empty], labels=dataset.labels[empty], n_classes=2)
+    assert str(from_rows.value) == str(from_constructor.value)
+
+
 def test_grouped_hits_rejects_feature_mismatch():
     w = init_weights(make_arch(3, 2), 0)
     with pytest.raises(ShapeError):
