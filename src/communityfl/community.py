@@ -27,6 +27,7 @@ summation order would hang on the stacked layout instead of being a rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from math import isfinite
 
 import numpy as np
@@ -164,26 +165,55 @@ class AdmitDecision:
 
 
 def signature_from_dataset(data: Dataset, quality_score: float = 1.0) -> DataSignature:
-    """Compute the signature of a local dataset (population std, ddof=0).
+    """Compute the signature of a local dataset (population std, ddof=0):
+    the one-block case of :func:`block_signatures`."""
+    return block_signatures(data, [data.n_samples], quality_score)[0]
 
-    The moments are the ufunc calls that ``features.mean(axis=0)`` and
-    ``features.std(axis=0)`` make, in their order and on the same arrays, so
-    their bits are numpy's; the methods' Python wrappers cost more than the
-    arithmetic on a client's few dozen rows."""
+
+def block_signatures(
+    data: Dataset, counts: list[int], quality_score: float = 1.0
+) -> list[DataSignature]:
+    """The signature of each block of consecutive rows of ``data``: block i
+    is the ``counts[i]`` rows that follow block i-1's.
+
+    Each block's moments are the ufunc calls that ``features.mean(axis=0)``
+    and ``features.std(axis=0)`` make on the block alone, so their bits are
+    numpy's; the methods' Python wrappers cost more than the arithmetic on a
+    client's few dozen rows. The elementwise steps and the label histograms
+    run once over all rows. The two column sums run once per block, as
+    ``np.add.reduce`` on its contiguous rows: numpy sums one column pairwise
+    but several row by row, and a segmented ``np.add.reduceat`` adds in yet
+    another order."""
     features = data.features
-    n = features.shape[0]
-    mean = np.add.reduce(features, axis=0) / n
-    deviations = features - mean
+    if sum(counts) != features.shape[0]:
+        raise ShapeError(f"blocks of {sum(counts)} rows for a dataset of {features.shape[0]}")
+    bounds = [0, *accumulate(counts)]
+    sizes = np.array(counts)[:, None]
+    sums = np.empty((len(counts), features.shape[1]))
+    for i, (start, stop) in enumerate(pairwise(bounds)):
+        np.add.reduce(features[start:stop], axis=0, out=sums[i])
+    mean = sums / sizes
+    deviations = np.repeat(mean, counts, axis=0)
+    np.subtract(features, deviations, out=deviations)
     np.square(deviations, out=deviations)
-    std = np.sqrt(np.add.reduce(deviations, axis=0) / n)
-    hist = np.bincount(data.labels, minlength=data.n_classes).astype(np.float64)
-    return DataSignature(
-        per_feature_mean=mean,
-        per_feature_std=std,
-        label_histogram=hist / hist.sum(),
-        n_samples=data.n_samples,
-        quality_score=quality_score,
-    )
+    for i, (start, stop) in enumerate(pairwise(bounds)):
+        np.add.reduce(deviations[start:stop], axis=0, out=sums[i])
+    std = np.sqrt(sums / sizes)
+    # a histogram's integer counts sum to its block size exactly, in any order
+    n_classes = data.n_classes
+    offsets = np.repeat(np.arange(0, len(counts) * n_classes, n_classes), counts)
+    hist = np.bincount(offsets + data.labels, minlength=len(counts) * n_classes)
+    hist = hist.reshape(len(counts), n_classes) / sizes
+    return [
+        DataSignature(
+            per_feature_mean=mean[i],
+            per_feature_std=std[i],
+            label_histogram=hist[i],
+            n_samples=n,
+            quality_score=quality_score,
+        )
+        for i, n in enumerate(counts)
+    ]
 
 
 def admit(meta: ParticipantMetadata, community: Community) -> AdmitDecision:

@@ -83,13 +83,30 @@ class SchedulerConfig:
     weighted_aggregation: bool = True
 
     def __post_init__(self):
-        if self.clients_per_round != "all" and not _is_int_at_least(self.clients_per_round, 1):
+        if self.clients_per_round != "all" and not (
+            _is_int(self.clients_per_round) and self.clients_per_round >= 1
+        ):
             raise ConfigError(
                 f"clients_per_round must be 'all' or a positive int, "
                 f"got {self.clients_per_round!r}"
             )
-        if not _is_int_at_least(self.rounds, 1):
+        if not (_is_int(self.rounds) and self.rounds >= 1):
             raise ConfigError(f"rounds must be an int >= 1, got {self.rounds!r}")
+        # the seed names every cohort's member stream and is echoed into
+        # run_summary.json; a float or bool would do both
+        if not _is_int(self.seed):
+            raise ConfigError(f"scheduler seed must be an int, got {self.seed!r}")
+        # any other value would pick a mode by its truth value
+        if not isinstance(self.weighted_aggregation, bool):
+            raise ConfigError(
+                f"weighted_aggregation must be true or false, got {self.weighted_aggregation!r}"
+            )
+        # a string fails a range comparison with a TypeError, and a NaN
+        # epsilon passes every loss regression
+        for name in ("cohort_threshold", "min_updates_quorum", "guard_epsilon"):
+            value = getattr(self, name)
+            if not (_is_finite_real(value) or (value is None and name == "guard_epsilon")):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.cohort_threshold < 1.0:
             raise ConfigError(
                 f"cohort_threshold must be in [0,1) (0 selects global mode), "
@@ -99,14 +116,22 @@ class SchedulerConfig:
             raise ConfigError(
                 f"min_updates_quorum must be in (0,1], got {self.min_updates_quorum}"
             )
-        # written so that a NaN epsilon, which would pass every loss, fails too
-        if self.guard_epsilon is not None and not self.guard_epsilon >= 0:
+        if self.guard_epsilon is not None and self.guard_epsilon < 0:
             raise ConfigError(f"guard_epsilon must be >= 0, got {self.guard_epsilon}")
 
 
-def _is_int_at_least(value, minimum: int) -> bool:
-    """Whether ``value`` is an int, not a bool, of at least ``minimum``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is no count or seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +24,15 @@ from . import netproto
 from .community import (
     CollaborationCriteria,
     Community,
+    DataSignature,
     DeviceDescriptor,
     ParticipantMetadata,
-    signature_from_dataset,
+    block_signatures,
 )
 from .errors import ConfigError, PlanError
 from .flcore import ConfigSignature, FlPlan, FlTask
 from .hashing import stable_u64
-from .orchestrator import Coordinator, SchedulerConfig
+from .orchestrator import Coordinator, SchedulerConfig, _is_finite_real, _is_int
 from .tinylearn import Dataset, make_arch
 
 FL_ALGORITHM = "fedavg"
@@ -190,6 +190,10 @@ class ScenarioSpec:
                         f"got {shift!r}"
                     )
             if cluster.label_map is not None:
+                if not all(map(_is_int, [*cluster.label_map, *cluster.label_map.values()])):
+                    raise ConfigError(
+                        f"label_map must map int labels to int labels, got {cluster.label_map!r}"
+                    )
                 keys = set(cluster.label_map)
                 values = set(cluster.label_map.values())
                 valid = set(range(self.n_classes))
@@ -288,11 +292,6 @@ class ScenarioSpec:
                 plain.add(task.community_id)
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but True is no count or seed
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_entry(owner: str, entry, int_fields: tuple[str, ...]):
     """Refuse a drift, poison or fault entry whose client id is not a string
     or whose ``int_fields`` are not ints."""
@@ -302,15 +301,6 @@ def _check_entry(owner: str, entry, int_fields: tuple[str, ...]):
         value = getattr(entry, name)
         if not _is_int(value):
             raise ConfigError(f"{owner}: {name} must be an int, got {value!r}")
-
-
-def _is_finite_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 # the check and its description for each field annotation of CommunitySpec,
@@ -414,46 +404,70 @@ def _mixture(spec: ScenarioSpec) -> _Mixture:
     return _Mixture(cdf, centers, shifts, luts)
 
 
-def _flip_rate(spec: ScenarioSpec, client_id: str) -> float:
-    for p in spec.poison:
-        if p.client_id == client_id:
-            return p.label_flip_rate
-    return 0.0
+# features per chunk of clients that generate draws together (256 KB)
+_CHUNK_VALUES = 1 << 15
 
 
 def generate_client_dataset(
     spec: ScenarioSpec, client_id: str, cluster_index: int, n_samples: int, stream: str
 ) -> Dataset:
     """Draw one client's dataset from its cluster's transformed blob mixture."""
-    return _draw_dataset(spec, _mixture(spec), client_id, cluster_index, n_samples, stream)
+    return _draw(spec, _mixture(spec), [(client_id, cluster_index)], [n_samples], stream)
 
 
-def _draw_dataset(
+def _draw(
     spec: ScenarioSpec,
     mixture: _Mixture,
-    client_id: str,
-    cluster_index: int,
-    n_samples: int,
+    clients: list[tuple[str, int]],
+    counts: list[int],
     stream: str,
 ) -> Dataset:
-    rng = np.random.default_rng(stable_u64(spec.seed, stream, client_id))
-    # the draw of rng.choice(n_classes, size=n_samples, p=prior), from the
-    # same uniforms, without re-checking the prior per client
-    labels = mixture.cdf.searchsorted(rng.random(n_samples), side="right")
-    features = mixture.centers[labels] + spec.feature_std * rng.standard_normal(
-        (n_samples, spec.n_features)
-    )
-    shift = mixture.shifts[cluster_index]
-    if shift is not None:
-        features = features + shift
-    lut = mixture.luts[cluster_index]
-    if lut is not None:
-        labels = lut[labels]
-    flip_rate = _flip_rate(spec, client_id)
-    if flip_rate > 0.0:
+    """The rows of every (client id, cluster index) in ``clients`` as one
+    checked dataset: client i's ``counts[i]`` rows follow client i-1's.
+
+    Each client draws from its own seeded streams, as it would alone, into
+    its block of buffers shared by all of them. Everything after the draws
+    is elementwise and runs once over all rows, so each row holds the bits a
+    lone draw gives it."""
+    total = sum(counts)
+    uniforms = np.empty(total)
+    features = np.empty((total, spec.n_features))
+    flip_rates: dict[str, float] = {}
+    for p in spec.poison:
+        flip_rates.setdefault(p.client_id, p.label_flip_rate)
+    runs: list[list[int]] = []  # [cluster index, start, stop] of consecutive clients
+    poisoned: list[tuple[str, float, int, int]] = []
+    start = 0
+    for (client_id, cluster_index), n in zip(clients, counts):
+        stop = start + n
+        rng = np.random.default_rng(stable_u64(spec.seed, stream, client_id))
+        # the uniforms of rng.choice(n_classes, size=n, p=prior), then the noise
+        rng.random(out=uniforms[start:stop])
+        rng.standard_normal(out=features[start:stop])
+        if runs and runs[-1][0] == cluster_index:
+            runs[-1][2] = stop
+        else:
+            runs.append([cluster_index, start, stop])
+        flip_rate = flip_rates.get(client_id, 0.0)
+        if flip_rate > 0.0:
+            poisoned.append((client_id, flip_rate, start, stop))
+        start = stop
+    labels = mixture.cdf.searchsorted(uniforms, side="right")
+    # centers[labels] + feature_std * noise, in place: both operations commute
+    features *= spec.feature_std
+    features += mixture.centers[labels]
+    for cluster_index, start, stop in runs:
+        shift = mixture.shifts[cluster_index]
+        if shift is not None:
+            features[start:stop] += shift
+        lut = mixture.luts[cluster_index]
+        if lut is not None:
+            labels[start:stop] = lut[labels[start:stop]]
+    for client_id, flip_rate, start, stop in poisoned:
         poison_rng = np.random.default_rng(stable_u64(spec.seed, "poison", client_id))
-        mask = poison_rng.random(n_samples) < flip_rate
-        labels = np.where(mask, (labels + 1) % spec.n_classes, labels)
+        mask = poison_rng.random(stop - start) < flip_rate
+        block = labels[start:stop]
+        np.copyto(block, (block + 1) % spec.n_classes, where=mask)
     return Dataset(features=features, labels=labels, n_classes=spec.n_classes)
 
 
@@ -542,11 +556,26 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
         community_of_client.setdefault(task.client_id, task.community_id)
 
     mixture = _mixture(spec)
+    counts = [_client_sample_count(spec, client_id) for client_id in spec.clients]
+    datasets: list[Dataset] = []
+    signatures: list[DataSignature] = []
+    # the clients are drawn a chunk at a time, each chunk's buffers holding
+    # about _CHUNK_VALUES features: buffers the size of the population would
+    # not fit in the heap memory that earlier work freed, and would add their
+    # size to the peak resident memory
+    step = max(1, _CHUNK_VALUES // (spec.samples_per_client[1] * spec.n_features))
+    for first in range(0, spec.n_clients, step):
+        ids, chunk_counts = spec.clients[first : first + step], counts[first : first + step]
+        chunk = _draw(spec, mixture, [(c, assignment[c]) for c in ids], chunk_counts, "data")
+        signatures += block_signatures(chunk, chunk_counts)
+        start = 0
+        for n in chunk_counts:
+            # the client's own read-only copy of its rows
+            datasets.append(chunk.rows(slice(start, start + n)))
+            start += n
     clients: list[GeneratedClient] = []
-    for client_id in spec.clients:
+    for client_id, n, dataset, signature in zip(spec.clients, counts, datasets, signatures):
         cluster_index = assignment[client_id]
-        n = _client_sample_count(spec, client_id)
-        dataset = _draw_dataset(spec, mixture, client_id, cluster_index, n, "data")
         community_id = community_of_client.get(client_id)
         cspec = community_specs.get(community_id) if community_id else None
         tags = frozenset(cspec.required_tags) if cspec else frozenset()
@@ -561,7 +590,7 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
             ),
             interests=tags,
             expertise=frozenset(),
-            data_signature=signature_from_dataset(dataset),
+            data_signature=signature,
         )
         clients.append(
             GeneratedClient(
@@ -615,8 +644,18 @@ _SPEC_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 
 def _label_map(cluster_doc: dict) -> dict[int, int] | None:
+    """A cluster's label map with each JSON key read as the label it writes;
+    ``validate`` checks the values."""
     label_map = cluster_doc.get("label_map")
-    return {int(k): int(v) for k, v in label_map.items()} if label_map else None
+    if not label_map:
+        return None
+    if not isinstance(label_map, dict):
+        raise ConfigError(f"label_map must be an object, got {label_map!r}")
+    for key in label_map:
+        # int() also reads " 1", "+1", "01" and "1_0": two keys could name one label
+        if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ConfigError(f"label_map keys must be labels written in decimal, got {key!r}")
+    return {int(k): v for k, v in label_map.items()}
 
 
 def spec_from_doc(doc: dict) -> ScenarioSpec:

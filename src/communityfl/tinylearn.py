@@ -172,19 +172,22 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-    def rows(self, index: np.ndarray) -> Dataset:
-        """The rows at the integer positions ``index``, in that order, as a new
-        read-only dataset: the dataset the constructor builds from
-        ``features[index]`` and ``labels[index]``, bit for bit.
+    def rows(self, index: np.ndarray | slice) -> Dataset:
+        """The rows at the integer positions ``index``, in that order, or in
+        the slice ``index``, as a new read-only dataset: the dataset the
+        constructor builds from ``features[index]`` and ``labels[index]``,
+        bit for bit.
 
         Rows of a checked dataset pass the constructor's checks again, so they
-        are taken without it: one copy of each array, and no second pass over
-        the values. An empty index is refused as the constructor refuses an
-        empty dataset."""
-        if len(index) == 0:
-            raise ShapeError("dataset must contain at least one sample")
+        are taken without it: one copy of each array (a slice's view is
+        copied too), and no second pass over the values. An empty selection is
+        refused as the constructor refuses an empty dataset."""
         features = self.features[index]
         labels = self.labels[index]
+        if isinstance(index, slice):
+            features, labels = features.copy(), labels.copy()
+        if labels.shape[0] == 0:
+            raise ShapeError("dataset must contain at least one sample")
         features.setflags(write=False)
         labels.setflags(write=False)
         subset = object.__new__(Dataset)

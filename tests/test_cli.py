@@ -109,6 +109,62 @@ def test_simulate_refuses_an_unchecked_number(tmp_path, capsys, field, value, re
     assert "configuration error" in err and reason in err
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        # each of these ran, the seeds written into run_summary.json
+        ("seed", 1.5, "scheduler seed must be an int, got 1.5"),
+        ("seed", True, "scheduler seed must be an int, got True"),
+        # this ran with weighted aggregation
+        ("weighted_aggregation", "no", "weighted_aggregation must be true or false, got 'no'"),
+        ("weighted_aggregation", 0, "weighted_aggregation must be true or false, got 0"),
+        # these ended with only a comparison's TypeError text
+        ("cohort_threshold", "0.8", "cohort_threshold must be a finite number, got '0.8'"),
+        ("guard_epsilon", "0.5", "guard_epsilon must be a finite number, got '0.5'"),
+        ("min_updates_quorum", "1", "min_updates_quorum must be a finite number, got '1'"),
+        ("guard_epsilon", float("inf"), "guard_epsilon must be a finite number, got inf"),
+        ("cohort_threshold", True, "cohort_threshold must be a finite number, got True"),
+    ],
+)
+def test_simulate_refuses_a_mistyped_scheduler_field(tmp_path, capsys, field, value, reason):
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])
+    doc["scheduler"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "label_map, reason",
+    [
+        # each of these loaded as {0: 1}
+        ({"0": 1.7}, "label_map must map int labels to int labels, got {0: 1.7}"),
+        ({"0": "1"}, "label_map must map int labels to int labels, got {0: '1'}"),
+        ({"0": True}, "label_map must map int labels to int labels, got {0: True}"),
+        ({"0.0": 1}, "label_map keys must be labels written in decimal, got '0.0'"),
+        ({"01": 1}, "label_map keys must be labels written in decimal, got '01'"),
+        ({" 0": 1}, "label_map keys must be labels written in decimal, got ' 0'"),
+        ({"+0": 1}, "label_map keys must be labels written in decimal, got '+0'"),
+        ({"zero": 1}, "label_map keys must be labels written in decimal, got 'zero'"),
+        ([[0, 1]], "label_map must be an object, got [[0, 1]]"),
+    ],
+)
+def test_simulate_refuses_a_mistyped_label_map(tmp_path, capsys, label_map, reason):
+    doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["drift"])
+    doc["clusters"][1]["label_map"] = label_map
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and reason in err
+    assert not out.exists()
+
+
 def test_simulate_refuses_a_community_field_before_it_generates_data(tmp_path, capsys):
     # "epochs": "2" ended in a TypeError traceback and exit 1 inside the run
     doc = scenarios.spec_to_doc(scenarios.builtin_scenarios()["uniform"])

@@ -19,6 +19,7 @@ from communityfl.community import (
     _similarities,
     _stack,
     admit,
+    block_signatures,
     form_cohorts,
     recluster,
     signature_from_dataset,
@@ -306,6 +307,38 @@ def test_signature_moments_equal_numpy_mean_and_std(dataset):
     assert signature.per_feature_std.tobytes() == features.std(axis=0).tobytes()
     hist = np.bincount(labels, minlength=n_classes) / labels.size
     assert signature.label_histogram.tobytes() == hist.tobytes()
+
+
+@st.composite
+def _populations(draw):
+    n_features = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 10))
+    counts = draw(st.lists(st.integers(1, 100), min_size=1, max_size=6))
+    element = st.one_of(st.just(-0.0), st.floats(-1e150, 1e150))
+    features = draw(arrays(np.float64, (sum(counts), n_features), elements=element))
+    labels = draw(arrays(np.int64, sum(counts), elements=st.integers(0, n_classes - 1)))
+    return features, labels, n_classes, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_populations())
+@example((np.arange(30.0).reshape(30, 1) / 7, np.arange(30) % 9, 9, [1, 8, 21]))
+@example((np.linspace(-5, 5, 400).reshape(100, 4), np.arange(100) % 10, 10, [37, 63]))
+def test_block_signatures_equal_each_block_alone(population):
+    # the population path sums each block on its rows of the population's
+    # arrays and runs every other step once over all rows
+    features, labels, n_classes, counts = population
+    signatures = block_signatures(Dataset(features, labels, n_classes), counts)
+    assert len(signatures) == len(counts)
+    start = 0
+    for signature, n in zip(signatures, counts):
+        block = Dataset(features[start : start + n], labels[start : start + n], n_classes)
+        start += n
+        alone = signature_from_dataset(block)
+        for field in ("per_feature_mean", "per_feature_std", "label_histogram"):
+            assert getattr(signature, field).tobytes() == getattr(alone, field).tobytes()
+        assert signature.n_samples == alone.n_samples == n
+        assert signature.per_feature_std.tobytes() == block.features.std(axis=0).tobytes()
 
 
 # -- bit-exact cohort formation -----------------------------------------------------

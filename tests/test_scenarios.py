@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from communityfl import scenarios
-from communityfl.community import form_cohorts, similarity
+from communityfl.community import form_cohorts, signature_from_dataset, similarity
 from communityfl.errors import ConfigError
 from communityfl.flcore import FlPopulation
 from communityfl.hashing import stable_u64
@@ -255,6 +256,9 @@ def test_spec_validation_errors():
         {"samples_per_client": (True, 30)},
         {"clusters": [ClusterSpec(weight=nan)]},
         {"clusters": [ClusterSpec(weight=1.0, feature_shift=[nan, 0.0])]},
+        {"clusters": [ClusterSpec(weight=1.0, label_map={0: True})]},
+        {"clusters": [ClusterSpec(weight=1.0, label_map={0: 1.0})]},
+        {"clusters": [ClusterSpec(weight=1.0, label_map={0.0: 1})]},
     ):
         with pytest.raises(ConfigError):
             _basic_spec(**fields).validate()
@@ -358,10 +362,10 @@ def test_export_socket_bundle_refuses_a_client_with_two_tasks(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["heartrate", "poison"])
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
 def test_generate_draws_each_client_as_generate_client_dataset_does(name):
-    # generate computes the mixture's constants once per scenario; every
-    # client must still get the dataset that drawing it alone gives
+    # generate draws and transforms its clients a chunk at a time; every client
+    # must still get the dataset, and the signature, that drawing it alone gives
     spec = builtin_scenarios()[name]
     assignment = cluster_assignment(spec)
     for client in generate(spec).clients:
@@ -370,6 +374,54 @@ def test_generate_draws_each_client_as_generate_client_dataset_does(name):
         )
         assert client.dataset.features.tobytes() == alone.features.tobytes()
         assert client.dataset.labels.tobytes() == alone.labels.tobytes()
+        signature, expected = client.metadata.data_signature, signature_from_dataset(alone)
+        for field in ("per_feature_mean", "per_feature_std", "label_histogram"):
+            assert getattr(signature, field).tobytes() == getattr(expected, field).tobytes()
+        assert signature.n_samples == expected.n_samples == client.n_samples
+
+
+def test_population_generation_is_pinned():
+    # 1,600 clients in two clusters, the second shifted and relabelled, with
+    # one poisoned client and one sample-count override; pinned on the
+    # generator that drew and checked each client on its own
+    clients = [f"p-{i:04d}" for i in range(1600)]
+    spec = _basic_spec(
+        name="population",
+        seed=2024,
+        clients=clients,
+        clusters=[
+            ClusterSpec(weight=0.4),
+            ClusterSpec(weight=0.6, feature_shift=[5.0, -3.5], label_map={0: 2, 2: 0}),
+        ],
+        n_classes=3,
+        label_prior=[0.5, 0.3, 0.2],
+        samples_per_client=(20, 90),
+        samples_override={"p-0007": 333},
+        poison=[scenarios.PoisonSpec(client_id="p-1000", label_flip_rate=0.5)],
+        tasks=[TaskSpec(task_id=f"{c}-t", client_id=c, community_id="X") for c in clients],
+    )
+    data = generate(spec)
+    digest = hashlib.sha256()
+    spans = []
+    for client in data.clients:
+        signature = client.metadata.data_signature
+        arrays = (
+            client.dataset.features,
+            client.dataset.labels,
+            signature.per_feature_mean,
+            signature.per_feature_std,
+            signature.label_histogram,
+        )
+        for array in arrays:
+            digest.update(array.tobytes())
+            assert not array.flags.writeable
+            start = array.__array_interface__["data"][0]
+            spans.append((start, start + array.nbytes))
+    assert data.client("p-0007").n_samples == 333
+    assert digest.hexdigest() == "35efeeed8a4160f67caacc0dbaef8b740f96574ae30be69de35f9793f7949fe5"
+    # no two clients' arrays share memory: their byte ranges are disjoint
+    spans.sort()
+    assert all(end <= next_start for (_, end), (next_start, _) in zip(spans, spans[1:]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -276,10 +276,17 @@ def test_rows_equal_the_checked_constructor_on_those_rows(n, n_features, n_class
         labels=rng.integers(0, n_classes, n),
         n_classes=n_classes,
     )
-    positions = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     if data.draw(st.booleans()):
-        positions.sort()
-    index = np.array(positions, dtype=np.int64)
+        # a block of consecutive rows, taken as a slice
+        start = data.draw(st.integers(0, n - 1))
+        index = slice(start, data.draw(st.integers(start + 1, n)))
+    else:
+        positions = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        )
+        if data.draw(st.booleans()):
+            positions.sort()
+        index = np.array(positions, dtype=np.int64)
     rows = dataset.rows(index)
     checked = Dataset(
         features=dataset.features[index], labels=dataset.labels[index], n_classes=n_classes
@@ -296,12 +303,12 @@ def test_rows_equal_the_checked_constructor_on_those_rows(n, n_features, n_class
 
 def test_rows_refuse_an_empty_index_as_the_constructor_does():
     dataset = separable_dataset(n=6)
-    empty = np.array([], dtype=np.int64)
-    with pytest.raises(ShapeError) as from_rows:
-        dataset.rows(empty)
-    with pytest.raises(ShapeError) as from_constructor:
-        Dataset(features=dataset.features[empty], labels=dataset.labels[empty], n_classes=2)
-    assert str(from_rows.value) == str(from_constructor.value)
+    for empty in (np.array([], dtype=np.int64), slice(3, 3)):
+        with pytest.raises(ShapeError) as from_rows:
+            dataset.rows(empty)
+        with pytest.raises(ShapeError) as from_constructor:
+            Dataset(features=dataset.features[empty], labels=dataset.labels[empty], n_classes=2)
+        assert str(from_rows.value) == str(from_constructor.value)
 
 
 def test_grouped_hits_rejects_feature_mismatch():
