@@ -11,7 +11,6 @@ from .community import (
     CollaborationCriteria,
     Community,
     DataSignature,
-    DeviceDescriptor,
     ParticipantMetadata,
     admit,
     form_cohorts,
@@ -54,7 +53,6 @@ __all__ = [
     "Coordinator",
     "DataSignature",
     "Dataset",
-    "DeviceDescriptor",
     "EvalMetrics",
     "FlCohort",
     "FlPlan",

@@ -95,7 +95,7 @@ def cmd_serve(args) -> int:
         config_doc = json.loads(Path(args.config).read_text())
         scheduler = SchedulerConfig(**config_doc["scheduler"])
         communities = [netproto.from_file_doc(Community, doc) for doc in config_doc["communities"]]
-        expected_tasks = int(config_doc["expected_tasks"])
+        expected_tasks = config_doc["expected_tasks"]
         recv_timeout = float(config_doc.get("recv_timeout_s", 30.0))
         ready_timeout = float(config_doc.get("ready_timeout_s", 120.0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -124,6 +124,7 @@ def cmd_serve(args) -> int:
             scheduler.rounds,
             out_dir,
             scenario_name=config_doc.get("scenario", "socket"),
+            mode=runner.MODE_GLOBAL if scheduler.cohort_threshold == 0 else runner.MODE_COHORT,
             ready_timeout_s=ready_timeout,
         )
     except KeyboardInterrupt:

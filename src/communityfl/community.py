@@ -38,14 +38,6 @@ from .tinylearn import Dataset, ModelArch, WeightVector, init_weights
 
 
 @dataclass(frozen=True)
-class DeviceDescriptor:
-    manufacturer: str
-    model: str
-    device_type: str
-    firmware: str
-
-
-@dataclass(frozen=True)
 class CollaborationCriteria:
     """Hard admission filter a community applies to would-be participants."""
 
@@ -124,7 +116,7 @@ class ParticipantMetadata:
     signature describes the data every task of the participant trains on."""
 
     participant_id: str
-    device: DeviceDescriptor
+    device_type: str
     interests: frozenset[str]
     expertise: frozenset[str]
     data_signature: DataSignature

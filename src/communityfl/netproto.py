@@ -44,14 +44,13 @@ from .community import (
     CollaborationCriteria,
     Community,
     DataSignature,
-    DeviceDescriptor,
     ParticipantMetadata,
 )
 from .errors import ConfigError, ProtocolError, ShapeError
 from .flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
 from .tinylearn import EvalMetrics, ModelArch, WeightVector
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _PREFIX = struct.Struct(">I")
 
@@ -119,13 +118,6 @@ RECORD_SCHEMAS[CollaborationCriteria] = {
     "min_samples": F_INT,
 }
 
-RECORD_SCHEMAS[DeviceDescriptor] = {
-    "manufacturer": F_STR,
-    "model": F_STR,
-    "device_type": F_STR,
-    "firmware": F_STR,
-}
-
 RECORD_SCHEMAS[DataSignature] = {
     "per_feature_mean": f_list(F_FLOAT),
     "per_feature_std": f_list(F_FLOAT),
@@ -136,7 +128,7 @@ RECORD_SCHEMAS[DataSignature] = {
 
 RECORD_SCHEMAS[ParticipantMetadata] = {
     "participant_id": F_STR,
-    "device": f_doc(DeviceDescriptor),
+    "device_type": F_STR,
     "interests": f_list(F_STR),
     "expertise": f_list(F_STR),
     "data_signature": f_doc(DataSignature),

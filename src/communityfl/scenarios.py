@@ -25,7 +25,6 @@ from .community import (
     CollaborationCriteria,
     Community,
     DataSignature,
-    DeviceDescriptor,
     ParticipantMetadata,
     block_signatures,
 )
@@ -575,19 +574,12 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
             start += n
     clients: list[GeneratedClient] = []
     for client_id, n, dataset, signature in zip(spec.clients, counts, datasets, signatures):
-        cluster_index = assignment[client_id]
         community_id = community_of_client.get(client_id)
         cspec = community_specs.get(community_id) if community_id else None
         tags = frozenset(cspec.required_tags) if cspec else frozenset()
-        device_type = cspec.device_type if cspec else "device"
         metadata = ParticipantMetadata(
             participant_id=client_id,
-            device=DeviceDescriptor(
-                manufacturer="acme",
-                model=f"{device_type}-mk{cluster_index + 1}",
-                device_type=device_type,
-                firmware="1.0.0",
-            ),
+            device_type=cspec.device_type if cspec else "device",
             interests=tags,
             expertise=frozenset(),
             data_signature=signature,
@@ -595,7 +587,7 @@ def generate(spec: ScenarioSpec) -> ScenarioData:
         clients.append(
             GeneratedClient(
                 client_id=client_id,
-                cluster_index=cluster_index,
+                cluster_index=assignment[client_id],
                 n_samples=n,
                 dataset=dataset,
                 metadata=metadata,

@@ -29,7 +29,7 @@ from .community import admit
 from .errors import ConfigError, DeliveryError, ProtocolError
 from .flcore import ModelUpdate
 from .netproto import Envelope, MsgType
-from .orchestrator import Coordinator
+from .orchestrator import Coordinator, _is_int
 from .scenarios import TaskSpec, build_task
 
 logger = logging.getLogger(__name__)
@@ -225,6 +225,9 @@ class SocketCoordinatorServer:
         expected_tasks: int,
         recv_timeout_s: float = 30.0,
     ):
+        if not (_is_int(expected_tasks) and expected_tasks >= 1):
+            # 0 would start the rounds before any task arrived
+            raise ConfigError(f"expected_tasks must be an integer >= 1, got {expected_tasks!r}")
         self.coordinator = coordinator
         self.expected_tasks = expected_tasks
         self.recv_timeout_s = check_timeout("recv_timeout_s", recv_timeout_s)
@@ -360,7 +363,7 @@ def run_socket_client(
             task = build_task(
                 TaskSpec(f"{client.client_id}-t0", client.client_id, chosen.community_id),
                 chosen,
-                client.metadata.device.device_type,
+                client.metadata.device_type,
             )
         client.submit_task(channel, task)
         while True:

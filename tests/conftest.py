@@ -10,7 +10,6 @@ from communityfl.community import (
     CollaborationCriteria,
     Community,
     DataSignature,
-    DeviceDescriptor,
     ParticipantMetadata,
 )
 from communityfl.flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate
@@ -139,7 +138,7 @@ def make_metadata(
         )
     return ParticipantMetadata(
         participant_id=participant_id,
-        device=DeviceDescriptor("acme", "tracker-mk1", "tracker", "1.0.0"),
+        device_type="tracker",
         interests=frozenset(interests),
         expertise=frozenset(expertise),
         data_signature=signature,

@@ -321,6 +321,59 @@ def test_serve_and_client_subprocesses_end_to_end(tmp_path):
     assert len(rows) == 4  # header + three rounds
 
 
+def test_serve_labels_a_threshold_0_run_global(tmp_path):
+    # the client gets no task file: it derives its task from its registered
+    # device_type and the first community that admits it
+    import dataclasses
+
+    spec = scenarios.builtin_scenarios()["uniform"]
+    spec = dataclasses.replace(
+        spec,
+        clients=spec.clients[:1],
+        tasks=spec.tasks[:1],
+        scheduler=dataclasses.replace(spec.scheduler, rounds=2, cohort_threshold=0.0),
+    )
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    out = tmp_path / "out"
+    port = _free_port()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "communityfl.cli", "serve",
+         "--listen", f"127.0.0.1:{port}",
+         "--config", str(bundle / "server_config.json"),
+         "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        _wait_for_port(port)
+        cid = spec.clients[0]
+        client = subprocess.run(
+            [sys.executable, "-m", "communityfl.cli", "client",
+             "--connect", f"127.0.0.1:{port}",
+             "--data", str(bundle / f"{cid}.data.json"),
+             "--metadata", str(bundle / f"{cid}.metadata.json")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert client.returncode == 0, client.stderr
+        assert "completed 2 rounds" in client.stdout
+        _stdout, stderr = server.communicate(timeout=60)
+        assert server.returncode == 0, stderr
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    cohorts = json.loads((out / "cohorts.json").read_text())
+    assert cohorts["mode"] == "global"
+    [member] = [m for p in cohorts["populations"] for c in p["cohorts"] for m in c["members"]]
+    assert member["task_id"] == spec.tasks[0].task_id
+    assert (out / "run_summary.global.json").exists()
+    assert not (out / "run_summary.cohort.json").exists()
+
+
 def _free_port() -> int:
     import socket
 
@@ -423,17 +476,28 @@ def test_client_connect_refused_exit_nonzero(tmp_path):
     assert code == 2
 
 
+# the device record of a metadata file exported before protocol version 4,
+# abridged: an undeclared field is refused whatever it holds
+_V3_DEVICE = {"device_type": "tracker", "model": "tracker-mk1"}
+
+
 @pytest.mark.parametrize(
     "fields, reason",
-    [({"interests": "fitness"}, "interests: expected list"), ({"extra": 1}, "undeclared")],
+    [
+        ({"interests": "fitness"}, "interests: expected list"),
+        ({"extra": 1}, "undeclared"),
+        ({"device": _V3_DEVICE, "device_type": None}, "undeclared fields ['device']"),
+    ],
 )
 def test_client_refuses_metadata_file_off_schema(tmp_path, capsys, fields, reason):
-    # a string where a tag list belongs would otherwise load as a set of characters
+    # a string where a tag list belongs would otherwise load as a set of
+    # characters; a field set to None is left out of the file
     spec = scenarios.builtin_scenarios()["uniform"]
     bundle = tmp_path / "bundle"
     scenarios.export_socket_bundle(spec, bundle)
     metadata_path = bundle / "u-01.metadata.json"
-    metadata_path.write_text(json.dumps({**json.loads(metadata_path.read_text()), **fields}))
+    doc = {**json.loads(metadata_path.read_text()), **fields}
+    metadata_path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     code = run_cli(
         "client",
         "--connect", f"127.0.0.1:{_free_port()}",
@@ -477,6 +541,27 @@ def test_serve_refuses_a_ready_timeout_before_it_binds(tmp_path, capsys, ready_t
     assert code == 2
     captured = capsys.readouterr()
     assert "ready_timeout_s must be a finite number > 0" in captured.err
+    assert "listening on" not in captured.out
+
+
+@pytest.mark.parametrize("expected_tasks", [0, -1, 2.5, True, "4"])
+def test_serve_refuses_expected_tasks_that_is_not_a_count_before_it_binds(
+    tmp_path, capsys, expected_tasks
+):
+    # 0 started round 1 before any task arrived; 2.5, true and "4" were cast
+    # to 2, 1 and 4
+    spec = scenarios.builtin_scenarios()["uniform"]
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    config_path = bundle / "server_config.json"
+    config = json.loads(config_path.read_text())
+    config["expected_tasks"] = expected_tasks
+    config["ready_timeout_s"] = 1.0  # a server that starts anyway gives up quickly
+    config_path.write_text(json.dumps(config))
+    code = run_cli("serve", "--listen", f"127.0.0.1:{_free_port()}", "--config", str(config_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"expected_tasks must be an integer >= 1, got {expected_tasks!r}" in captured.err
     assert "listening on" not in captured.out
 
 

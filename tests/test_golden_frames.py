@@ -22,7 +22,6 @@ from communityfl.community import (
     CollaborationCriteria,
     Community,
     DataSignature,
-    DeviceDescriptor,
     ParticipantMetadata,
 )
 from communityfl.flcore import ConfigSignature, FlPlan, FlTask, ModelUpdate, TrainRequest
@@ -55,7 +54,7 @@ CRITERIA = CollaborationCriteria(
 )
 METADATA = ParticipantMetadata(
     participant_id="p1",
-    device=DeviceDescriptor("acme", "band-2", "tracker", "1.0"),
+    device_type="tracker",
     interests=frozenset({"sleep", "Fitness", "running"}),
     expertise=frozenset(),
     data_signature=SIGNATURE,
@@ -136,24 +135,23 @@ def _envelopes() -> dict[MsgType, Envelope]:
 
 GOLDEN = {
     MsgType.REGISTER: (
-        b'\x00\x00\x01\x89'
+        b'\x00\x00\x01F'
         b'{"correlation_id":1,"msg_type":"Register",'
         b'"payload":{"metadata":{"data_signature":{"label_histogram":[0.25,0.75],'
         b'"n_samples":40,"per_feature_mean":[0.5,-1.25],"per_feature_std":[1.0,'
-        b'0.75],"quality_score":1.0},"device":{"device_type":"tracker",'
-        b'"firmware":"1.0","manufacturer":"acme","model":"band-2"},"expertise":[],'
+        b'0.75],"quality_score":1.0},"device_type":"tracker","expertise":[],'
         b'"interests":["fitness","running","sleep"],"participant_id":"p1"}},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.REGISTER_ACK: (
         b'\x00\x00\x00]'
         b'{"correlation_id":1,"msg_type":"RegisterAck",'
-        b'"payload":{"session_token":"tok-1"},"version":3}'
+        b'"payload":{"session_token":"tok-1"},"version":4}'
     ),
     MsgType.LIST_COMMUNITIES: (
         b'\x00\x00\x00J'
         b'{"correlation_id":2,"msg_type":"ListCommunities","payload":{},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.COMMUNITY_LIST: (
         b'\x00\x00\x01\xe2'
@@ -164,7 +162,7 @@ GOLDEN = {
         b'"min_data_quality":0.5,"min_samples":10,"required_tags":["fitness",'
         b'"sleep"]},"default_plan":{"batch_size":16,"epochs":2,'
         b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
-        b'"objective":"hr","purpose":"sleep study"}]},"version":3}'
+        b'"objective":"hr","purpose":"sleep study"}]},"version":4}'
     ),
     MsgType.SUBMIT_TASK: (
         b'\x00\x00\x01q'
@@ -174,13 +172,13 @@ GOLDEN = {
         b'"fl_algorithm":"fedavg","model_arch":{"arch_id":"logreg:2x2",'
         b'"hidden_units":0,"n_classes":2,"n_features":2},"objective":"hr"},'
         b'"plan_overrides":{"epochs":3,"learning_rate":0.0625},"task_id":"p1-t0"}},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.TASK_ACK: (
         b'\x00\x00\x00t'
         b'{"correlation_id":3,"msg_type":"TaskAck",'
         b'"payload":{"population_id":"pop-9d061bb765","task_id":"p1-t0"},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.TRAIN_REQUEST: (
         b'\x00\x00\x01e'
@@ -189,7 +187,7 @@ GOLDEN = {
         b'"eval_holdout_fraction":0.25,"learning_rate":0.125,"shuffle_seed":7},'
         b'"round":3,"task_id":"p1-t0","weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.MODEL_UPDATE: (
         b'\x00\x00\x01\xa2'
@@ -200,17 +198,17 @@ GOLDEN = {
         b'"n_samples":10},"round":3,"task_id":"p1-t0",'
         b'"weights":{"arch_id":"logreg:2x2",'
         b'"values":"AAAAAAAA4D8AAAAAAADQvwAAAAAAAPg/AAAAAAAAAAAAAAAAAAAAwAAAAAAAAMA/"}}},'
-        b'"version":3}'
+        b'"version":4}'
     ),
     MsgType.METRICS_ACK: (
         b'\x00\x00\x00\x85'
         b'{"correlation_id":18446744073709551615,"msg_type":"MetricsAck",'
-        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":3}'
+        b'"payload":{"round":3,"status":"stored","task_id":"p1-t0"},"version":4}'
     ),
     MsgType.ERROR: (
         b'\x00\x00\x00~'
         b'{"correlation_id":0,"msg_type":"Error","payload":{"code":"malformed",'
-        b'"message":"payload.round: expected integer"},"version":3}'
+        b'"message":"payload.round: expected integer"},"version":4}'
     ),
 }
 

@@ -175,6 +175,27 @@ def test_version_2_submission_with_a_task_signature_is_refused_by_version():
     assert exc.value.message == "SubmitTask.task: undeclared fields ['data_signature']"
 
 
+def test_version_3_registration_with_a_device_record_is_refused_by_version():
+    # what a version-3 client sends: the device record that version 4
+    # replaced with its device_type (abridged; the record's fields are not read)
+    metadata = netproto.to_doc(make_metadata("client-a"))
+    metadata["device"] = {"device_type": metadata.pop("device_type"), "model": "tracker-mk1"}
+    payload = {"metadata": metadata}
+    doc = {"correlation_id": 1, "msg_type": "Register", "payload": payload, "version": 3}
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "unsupported_version"
+    assert exc.value.message == "version 3"
+    # the same payload at the current version names the field it no longer has
+    doc["version"] = PROTOCOL_VERSION
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    with pytest.raises(ProtocolError) as exc:
+        decode(struct.pack(">I", len(body)) + body)
+    assert exc.value.code == "malformed"
+    assert exc.value.message == "Register.metadata: undeclared fields ['device']"
+
+
 def test_unknown_msg_type():
     doc = json.loads(encode(_register_env())[4:])
     doc["msg_type"] = "Gossip"
@@ -196,12 +217,14 @@ _CID_MESSAGE = "correlation_id must be an unsigned 64-bit integer"
         ],
         *[
             ("version", v, "unsupported_version", f"version {v!r}")
-            for v in [True, 3.0, "3", None, [], 4]
+            for v in [True, 3.0, "3", None, [], 5]
         ],
         *[
             ("correlation_id", v, "malformed", _CID_MESSAGE)
             for v in [True, False, -1, 2**64, 1.5, "1", None, [1]]
         ],
+        # the previous version, and the current one spelt as a real or a string
+        *[("version", v, "unsupported_version", f"version {v!r}") for v in [3, 4.0, "4"]],
     ],
 )
 def test_envelope_fields_are_refused_with_their_messages(field, value, code, message):
@@ -961,10 +984,10 @@ def test_compiled_writers_cast_like_the_generic_ones(cls):
 
 
 def test_compiled_converters_fail_on_the_first_bad_field_in_schema_order():
-    doc = netproto.to_doc(_RECORDS[ParticipantMetadata])
-    del doc["data_signature"]
-    doc["device"] = []  # before data_signature in the schema
-    for read in (_GENERIC_READ[ParticipantMetadata], netproto._FROM_DOC[ParticipantMetadata]):
+    doc = netproto.to_doc(_RECORDS[Community])
+    del doc["default_plan"]
+    doc["criteria"] = []  # before default_plan in the schema
+    for read in (_GENERIC_READ[Community], netproto._FROM_DOC[Community]):
         with pytest.raises(TypeError):
             read(doc)
 
