@@ -96,8 +96,8 @@ def cmd_serve(args) -> int:
         scheduler = SchedulerConfig(**config_doc["scheduler"])
         communities = [netproto.from_file_doc(Community, doc) for doc in config_doc["communities"]]
         expected_tasks = config_doc["expected_tasks"]
-        recv_timeout = float(config_doc.get("recv_timeout_s", 30.0))
-        ready_timeout = float(config_doc.get("ready_timeout_s", 120.0))
+        recv_timeout = config_doc.get("recv_timeout_s", 30.0)
+        ready_timeout = config_doc.get("ready_timeout_s", 120.0)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read server config {args.config}: {exc}") from exc
     transport.check_timeout("ready_timeout_s", ready_timeout)

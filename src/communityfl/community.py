@@ -18,10 +18,14 @@ gathering the rows by a list of member indices.
 Cohort membership feeds every later digest, so the centroids must not change
 in their last bits: a centroid is the sum of ``alpha * row`` over the members
 in member order, starting from 0, exactly as Python's ``sum`` adds them. It is
-computed with ``np.cumsum(axis=0)``, which adds rows one by one for any shape.
-``.sum(axis=0)`` does so only while the array has more than one column: on a
-one-column array numpy switches to pairwise summation (from 8 rows on), so
-summation order would hang on the stacked layout instead of being a rule.
+computed with ``np.add.accumulate(axis=0)`` (the loop ``np.cumsum`` runs),
+which adds rows one by one for any shape. ``np.add.reduce(axis=0)`` does so
+only while the array has more than one column: on a one-column array numpy
+switches to pairwise summation (from 8 rows on), so summation order would hang
+on the stacked layout instead of being a rule. Formation calls the ufunc
+methods themselves, not the ``sum`` / ``cumsum`` wrappers that call them, and
+keeps a block's sample count as a running sum: the counts are integers, so
+every partial sum below 2**53 is exact and any order gives the same total.
 """
 
 from __future__ import annotations
@@ -259,8 +263,8 @@ def _similarities(row: np.ndarray, centroids: np.ndarray, n_features: int) -> np
     width = 2 * n_features
     # a row-wise reduction of C-ordered rows repeats the 1-D reduction on each
     # row, and the mean is that sum divided by the count, as np.mean does
-    d_feat = _squash(np.abs(row[:width] - centroids[:, :width])).sum(axis=1) / width
-    d_lab = 0.5 * np.abs(row[width:-1] - centroids[:, width:-1]).sum(axis=1)
+    d_feat = np.add.reduce(_squash(np.abs(row[:width] - centroids[:, :width])), axis=1) / width
+    d_lab = 0.5 * np.add.reduce(np.abs(row[width:-1] - centroids[:, width:-1]), axis=1)
     return 1.0 - (0.5 * d_feat + 0.5 * d_lab)
 
 
@@ -271,15 +275,17 @@ def similarity(a: DataSignature, b: DataSignature) -> float:
     return float(_similarities(rows[0], rows[1:], n_features)[0])
 
 
-def _centroid_row(rows: np.ndarray, weights: np.ndarray, n_features: int) -> np.ndarray:
-    """Sample-weighted centroid of stacked rows, with a renormalised histogram
-    and quality capped at 1."""
-    alphas = weights / weights.sum()
+def _centroid_row(
+    rows: np.ndarray, weights: np.ndarray, total: float, n_features: int
+) -> np.ndarray:
+    """Sample-weighted centroid of stacked rows whose weights sum to ``total``,
+    with a renormalised histogram and quality capped at 1."""
+    alphas = weights / total
     # sequential, in row order, starting from 0 (so -0.0 comes out as 0.0);
     # see the module docstring
-    row = 0.0 + np.cumsum(alphas[:, None] * rows, axis=0)[-1]
+    row = 0.0 + np.add.accumulate(alphas[:, None] * rows, axis=0)[-1]
     hist = np.maximum(row[2 * n_features : -1], 0.0)
-    row[2 * n_features : -1] = hist / hist.sum()
+    row[2 * n_features : -1] = hist / np.add.reduce(hist)
     row[-1] = min(1.0, row[-1])
     return row
 
@@ -296,7 +302,8 @@ def _row_signature(row: np.ndarray, n_samples: float, n_features: int) -> DataSi
 
 def weighted_centroid(signatures: list[DataSignature]) -> DataSignature:
     rows, weights, n_features = _stack(signatures)
-    return _row_signature(_centroid_row(rows, weights, n_features), weights.sum(), n_features)
+    total = np.add.reduce(weights)
+    return _row_signature(_centroid_row(rows, weights, total, n_features), total, n_features)
 
 
 @dataclass
@@ -315,29 +322,33 @@ def _greedy_blocks(
     if threshold == 0.0:
         # every similarity is > 0, so every task would join block 0: compute
         # its centroid once, over all rows in task-id order
-        centroid = _centroid_row(rows, weights, n_features)
-        return [_Block(members=order, centroid=_row_signature(centroid, weights.sum(), n_features))]
+        total = np.add.reduce(weights)
+        centroid = _centroid_row(rows, weights, total, n_features)
+        return [_Block(members=order, centroid=_row_signature(centroid, total, n_features))]
     # row k is block k's centroid; a block of one is its member's own row
     centroids = np.empty_like(rows)
     block_rows: list[list[int]] = []
     # each block's member rows and weights, in member order, in buffers that
     # double when full: a join appends one row and slices the buffers
     stacks: list[tuple[np.ndarray, np.ndarray]] = []
+    totals: list[float] = []  # each block's sample count
+    sample_counts = weights.tolist()
     for i, row in enumerate(rows):
         best = -1
         if block_rows:
             sims = _similarities(row, centroids[: len(block_rows)], n_features)
-            sims = np.where(sims >= threshold, sims, -np.inf)
             # argmax takes the first maximum, so ties resolve to the earliest
             # block, i.e. the lexicographically smallest cohort id under
-            # zero-padded numbering
+            # zero-padded numbering; a maximum below the threshold means
+            # that no block is similar enough
             best = int(sims.argmax())
-            if sims[best] == -np.inf:
+            if sims[best] < threshold:
                 best = -1
         if best < 0:
             centroids[len(block_rows)] = row
             block_rows.append([i])
             stacks.append((rows[i : i + 1].copy(), weights[i : i + 1].copy()))
+            totals.append(sample_counts[i])
         else:
             members = block_rows[best]
             size = len(members)
@@ -350,14 +361,16 @@ def _greedy_blocks(
             stack_weights[size] = weights[i]
             members.append(i)
             size += 1
-            centroids[best] = _centroid_row(stack[:size], stack_weights[:size], n_features)
+            totals[best] += sample_counts[i]
+            centroids[best] = _centroid_row(
+                stack[:size], stack_weights[:size], totals[best], n_features
+            )
     blocks = []
     for k, members in enumerate(block_rows):
         if len(members) == 1:
             centroid = signatures[order[members[0]]]
         else:
-            total = stacks[k][1][: len(members)].sum()
-            centroid = _row_signature(centroids[k], total, n_features)
+            centroid = _row_signature(centroids[k], totals[k], n_features)
         blocks.append(_Block(members=[order[i] for i in members], centroid=centroid))
     return blocks
 

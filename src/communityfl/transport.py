@@ -29,7 +29,7 @@ from .community import admit
 from .errors import ConfigError, DeliveryError, ProtocolError
 from .flcore import ModelUpdate
 from .netproto import Envelope, MsgType
-from .orchestrator import Coordinator, _is_int
+from .orchestrator import Coordinator, _is_finite_real, _is_int
 from .scenarios import TaskSpec, build_task
 
 logger = logging.getLogger(__name__)
@@ -108,11 +108,13 @@ class SimNetwork:
 def check_timeout(name: str, value: float) -> float:
     """Refuse a timeout that socket and thread waits mishandle: below 0 or
     above ``threading.TIMEOUT_MAX`` they raise, NaN kills the accept thread or
-    waits 0 s, and 0 reads every registration as EOF."""
-    if not 0.0 < value <= threading.TIMEOUT_MAX:
+    waits 0 s, and 0 reads every registration as EOF. Anything but a finite
+    int or float is refused too, bools included: a cast would read ``"1"``
+    and ``true`` as 1 s."""
+    if not (_is_finite_real(value) and 0.0 < value <= threading.TIMEOUT_MAX):
         raise ConfigError(
             f"{name} must be a finite number > 0 and at most {threading.TIMEOUT_MAX:g} s, "
-            f"got {value}"
+            f"got {value!r}"
         )
     return value
 

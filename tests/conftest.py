@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from communityfl import netproto
 from communityfl.community import (
@@ -18,6 +19,13 @@ from communityfl.netproto import Envelope
 from communityfl.tinylearn import Dataset, EvalMetrics, WeightVector, make_arch
 
 ARCH_2X2 = make_arch(2, 2)
+
+# stable_u64 seeds: the 32-bit word boundaries of SeedSequence's entropy,
+# both ends, and seeds of one word and of two
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+u64_seeds = st.one_of(
+    st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+)
 
 
 def rand_signature(rng: np.random.Generator, n_features: int = 2, n_classes: int = 2) -> DataSignature:

@@ -526,10 +526,11 @@ def test_serve_refuses_community_document_off_schema(tmp_path, capsys):
     assert "Community.criteria.required_tags: expected list" in err
 
 
-@pytest.mark.parametrize("ready_timeout_s", [1e300, float("nan")])
+@pytest.mark.parametrize("ready_timeout_s", [1e300, float("nan"), "1", True, None, []])
 def test_serve_refuses_a_ready_timeout_before_it_binds(tmp_path, capsys, ready_timeout_s):
     # 1e300 raised OverflowError once the server was up; NaN waited 0 s and
-    # reported that the clients did not register
+    # reported that the clients did not register; "1" and true were cast to
+    # 1.0 s, and null and [] failed the cast with a message naming no field
     spec = scenarios.builtin_scenarios()["uniform"]
     bundle = tmp_path / "bundle"
     scenarios.export_socket_bundle(spec, bundle)
@@ -541,6 +542,7 @@ def test_serve_refuses_a_ready_timeout_before_it_binds(tmp_path, capsys, ready_t
     assert code == 2
     captured = capsys.readouterr()
     assert "ready_timeout_s must be a finite number > 0" in captured.err
+    assert f"got {ready_timeout_s!r}" in captured.err
     assert "listening on" not in captured.out
 
 

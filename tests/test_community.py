@@ -473,7 +473,7 @@ def test_centroid_kernel_sums_one_column_in_member_order(members):
     alphas = weights / weights.sum()
     expected = min(1.0, float(sum(a * q for a, (_, q) in zip(alphas, members))))
     quality = np.array([[q] for _, q in members])
-    row = _centroid_row(quality, weights, n_features=0)
+    row = _centroid_row(quality, weights, weights.sum(), n_features=0)
     assert struct.pack("<d", row[0]) == struct.pack("<d", expected)
 
 
@@ -592,7 +592,7 @@ def _fancy_index_blocks(signatures, threshold):
     order = sorted(signatures)
     rows, weights, n_features = _stack([signatures[t] for t in order])
     if threshold == 0.0:
-        centroid = _centroid_row(rows, weights, n_features)
+        centroid = _centroid_row(rows, weights, weights.sum(), n_features)
         return [(order, _row_signature(centroid, weights.sum(), n_features))]
     centroids = np.empty_like(rows)
     block_rows = []
@@ -610,7 +610,9 @@ def _fancy_index_blocks(signatures, threshold):
         else:
             members = block_rows[best]
             members.append(i)
-            centroids[best] = _centroid_row(rows[members], weights[members], n_features)
+            centroids[best] = _centroid_row(
+                rows[members], weights[members], weights[members].sum(), n_features
+            )
     blocks = []
     for k, members in enumerate(block_rows):
         if len(members) == 1:
@@ -634,6 +636,122 @@ def _populations(draw):
 def test_buffered_joins_match_fancy_indexed_joins_bytewise(signatures, threshold):
     blocks = _greedy_blocks(signatures, threshold)
     expected = _fancy_index_blocks(signatures, threshold)
+    assert [block.members for block in blocks] == [members for members, _ in expected]
+    for block, (_, centroid) in zip(blocks, expected):
+        assert _signature_bytes(block.centroid) == _signature_bytes(centroid)
+
+
+def _wrapper_centroid_row(rows, weights, n_features):
+    """The centroid kernel as written with numpy's Python wrappers."""
+    alphas = weights / weights.sum()
+    row = 0.0 + np.cumsum(alphas[:, None] * rows, axis=0)[-1]
+    hist = np.maximum(row[2 * n_features : -1], 0.0)
+    row[2 * n_features : -1] = hist / hist.sum()
+    row[-1] = min(1.0, row[-1])
+    return row
+
+
+def _wrapper_similarities(row, centroids, n_features):
+    width = 2 * n_features
+    gaps = np.abs(row[:width] - centroids[:, :width])
+    d_feat = (gaps / (1.0 + gaps)).sum(axis=1) / width
+    d_lab = 0.5 * np.abs(row[width:-1] - centroids[:, width:-1]).sum(axis=1)
+    return 1.0 - (0.5 * d_feat + 0.5 * d_lab)
+
+
+def _wrapper_blocks(signatures, threshold):
+    """Formation as written with a ``np.where`` mask on the scores,
+    ``np.cumsum`` centroids and ``weights.sum()`` totals, kept as the oracle of
+    the direct ufunc calls: [(members, centroid)] in block order, plus the
+    number of joins that broke a tie and that scored exactly the threshold."""
+    order = sorted(signatures)
+    rows, weights, n_features = _stack([signatures[t] for t in order])
+    centroids = np.empty_like(rows)
+    block_rows = []
+    ties = at_threshold = 0
+    for i, row in enumerate(rows):
+        best = -1
+        if block_rows:
+            sims = _wrapper_similarities(row, centroids[: len(block_rows)], n_features)
+            sims = np.where(sims >= threshold, sims, -np.inf)
+            best = int(sims.argmax())
+            if sims[best] == -np.inf:
+                best = -1
+            else:
+                ties += int((sims == sims[best]).sum() > 1)
+                at_threshold += int(sims[best] == threshold)
+        if best < 0:
+            centroids[len(block_rows)] = row
+            block_rows.append([i])
+        else:
+            members = block_rows[best]
+            members.append(i)
+            centroids[best] = _wrapper_centroid_row(rows[members], weights[members], n_features)
+    blocks = []
+    for k, members in enumerate(block_rows):
+        if len(members) == 1:
+            centroid = signatures[order[members[0]]]
+        else:
+            centroid = _row_signature(centroids[k], weights[members].sum(), n_features)
+        blocks.append(([order[i] for i in members], centroid))
+    return blocks, ties, at_threshold
+
+
+@st.composite
+def _grid_signatures(draw, n_features, n_classes):
+    # few distinct values, so that many scores coincide
+    def vector(values, size):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
+
+    hist = vector([0.0, 1.0, 2.0], n_classes)
+    if hist.sum() == 0:
+        hist[0] = 1.0
+    return DataSignature(
+        per_feature_mean=vector([-1.0, 0.0, 1.0, 2.0], n_features),
+        per_feature_std=vector([0.5, 1.0], n_features),
+        label_histogram=hist / hist.sum(),
+        n_samples=draw(st.sampled_from([10, 30, 60])),
+        quality_score=draw(st.sampled_from([0.25, 0.5, 1.0])),
+    )
+
+
+@st.composite
+def _tied_populations(draw):
+    """Blocks at -shift and +shift, then tasks at 0 that score exactly alike
+    against both, with the threshold at that score, then grid and random
+    signatures."""
+    n_features = draw(st.sampled_from([1, 2, 16]))
+    n_classes = draw(st.integers(1, 4))
+    base = draw(_grid_signatures(n_features, n_classes))
+    shift = np.array(
+        draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n_features, max_size=n_features))
+    )
+
+    def at(mean):
+        return dataclasses.replace(base, per_feature_mean=mean)
+
+    copies = draw(st.integers(1, 3))
+    signatures = {f"a{i}": at(-shift) for i in range(copies)}
+    signatures.update({f"b{i}": at(shift) for i in range(copies)})
+    signatures.update({f"c{i}": at(0.0 * shift) for i in range(draw(st.integers(1, 3)))})
+    others = st.one_of(_grid_signatures(n_features, n_classes), _signatures(n_features, n_classes))
+    for i, signature in enumerate(draw(st.lists(others, max_size=60))):
+        signatures[f"t{i:03d}"] = signature
+    rows, weights, _ = _stack([at(shift)] * copies)
+    centroid = rows[0] if copies == 1 else _wrapper_centroid_row(rows, weights, n_features)
+    zero_row = _stack([at(0.0 * shift)])[0][0]
+    threshold = float(_wrapper_similarities(zero_row, centroid[None], n_features)[0])
+    return signatures, threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_populations())
+def test_direct_ufunc_formation_matches_the_wrapper_formula_bytewise(population):
+    signatures, threshold = population
+    blocks = _greedy_blocks(signatures, threshold)
+    expected, ties, at_threshold = _wrapper_blocks(signatures, threshold)
+    # the first task at 0 ties the two blocks at exactly the threshold
+    assert ties >= 1 and at_threshold >= 1
     assert [block.members for block in blocks] == [members for members, _ in expected]
     for block, (_, centroid) in zip(blocks, expected):
         assert _signature_bytes(block.centroid) == _signature_bytes(centroid)

@@ -612,11 +612,14 @@ def test_round_connections_disable_nagle_on_both_ends(tmp_path):
     assert len(client_nodelay) == 1 and client_nodelay[0] != 0
 
 
-@pytest.mark.parametrize("recv_timeout_s", [-1.0, 0.0, float("nan"), float("inf"), 1e10])
+@pytest.mark.parametrize(
+    "recv_timeout_s", [-1.0, 0.0, float("nan"), float("inf"), 1e10, "1", True, None, []]
+)
 def test_server_refuses_a_receive_timeout_before_it_binds(recv_timeout_s):
     # a negative or NaN timeout killed the accept thread at the first
     # connection and left that socket open; 0 read every registration as EOF;
-    # one above threading.TIMEOUT_MAX killed it with OverflowError
+    # one above threading.TIMEOUT_MAX killed it with OverflowError; serve cast
+    # a config's "1" and true to 1.0 s, and the rest raised TypeError
     coordinator = Coordinator(SchedulerConfig(), [make_community()])
     with socket.create_server(("127.0.0.1", 0)) as probe:
         port = probe.getsockname()[1]
