@@ -382,11 +382,14 @@ def test_generate_draws_each_client_as_generate_client_dataset_does(name):
         assert signature.n_samples == expected.n_samples == client.n_samples
 
 
+_FLOOR = scenarios._STREAMS_FLOOR
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(
-        [0, 1, 2, scenarios._STREAMS_FLOOR - 1, scenarios._STREAMS_FLOOR, 2 * scenarios._STREAMS_FLOOR]
-    ).flatmap(lambda n: st.lists(u64_seeds, min_size=n, max_size=n))
+    st.sampled_from([0, 1, 2, _FLOOR - 1, _FLOOR, 2 * _FLOOR]).flatmap(
+        lambda n: st.lists(u64_seeds, min_size=n, max_size=n)
+    )
 )
 def test_streams_start_and_draw_as_default_rng(seeds):
     # below the floor each seed gets its own default_rng; from it on, one
