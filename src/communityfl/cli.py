@@ -146,6 +146,22 @@ def _load_dataset(path: str) -> Dataset:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
 
 
+def _load_resources(path: str | None, client_id: str) -> scenarios.ResourceSpec:
+    """The battery and neighbor lists of a ``<client>.resources.json`` file;
+    without one, a full battery and no neighbors."""
+    if path is None:
+        return scenarios.ResourceSpec()
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected an object, got {type(doc).__name__}")
+        resources = scenarios.ResourceSpec(**doc)
+        resources.check(client_id)
+    except (OSError, ValueError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"cannot read resources file {path}: {exc}") from exc
+    return resources
+
+
 def cmd_client(args) -> int:
     host, port = _parse_addr(args.connect)
     dataset = _load_dataset(args.data)
@@ -161,7 +177,15 @@ def cmd_client(args) -> int:
             task = netproto.from_file_doc(FlTask, json.loads(Path(args.task).read_text()))
         except (OSError, ValueError, KeyError, TypeError, CommunityFlError) as exc:
             raise ConfigError(f"cannot read task file {args.task}: {exc}") from exc
-    client = FlClient(metadata.participant_id, dataset, metadata)
+    resources = _load_resources(args.resources, metadata.participant_id)
+    client = FlClient(
+        metadata.participant_id,
+        dataset,
+        metadata,
+        battery=resources.battery,
+        neighbors=resources.neighbors,
+        trusted_neighbors=resources.trusted,
+    )
     try:
         rounds = transport.run_socket_client(client, host, port, task)
     except ConnectionRefusedError as exc:
@@ -255,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--data", required=True, help="local dataset JSON")
     client.add_argument("--metadata", required=True, help="participant metadata JSON")
     client.add_argument("--task", default=None, help="optional task JSON")
+    client.add_argument("--resources", default=None, help="optional battery and neighbors JSON")
     client.set_defaults(func=cmd_client)
 
     inspect = sub.add_parser("inspect", help="print the population/cohort tree of a run")

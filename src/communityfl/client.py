@@ -37,7 +37,7 @@ from . import netproto
 from .community import Community, ParticipantMetadata, signature_from_dataset
 from .errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from .flcore import FlTask, ModelUpdate, TrainRequest
-from .hashing import stable_u64
+from .hashing import stable_u64, streams
 from .netproto import Envelope, MsgType
 from .tinylearn import Dataset, HyperParams, WeightVector, evaluate, train_local
 
@@ -105,15 +105,21 @@ class FlClient:
         half keeps its rows in their original order and is taken with
         :meth:`Dataset.rows`, so the checked local data is not checked again.
         A client with one sample has no row to hold out: its empty holdout
-        raises ``ShapeError``.
+        raises ``ShapeError``. :func:`split_all` builds many clients' splits
+        alike.
         """
         key = float(holdout_fraction)
         cached = self._split_cache.get(key)
         if cached is not None:
             return cached
+        return self._build_split(key, np.random.default_rng(stable_u64("split", self.client_id)))
+
+    def _build_split(self, key: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+        """Split the local data at fraction ``key`` by a permutation drawn from
+        ``rng``, in the state ``default_rng`` starts from for this client's
+        split seed, and cache the pair."""
         data = self.local_data
         n = data.n_samples
-        rng = np.random.default_rng(stable_u64("split", self.client_id))
         perm = rng.permutation(n)
         n_holdout = min(n - 1, max(1, int(round(key * n))))
         train_idx, holdout_idx = perm[n_holdout:], perm[:n_holdout]
@@ -294,3 +300,20 @@ class FlClient:
                     REPORT_ATTEMPTS,
                 )
         return None, REPORT_ATTEMPTS
+
+
+def split_all(requests: list[tuple[FlClient, float]]) -> list[tuple[Dataset, Dataset]]:
+    """``client.split(fraction)`` for each ``(client, fraction)`` in order.
+
+    The splits not cached yet are built first, their permutations seeded in
+    one pass (:func:`hashing.streams`) rather than with one ``default_rng``
+    each; each is the pair :meth:`FlClient.split` builds, and is cached as
+    it would be."""
+    missing = {}  # (client, fraction) -> split seed, each pair once
+    for client, fraction in requests:
+        key = float(fraction)
+        if key not in client._split_cache:
+            missing[client, key] = stable_u64("split", client.client_id)
+    for (client, key), rng in zip(missing, streams(list(missing.values()))):
+        client._build_split(key, rng)
+    return [client.split(fraction) for client, fraction in requests]

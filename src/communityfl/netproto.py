@@ -24,6 +24,13 @@ thread. No schema declares a field that can carry raw feature or label
 arrays - model weights travel as base64-encoded float64 blobs and data is only
 ever described by its statistical signature.
 
+A round sends one cohort model to each of its members, so each thread keeps
+its last two weight decodes and returns the same read-only ``WeightVector``
+for a document equal to either. It keeps two because in simulation one
+thread decodes a member's request and then that member's update before the
+next member's request: a memo of one entry would hold the update and never
+hit. A thread holds at most two decoded vectors this way.
+
 See ``docs/PROTOCOL.md`` for the normative schema reference.
 """
 
@@ -523,18 +530,43 @@ def weights_to_wire(w: WeightVector) -> dict:
     return {"arch_id": w.arch_id, "values": last.text}
 
 
+class _Decoded(threading.local):
+    """This thread's last two weight decodes, the latest first, each as
+    ``(arch_id, values text, WeightVector)``."""
+
+    entries: tuple = ()
+
+
+_DECODED = _Decoded()
+
+
 def wire_to_weights(doc: dict) -> WeightVector:
+    """The weights a ``weights_to_wire`` document carries, read-only and not
+    checked for finiteness (the guard flags a non-finite update). A document
+    equal to one of this thread's last two decodes returns that decode's
+    object."""
+    arch_id, text = doc["arch_id"], doc["values"]
+    entries = _DECODED.entries
+    for index, entry in enumerate(entries):
+        if entry[1] == text and entry[0] == arch_id:
+            if index:
+                _DECODED.entries = (entry, entries[0])
+            return entry[2]
     try:
-        blob = base64.b64decode(doc["values"].encode("ascii"), validate=True)
+        blob = base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:
         raise ProtocolError("malformed", f"weights are not valid base64: {exc}") from exc
     if len(blob) % 8 != 0:
         raise ProtocolError("malformed", "weight blob length is not a multiple of 8")
-    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     try:
-        return WeightVector(values=values, arch_id=doc["arch_id"], check_finite=False)
+        # the constructor's copy is the only one, in native float64
+        weights = WeightVector(
+            values=np.frombuffer(blob, dtype="<f8"), arch_id=arch_id, check_finite=False
+        )
     except ShapeError as exc:
         raise ProtocolError("malformed", str(exc)) from exc
+    _DECODED.entries = ((arch_id, text, weights),) + entries[:1]
+    return weights
 
 
 _TO_DOC: dict[type, Callable] = {WeightVector: weights_to_wire}

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netproto
-from .client import FlClient
+from .client import FlClient, split_all
 from .errors import ConfigError
 from .flcore import FlCohort
 from .hashing import digest_hex, weights_digest
@@ -157,11 +157,11 @@ class _OmniscientHoldout:
         # membership changed or the cohort is new: forget removed cohorts too
         live = {c.cohort_id for c in self._coordinator.all_cohorts()}
         self._stacks = {k: v for k, v in self._stacks.items() if k in live}
-        holdouts = []
+        requests = []
         for task_id in task_ids:
             task = self._coordinator.registry.tasks[task_id]
-            client = self._clients[task.client_id]
-            holdouts.append(client.split(task.plan.eval_holdout_fraction)[1])
+            requests.append((self._clients[task.client_id], task.plan.eval_holdout_fraction))
+        holdouts = [holdout for _, holdout in split_all(requests)]
         sizes = [h.n_samples for h in holdouts]
         stack = _HoldoutStack(
             task_ids=task_ids,

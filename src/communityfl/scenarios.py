@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .community import (
 )
 from .errors import ConfigError, PlanError
 from .flcore import ConfigSignature, FlPlan, FlTask
-from .hashing import pcg64_states, stable_u64
+from .hashing import stable_u64, streams
 from .orchestrator import Coordinator, SchedulerConfig, _is_finite_real, _is_int
 from .tinylearn import Dataset, make_arch
 
@@ -72,6 +71,26 @@ class ResourceSpec:
     battery: float = 1.0
     neighbors: list[str] = field(default_factory=list)
     trusted: list[str] = field(default_factory=list)
+
+    def check(self, client_id: str, known: set[str] | None = None):
+        """Raise ``ConfigError`` unless the battery is a finite number in
+        [0, 1] and the neighbors and trusted ids are lists of client ids (of
+        ``known`` ones, when given)."""
+        battery = self.battery
+        if not (_is_finite_real(battery) and 0 <= battery <= 1):
+            raise ConfigError(
+                f"battery of {client_id} must be a finite number in [0, 1], got {battery!r}"
+            )
+        for name in ("neighbors", "trusted"):
+            ids = getattr(self, name)
+            if not (
+                isinstance(ids, (list, tuple))
+                and all(isinstance(i, str) and (known is None or i in known) for i in ids)
+            ):
+                what = "client ids" if known is None else "known client ids"
+                raise ConfigError(
+                    f"{name} of {client_id} must be a list of {what}, got {ids!r}"
+                )
 
 
 @dataclass
@@ -259,20 +278,7 @@ class ScenarioSpec:
         for client_id, resource in self.resources.items():
             if client_id not in known:
                 raise ConfigError("resources entry references unknown client")
-            battery = resource.battery
-            if not (_is_finite_real(battery) and 0 <= battery <= 1):
-                raise ConfigError(
-                    f"battery of {client_id} must be a finite number in [0, 1], got {battery!r}"
-                )
-            for name in ("neighbors", "trusted"):
-                ids = getattr(resource, name)
-                if not (
-                    isinstance(ids, (list, tuple))
-                    and all(isinstance(i, str) and i in known for i in ids)
-                ):
-                    raise ConfigError(
-                        f"{name} of {client_id} must be a list of known client ids, got {ids!r}"
-                    )
+            resource.check(client_id, known)
         # each task's plan, as the coordinator builds it at submission; tasks
         # without overrides share their community's default plan
         plain = set()
@@ -408,30 +414,6 @@ def _mixture(spec: ScenarioSpec) -> _Mixture:
 _CHUNK_VALUES = 1 << 15
 
 
-# below this many seeds a default_rng per seed is the cheaper path: on a 2-vCPU
-# x86-64 host the pcg64_states pass plus a state set per seed breaks even at
-# 16-20 seeds and costs about a third less at 32
-_STREAMS_FLOOR = 32
-
-
-def _streams(seeds: list[int]) -> Iterator[np.random.Generator]:
-    """For each seed in turn, a generator in the state ``default_rng(seed)``
-    starts from. From ``_STREAMS_FLOOR`` seeds on, it is one generator whose
-    state is set for each seed, so a caller draws from each one before it
-    asks for the next."""
-    if len(seeds) < _STREAMS_FLOOR:
-        for seed in seeds:
-            yield np.random.default_rng(seed)
-        return
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    pcg_state: dict[str, int] = {}
-    state = {"bit_generator": "PCG64", "state": pcg_state, "has_uint32": 0, "uinteger": 0}
-    for pcg_state["state"], pcg_state["inc"] in pcg64_states(seeds):
-        bit_generator.state = state
-        yield rng
-
-
 def generate_client_dataset(
     spec: ScenarioSpec, client_id: str, cluster_index: int, n_samples: int, stream: str
 ) -> Dataset:
@@ -451,7 +433,7 @@ def _draw(
 
     Each client draws from its own seeded streams, as it would alone, into
     its block of buffers shared by all of them; the streams of many clients
-    are seeded together (``_streams``), in the states their own
+    are seeded together (``hashing.streams``), in the states their own
     ``default_rng`` would start from. Everything after the draws is
     elementwise and runs once over all rows, so each row holds the bits a
     lone draw gives it."""
@@ -464,7 +446,7 @@ def _draw(
     runs: list[list[int]] = []  # [cluster index, start, stop] of consecutive clients
     poisoned: list[tuple[str, float, int, int]] = []
     start = 0
-    rngs = _streams([stable_u64(spec.seed, stream, client_id) for client_id, _ in clients])
+    rngs = streams([stable_u64(spec.seed, stream, client_id) for client_id, _ in clients])
     for (client_id, cluster_index), n, rng in zip(clients, counts, rngs):
         stop = start + n
         # the uniforms of rng.choice(n_classes, size=n, p=prior), then the noise
@@ -489,7 +471,7 @@ def _draw(
         lut = mixture.luts[cluster_index]
         if lut is not None:
             labels[start:stop] = lut[labels[start:stop]]
-    poison_rngs = _streams([stable_u64(spec.seed, "poison", c) for c, _, _, _ in poisoned])
+    poison_rngs = streams([stable_u64(spec.seed, "poison", c) for c, _, _, _ in poisoned])
     for (_, flip_rate, start, stop), poison_rng in zip(poisoned, poison_rngs):
         mask = poison_rng.random(stop - start) < flip_rate
         block = labels[start:stop]
@@ -501,7 +483,7 @@ def _sample_counts(spec: ScenarioSpec) -> list[int]:
     """Each client's sample count, in client order: its override, or a draw
     from its own seeded stream."""
     drawn = [c for c in spec.clients if c not in spec.samples_override]
-    rngs = _streams([stable_u64(spec.seed, "count", client_id) for client_id in drawn])
+    rngs = streams([stable_u64(spec.seed, "count", client_id) for client_id in drawn])
     lo, hi = spec.samples_per_client
     counts = {client_id: int(rng.integers(lo, hi + 1)) for client_id, rng in zip(drawn, rngs)}
     for client_id, n in spec.samples_override.items():
@@ -981,8 +963,9 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 
 
 def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, Path]:
-    """Write server config plus per-client data/metadata/task files so the same
-    scenario can run over TCP with ``communityfl serve`` / ``communityfl client``."""
+    """Write server config plus per-client data/metadata/resources/task files
+    so the same scenario can run over TCP with ``communityfl serve`` /
+    ``communityfl client``."""
     # a client session submits one task, and serve waits for every task in
     # expected_tasks: a client with two would keep it waiting to its timeout
     for client_id, count in Counter(task.client_id for task in spec.tasks).items():
@@ -1017,6 +1000,10 @@ def export_socket_bundle(spec: ScenarioSpec, out_dir: str | Path) -> dict[str, P
         )
         (base.parent / f"{client.client_id}.metadata.json").write_text(
             json.dumps(netproto.to_doc(client.metadata), indent=2, sort_keys=True) + "\n"
+        )
+        # what a device knows of its own battery and neighbors
+        (base.parent / f"{client.client_id}.resources.json").write_text(
+            json.dumps(asdict(client.resources), indent=2, sort_keys=True) + "\n"
         )
         task = tasks_by_client.get(client.client_id)
         if task is not None:

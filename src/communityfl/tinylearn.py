@@ -12,10 +12,13 @@ vector. All arithmetic is float64 with summations in fixed index order.
 One private kernel, ``_loss_grad``, computes the gradient on raw arrays
 and one-hot targets, and the loss only when asked. ``loss_and_gradient``
 checks shapes and asks for both; each ``train_local`` step asks for the
-gradient alone. ``train_local`` checks shapes once, permutes the rows once
-per epoch and slices its batches from that copy, updates one weight buffer
-in place, and builds one ``WeightVector`` at the end. Each of these is the
-arithmetic of the plain per-batch loop, bit for bit.
+gradient alone. The kernel writes its logits, probabilities and flat
+gradient into work arrays (``_Scratch``) that its caller allocates once per
+call, one ufunc at a time with ``out``: the ufuncs, operands and order of
+the expressions they replace. ``train_local`` checks shapes once, permutes
+the rows once per epoch and slices its batches from that copy, updates one
+weight buffer in place, and builds one ``WeightVector`` at the end. Each of
+these is the arithmetic of the plain per-batch loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -182,10 +185,10 @@ class Dataset:
         are taken without it: one copy of each array (a slice's view is
         copied too), and no second pass over the values. An empty selection is
         refused as the constructor refuses an empty dataset."""
-        features = self.features[index]
-        labels = self.labels[index]
         if isinstance(index, slice):
-            features, labels = features.copy(), labels.copy()
+            features, labels = self.features[index].copy(), self.labels[index].copy()
+        else:
+            features, labels = self.features.take(index, 0), self.labels.take(index)
         if labels.shape[0] == 0:
             raise ShapeError("dataset must contain at least one sample")
         features.setflags(write=False)
@@ -245,19 +248,36 @@ def _unpack(values: np.ndarray, arch: ModelArch):
     )
 
 
-def _forward(params: tuple, x: np.ndarray):
-    """Return (logits, hidden activations or None) for ``_unpack``'s params."""
+def _forward(params: tuple, x: np.ndarray, logits: np.ndarray, hidden: np.ndarray | None):
+    """Write the logits of ``_unpack``'s params on the rows ``x`` into
+    ``logits``, and an MLP's hidden activations into ``hidden`` (None for
+    logistic regression): ``x @ w + b``, and ``tanh`` of it for the hidden
+    layer, one ufunc at a time into arrays of the result's shape."""
     if len(params) == 2:
         w, b = params
-        return x @ w + b, None
-    w1, b1, w2, b2 = params
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+        np.matmul(x, w, logits)
+    else:
+        w1, b1, w, b = params
+        np.matmul(x, w1, hidden)
+        hidden += b1
+        np.tanh(hidden, hidden)
+        np.matmul(hidden, w, logits)
+    logits += b
+    return logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+def _log_softmax(logits: np.ndarray, exps: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Turn ``logits`` into log-probabilities in place: subtract each row's
+    maximum, then the log of the row's sum of exponentials. ``exps`` (the
+    shape of ``logits``) and ``column`` (one column) are scratch."""
+    # positional outputs: out= costs more to parse than the small ufuncs take
+    np.maximum.reduce(logits, 1, None, column, True)
+    logits -= column
+    np.exp(logits, exps)
+    np.add.reduce(exps, 1, None, column, True)
+    np.log(column, column)
+    logits -= column
+    return logits
 
 
 def _check_shapes(w: WeightVector, data: Dataset) -> ModelArch:
@@ -293,43 +313,93 @@ def loss_and_gradient(w: WeightVector, data: Dataset) -> tuple[float, np.ndarray
     """
     arch = _check_shapes(w, data)
     targets = _one_hot(data.labels, arch.n_classes)
-    return _loss_grad(_unpack(w.values, arch), data.features, targets, with_loss=True)
+    scratch = _Scratch(arch, data.n_samples)
+    return _loss_grad(_unpack(w.values, arch), data.features, targets, True, scratch)
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes)[labels]
+    # take copies whole rows, as indexing with ``[labels]`` does, at a
+    # fraction of its cost on a few dozen rows
+    return _identity(n_classes).take(labels, 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n_classes: int) -> np.ndarray:
+    identity = np.eye(n_classes)
+    identity.setflags(write=False)
+    return identity
+
+
+class _Scratch:
+    """Work arrays for kernel calls on ``rows`` rows of one architecture:
+    logits, their exponentials and one column, an MLP's hidden activations
+    and their delta, and the flat gradient with ``_unpack``'s views of its
+    parts. :meth:`head` gives the same arrays' first rows for a shorter
+    batch; those are C-contiguous, as a new array of their shape is."""
+
+    __slots__ = ("logits", "exps", "column", "hidden", "delta", "grad", "grad_parts")
+
+    def __init__(self, arch: ModelArch, rows: int):
+        c, h = arch.n_classes, arch.hidden_units
+        self.logits = np.empty((rows, c))
+        self.exps = np.empty((rows, c))
+        self.column = np.empty((rows, 1))
+        self.hidden = np.empty((rows, h)) if h else None
+        self.delta = np.empty((rows, h)) if h else None
+        self.grad = np.empty(arch.param_count)
+        self.grad_parts = _unpack(self.grad, arch)
+
+    def head(self, rows: int) -> _Scratch:
+        head = object.__new__(_Scratch)
+        head.logits, head.exps = self.logits[:rows], self.exps[:rows]
+        head.column = self.column[:rows]
+        if self.hidden is None:
+            head.hidden = head.delta = None
+        else:
+            head.hidden, head.delta = self.hidden[:rows], self.delta[:rows]
+        head.grad, head.grad_parts = self.grad, self.grad_parts
+        return head
 
 
 def _loss_grad(
-    params: tuple, x: np.ndarray, targets: np.ndarray, with_loss: bool
+    params: tuple, x: np.ndarray, targets: np.ndarray, with_loss: bool, scratch: _Scratch
 ) -> tuple[float | None, np.ndarray]:
     """The kernel of :func:`loss_and_gradient` and of each :func:`train_local`
     step, on ``_unpack``'s params, a feature batch and its one-hot targets,
-    whose shapes the caller has checked. The loss is None unless
-    ``with_loss``; the gradient never depends on it."""
-    n = x.shape[0]
-    logits, hidden = _forward(params, x)
-    log_probs = _log_softmax(logits)
+    whose shapes the caller has checked, with ``scratch`` of the batch's row
+    count. The loss is None unless ``with_loss``; the gradient never depends
+    on it. The gradient is ``scratch.grad``, which the next call on
+    ``scratch`` overwrites."""
+    m = x.shape[0]
+    hidden = scratch.hidden
+    exps = scratch.exps
+    log_probs = _log_softmax(_forward(params, x, scratch.logits, hidden), exps, scratch.column)
     loss = None
     if with_loss:
-        # one pick per row, in row order, as ``log_probs[arange(n), y]``
-        loss = float(-(np.add.reduce(log_probs[targets == 1.0]) / n))
+        # one pick per row, in row order, as ``log_probs[arange(m), y]``
+        loss = float(-(np.add.reduce(log_probs[targets == 1.0]) / m))
 
     # subtracting 0.0 leaves an entry as it is, so this is the per-row
     # "probability minus one at the label"
-    dlogits = np.exp(log_probs)
+    dlogits = np.exp(log_probs, exps)
     dlogits -= targets
-    dlogits /= n
+    dlogits /= m
 
+    parts = scratch.grad_parts
     if hidden is None:
-        return loss, np.concatenate(((x.T @ dlogits).reshape(-1), np.add.reduce(dlogits, axis=0)))
-    w2 = params[2]
-    dw2 = hidden.T @ dlogits
-    db2 = np.add.reduce(dlogits, axis=0)
-    dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
-    dw1 = x.T @ dhidden
-    db1 = np.add.reduce(dhidden, axis=0)
-    return loss, np.concatenate((dw1.reshape(-1), db1, dw2.reshape(-1), db2))
+        np.matmul(x.T, dlogits, parts[0])
+        np.add.reduce(dlogits, 0, None, parts[1])
+        return loss, scratch.grad
+    np.matmul(hidden.T, dlogits, parts[2])
+    np.add.reduce(dlogits, 0, None, parts[3])
+    # (dlogits @ w2.T) * (1.0 - hidden**2); hidden is not read again
+    dhidden = np.matmul(dlogits, params[2].T, scratch.delta)
+    np.square(hidden, hidden)
+    np.subtract(1.0, hidden, hidden)
+    dhidden *= hidden
+    np.matmul(x.T, dhidden, parts[0])
+    np.add.reduce(dhidden, 0, None, parts[1])
+    return loss, scratch.grad
 
 
 def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector:
@@ -337,9 +407,10 @@ def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector
 
     ``data`` is already validated, so the loop runs on raw arrays: each epoch
     permutes the rows once and its batches are consecutive slices of that
-    copy, and each step updates one weight buffer in place through the
-    gradient-only kernel. Non-finite weights, incoming or from an
-    overflowing step, stay non-finite, and the final ``WeightVector``
+    copy, and each step writes into one set of work arrays (a shorter last
+    batch into their first rows) and updates one weight buffer in place
+    through the gradient-only kernel. Non-finite weights, incoming or from
+    an overflowing step, stay non-finite, and the final ``WeightVector``
     refuses them.
     """
     arch = _check_shapes(w, data)
@@ -348,13 +419,17 @@ def train_local(w: WeightVector, data: Dataset, hp: HyperParams) -> WeightVector
     targets = _one_hot(data.labels, arch.n_classes)
     values = w.values.copy()
     params = _unpack(values, arch)  # views: they follow the in-place updates
+    full = _Scratch(arch, min(batch, n))
+    last = full.head(n % batch) if n > batch and n % batch else full
+    lr = hp.learning_rate
     for _ in range(hp.epochs):
         order = rng.permutation(n)
-        x, t = data.features[order], targets[order]
+        x, t = data.features.take(order, 0), targets.take(order, 0)
         for start in range(0, n, batch):
             stop = start + batch
-            _, grad = _loss_grad(params, x[start:stop], t[start:stop], with_loss=False)
-            grad *= hp.learning_rate
+            scratch = full if stop <= n else last
+            _, grad = _loss_grad(params, x[start:stop], t[start:stop], False, scratch)
+            grad *= lr
             values -= grad
     return WeightVector(values=values, arch_id=arch.arch_id)
 
@@ -371,18 +446,24 @@ def grouped_hits(
     arch = w.arch
     if features.ndim != 2 or features.shape[1] != arch.n_features:
         raise ShapeError(f"features of shape {features.shape} do not match {w.arch_id}")
-    logits, _ = _forward(_unpack(w.values, arch), features)
+    rows = features.shape[0]
+    hidden = np.empty((rows, arch.hidden_units)) if arch.hidden_units else None
+    logits = _forward(_unpack(w.values, arch), features, np.empty((rows, arch.n_classes)), hidden)
     return np.add.reduceat(logits.argmax(axis=1) == labels, offsets, dtype=np.int64)
 
 
 def evaluate(w: WeightVector, data: Dataset) -> EvalMetrics:
-    """Mean cross-entropy and top-1 accuracy; pure function of its inputs."""
+    """Mean cross-entropy and top-1 accuracy; pure function of its inputs.
+
+    The hits are counted on the logits before they turn into
+    log-probabilities in place."""
     arch = _check_shapes(w, data)
     x, y = data.features, data.labels
-    n = data.n_samples
-    logits, _ = _forward(_unpack(w.values, arch), x)
-    log_probs = _log_softmax(logits)
+    n, c = data.n_samples, arch.n_classes
+    hidden = np.empty((n, arch.hidden_units)) if arch.hidden_units else None
+    logits = _forward(_unpack(w.values, arch), x, np.empty((n, c)), hidden)
+    hits = np.count_nonzero(logits.argmax(axis=1) == y)
+    log_probs = _log_softmax(logits, np.empty((n, c)), np.empty((n, 1)))
     # the sums ``ndarray.mean`` takes, divided by n as it divides them
     loss = float(-(np.add.reduce(log_probs[np.arange(n), y]) / n))
-    accuracy = float(np.count_nonzero(logits.argmax(axis=1) == y) / n)
-    return EvalMetrics(loss=loss, accuracy=accuracy, n_samples=n)
+    return EvalMetrics(loss=loss, accuracy=float(hits / n), n_samples=n)

@@ -476,6 +476,79 @@ def test_client_connect_refused_exit_nonzero(tmp_path):
     assert code == 2
 
 
+def _low_battery_bundle(tmp_path):
+    import dataclasses
+
+    resources = {"u-01": scenarios.ResourceSpec(battery=0.1, neighbors=["u-02"], trusted=["u-02"])}
+    spec = dataclasses.replace(scenarios.builtin_scenarios()["uniform"], resources=resources)
+    bundle = tmp_path / "bundle"
+    scenarios.export_socket_bundle(spec, bundle)
+    return bundle
+
+
+def test_client_takes_its_battery_and_neighbors_from_the_bundle(tmp_path, monkeypatch):
+    # every client gets a resources file; one the scenario gives no entry
+    # holds the defaults
+    bundle = _low_battery_bundle(tmp_path)
+    assert json.loads((bundle / "u-03.resources.json").read_text()) == {
+        "battery": 1.0,
+        "neighbors": [],
+        "trusted": [],
+    }
+    started = []
+    monkeypatch.setattr(
+        "communityfl.transport.run_socket_client",
+        lambda client, host, port, task: started.append(client) or 0,
+    )
+    for resources in (["--resources", str(bundle / "u-01.resources.json")], []):
+        code = run_cli(
+            "client",
+            "--connect", f"127.0.0.1:{_free_port()}",
+            "--data", str(bundle / "u-01.data.json"),
+            "--metadata", str(bundle / "u-01.metadata.json"),
+            *resources,
+        )
+        assert code == 0
+    with_file, without = started
+    assert (with_file.battery, with_file.neighbors, with_file.trusted_neighbors) == (
+        0.1, ["u-02"], frozenset({"u-02"})
+    )
+    assert (without.battery, without.neighbors, without.trusted_neighbors) == (1.0, [], frozenset())
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"battery": 1.5, "neighbors": [], "trusted": []}', "battery of u-01 must be"),
+        ('{"battery": "0.1", "neighbors": [], "trusted": []}', "battery of u-01 must be"),
+        ('{"battery": true, "neighbors": [], "trusted": []}', "battery of u-01 must be"),
+        ('{"battery": NaN, "neighbors": [], "trusted": []}', "battery of u-01 must be"),
+        ('{"battery": 0.1, "neighbors": "u-02", "trusted": []}', "neighbors of u-01 must be"),
+        ('{"battery": 0.1, "neighbors": [], "trusted": [2]}', "trusted of u-01 must be"),
+        ('{"battery": 0.1, "spare": 1}', "unexpected keyword argument 'spare'"),
+        ('[0.1, ["u-02"], ["u-02"]]', "expected an object, got list"),
+        ('{"battery": 0.1', "Expecting"),
+        (None, "No such file"),
+    ],
+)
+def test_client_refuses_a_resources_file_before_it_connects(tmp_path, capsys, text, reason):
+    bundle = _low_battery_bundle(tmp_path)
+    path = tmp_path / "resources.json"
+    if text is not None:
+        path.write_text(text)
+    code = run_cli(
+        "client",
+        "--connect", f"127.0.0.1:{_free_port()}",
+        "--data", str(bundle / "u-01.data.json"),
+        "--metadata", str(bundle / "u-01.metadata.json"),
+        "--resources", str(path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read resources file {path}" in err and reason in err
+    assert "cannot connect" not in err
+
+
 # the device record of a metadata file exported before protocol version 4,
 # abridged: an undeclared field is refused whatever it holds
 _V3_DEVICE = {"device_type": "tracker", "model": "tracker-mk1"}

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from communityfl import netproto
-from communityfl.client import FlClient
+from communityfl.client import FlClient, split_all
 from communityfl.errors import DelegationError, DeliveryError, ProtocolError, ShapeError
 from communityfl.flcore import TrainRequest
 from communityfl.hashing import stable_u64
 from communityfl.orchestrator import Coordinator, SchedulerConfig
-from communityfl.runner import run_simulation
+from communityfl.runner import _OmniscientHoldout, run_simulation
 from communityfl.scenarios import (
     ClusterSpec,
     CommunitySpec,
@@ -176,6 +176,87 @@ def test_set_dataset_invalidates_split():
     client.set_dataset(separable_dataset(n=40, gap=4.0, seed=99))
     after = client.split(0.25)[1]
     assert not np.array_equal(before.features, after.features)
+
+
+def _population(members: int, seed: int) -> dict[str, FlClient]:
+    """``members`` clients of 2 to 60 samples each; the same seed gives equal
+    clients."""
+    rng = np.random.default_rng(seed)
+    clients = {}
+    for i in range(members):
+        n = int(rng.integers(2, 61))
+        data = Dataset(rng.normal(0, 2, (n, 2)), rng.integers(0, 2, n), n_classes=2)
+        client_id = f"m-{i:03d}"
+        clients[client_id] = FlClient(client_id, data, make_metadata(client_id))
+    return clients
+
+
+def _facts(data: Dataset):
+    arrays = (data.features, data.labels)
+    return [
+        (a.tobytes(), a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) for a in arrays
+    ]
+
+
+@pytest.mark.parametrize("members", [1, 31, 32, 33, 200])
+def test_split_all_builds_each_clients_own_split(members):
+    # below and from the seeding floor of 32 streams; some clients are asked
+    # twice, under two fractions, or had a split already
+    together, alone = _population(members, members), _population(members, members)
+    ids = sorted(together)
+    together[ids[-1]].split(0.25)
+    requests = [(together[i], 0.25) for i in ids] + [(together[i], 0.5) for i in ids[::7]]
+    requests.append(requests[0])
+    splits = split_all(requests)
+    assert len(splits) == len(requests)
+    for (client, fraction), pair in zip(requests, splits):
+        expected = alone[client.client_id].split(fraction)
+        for part, want in zip(pair, expected):
+            assert _facts(part) == _facts(want)
+            assert not part.features.flags.writeable and not part.labels.flags.writeable
+        # the cache holds the objects returned, and a later split returns them
+        again = client.split(fraction)
+        assert again[0] is pair[0] and again[1] is pair[1]
+    assert split_all(requests[:1])[0] is splits[0]
+
+
+def test_split_all_after_set_dataset_splits_the_new_data():
+    clients = _population(40, 7)
+    first = split_all([(client, 0.25) for client in clients.values()])
+    drifted = clients["m-003"]
+    drifted.set_dataset(separable_dataset(n=50, gap=4.0, seed=99))
+    second = split_all([(client, 0.25) for client in clients.values()])
+    for (client_id, client), before, after in zip(clients.items(), first, second):
+        if client is drifted:
+            fresh = FlClient(client_id, client.local_data, client.metadata).split(0.25)
+            assert _facts(after[1]) == _facts(fresh[1]) and _facts(after[0]) == _facts(fresh[0])
+            assert after[1].n_samples == 12
+        else:
+            assert after[0] is before[0] and after[1] is before[1]
+
+
+def test_the_holdout_stack_after_a_drift_holds_the_new_data():
+    coordinator = Coordinator(SchedulerConfig(seed=1, cohort_threshold=0.0), [make_community()])
+    clients = {f"c-{i}": _client(f"c-{i}") for i in range(3)}
+    network = SimNetwork(coordinator, clients)
+    for client_id, client in clients.items():
+        client.register(network)
+        client.submit_task(network, make_task(f"{client_id}-t", client_id=client_id))
+    coordinator.ensure_cohorts()
+    (cohort,) = coordinator.all_cohorts()
+    holdout = _OmniscientHoldout(coordinator, clients)
+    before = holdout._stack(cohort)
+    clients["c-1"].set_dataset(separable_dataset(n=40, gap=-4.0, seed=99))
+    holdout.drop_stacks()
+    after = holdout._stack(cohort)
+    fraction = coordinator.registry.tasks["c-1-t"].plan.eval_holdout_fraction
+    fresh = [
+        FlClient(cid, client.local_data, client.metadata).split(fraction)[1]
+        for cid, client in sorted(clients.items())
+    ]
+    assert after.features.tobytes() == np.concatenate([h.features for h in fresh]).tobytes()
+    assert after.labels.tobytes() == np.concatenate([h.labels for h in fresh]).tobytes()
+    assert after.features.tobytes() != before.features.tobytes()
 
 
 # -- plan execution ----------------------------------------------------------------

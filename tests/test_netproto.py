@@ -447,6 +447,105 @@ def test_wire_weights_nonfinite_representable_for_guard():
     assert not hostile.is_finite()
 
 
+# -- the decode memo: a thread's last two weight decodes --------------------------
+
+
+def _weights_doc(seed: int, arch_id: str = "logreg:2x2") -> dict:
+    values = np.random.default_rng(seed).normal(0, 1, 6)
+    return {"arch_id": arch_id, "values": base64.b64encode(values.astype("<f8").tobytes()).decode()}
+
+
+def test_the_same_weights_document_on_one_thread_decodes_to_one_object(monkeypatch):
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    doc = _weights_doc(1)
+    first = wire_to_weights(doc)
+    # an equal document, not the same strings, as a second parse gives
+    again = wire_to_weights(json.loads(json.dumps(doc)))
+    assert again is first
+    assert not first.values.flags.writeable
+    assert first.values.dtype == np.float64 and first.values.flags.c_contiguous
+    assert first.values.tobytes() == base64.b64decode(doc["values"])
+
+
+def test_a_request_decode_survives_the_update_decoded_after_it(monkeypatch):
+    # in simulation one thread decodes each member's request, then its update
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    request = wire_to_weights(_weights_doc(1))
+    for seed in (2, 3, 4):
+        assert wire_to_weights(_weights_doc(1)) is request
+        update = wire_to_weights(_weights_doc(seed))
+        assert update is not request
+        assert wire_to_weights(_weights_doc(seed)) is update
+
+
+def test_the_same_text_is_decoded_anew_under_another_arch_on_another_thread_or_later(
+    monkeypatch,
+):
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    doc = _weights_doc(1)
+    first = wire_to_weights(doc)
+    # logreg:1x3 also has 6 parameters
+    other_arch = wire_to_weights({**doc, "arch_id": "logreg:1x3"})
+    assert other_arch is not first and other_arch.arch_id == "logreg:1x3"
+    assert other_arch.values.tobytes() == first.values.tobytes()
+    assert wire_to_weights(doc) is first
+
+    elsewhere = []
+    thread = threading.Thread(target=lambda: elsewhere.append(wire_to_weights(doc)))
+    thread.start()
+    thread.join()
+    assert elsewhere[0] is not first
+    assert elsewhere[0].values.tobytes() == first.values.tobytes()
+
+    wire_to_weights(_weights_doc(2))
+    wire_to_weights(_weights_doc(3))
+    later = wire_to_weights(doc)
+    assert later is not first and later.values.tobytes() == first.values.tobytes()
+
+
+def test_a_refused_weights_document_is_not_remembered(monkeypatch):
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    kept = wire_to_weights(_weights_doc(1))
+    for bad in (
+        {"arch_id": "logreg:2x2", "values": "!!not-base64!!"},
+        {**_weights_doc(1), "arch_id": "logreg:2x3"},
+    ):
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                wire_to_weights(bad)
+    assert netproto._DECODED.entries[0][2] is kept
+    assert len(netproto._DECODED.entries) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_remembered_non_finite_decode_stays_non_finite(bad, monkeypatch):
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    values = np.zeros(6)
+    values[3] = bad
+    text = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    doc = {"arch_id": "logreg:2x2", "values": text}
+    first = wire_to_weights(doc)
+    assert not first.is_finite()
+    assert wire_to_weights(doc) is first
+    assert not first.is_finite()
+
+
+def test_a_uniform_run_decodes_each_cohort_model_once(tmp_path, monkeypatch):
+    # one base64 decode per cohort-round for its model, sent to every member,
+    # and one per received update
+    monkeypatch.setattr(netproto._DECODED, "entries", ())
+    decodes = []
+    b64decode = base64.b64decode
+    monkeypatch.setattr(
+        base64, "b64decode", lambda *args, **kw: decodes.append(1) or b64decode(*args, **kw)
+    )
+    run = runner.run_simulation(scenarios.builtin_scenarios()["uniform"], "cohort", tmp_path)
+    updates = sum(report.received_updates for report in run.reports)
+    assert all(report.status == "committed" for report in run.reports)
+    assert updates > 2 * len(run.reports)
+    assert len(decodes) == len(run.reports) + updates
+
+
 def test_task_and_community_doc_roundtrip():
     task = make_task("t1", overrides={"learning_rate": 0.05, "epochs": 3})
     restored = netproto.from_doc(FlTask, netproto.to_doc(task))

@@ -488,6 +488,40 @@ def test_non_finite_weights_off_the_wire_flagged_and_refused_by_aggregate(
 
 
 @pytest.mark.parametrize("guard_epsilon", [0.5, None])
+def test_equal_non_finite_updates_decoded_once_are_each_flagged(guard_epsilon, monkeypatch):
+    # two members send the same non-finite weights: the second decode returns
+    # the first one's object, and both updates are still flagged
+    coordinator = _coordinator(guard_epsilon=guard_epsilon)
+    data = separable_dataset(n=40, gap=4.0, seed=1)
+    network = _wire_clients(coordinator, {"a": data, "b": data})
+    for cid in ("a", "b"):
+        network.clients[cid].submit_task(network, make_task(f"{cid}-t", client_id=cid))
+    coordinator.ensure_cohorts()
+    (cohort,) = coordinator.all_cohorts()
+    before = cohort.global_weights.values.copy()
+    values = np.zeros(before.size)
+    values[0] = np.nan
+    hostile = netproto.weights_to_wire(
+        WeightVector(values, cohort.global_weights.arch_id, check_finite=False)
+    )
+    honest = FlClient.answer
+
+    def answer(self, env):
+        reply = honest(self, env)
+        reply.payload["update"]["weights"] = dict(hostile)
+        return reply
+
+    monkeypatch.setattr(FlClient, "answer", answer)
+    transport = _RewritingTransport(network)
+    report = coordinator.run_round(cohort, transport, 1)
+    assert report.guard_verdicts == {"a-t": "flag:non_finite", "b-t": "flag:non_finite"}
+    assert report.status == "aborted"
+    assert np.array_equal(cohort.global_weights.values, before)
+    (_, first), (_, second) = transport.arrivals
+    assert first.weights is second.weights
+
+
+@pytest.mark.parametrize("guard_epsilon", [0.5, None])
 def test_update_with_another_architecture_of_equal_length_flagged(guard_epsilon):
     # mlp:1x1x2 has the 6 parameters of logreg:2x2, so the update decodes,
     # but aggregate refuses to mix the two; flagged whether or not the loss

@@ -25,7 +25,6 @@ from communityfl.scenarios import (
     generate,
 )
 
-from conftest import u64_seeds
 
 
 def _basic_spec(**kwargs) -> ScenarioSpec:
@@ -380,32 +379,6 @@ def test_generate_draws_each_client_as_generate_client_dataset_does(name):
         for field in ("per_feature_mean", "per_feature_std", "label_histogram"):
             assert getattr(signature, field).tobytes() == getattr(expected, field).tobytes()
         assert signature.n_samples == expected.n_samples == client.n_samples
-
-
-_FLOOR = scenarios._STREAMS_FLOOR
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([0, 1, 2, _FLOOR - 1, _FLOOR, 2 * _FLOOR]).flatmap(
-        lambda n: st.lists(u64_seeds, min_size=n, max_size=n)
-    )
-)
-def test_streams_start_and_draw_as_default_rng(seeds):
-    # below the floor each seed gets its own default_rng; from it on, one
-    # generator is set to each seed's state in turn
-    streams = scenarios._streams(seeds)
-    for seed, rng in itertools.zip_longest(seeds, streams):
-        expected = np.random.default_rng(seed)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        # integers below 2**32 take half of a 64-bit word and keep the other
-        for draw in (
-            lambda g: g.integers(60, 81, size=3),
-            lambda g: g.random(5),
-            lambda g: g.standard_normal(5),
-            lambda g: g.integers(0, 2**40),
-        ):
-            assert draw(rng).tobytes() == draw(expected).tobytes()
 
 
 def test_population_generation_is_pinned():

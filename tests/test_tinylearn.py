@@ -342,9 +342,15 @@ def _training_cases(draw):
     hidden = draw(st.sampled_from([0, 0, 1, 3, 6]))
     n_features = draw(st.integers(1, 4))
     n_classes = draw(st.integers(2, 4))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 100))
     divisors = [b for b in range(1, n + 1) if n % b == 0]
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["divisor", "other", "workload"]))
+    if kind == "workload":
+        # the batch size of the builtin scenarios and the benchmark's
+        # workloads: a last batch of n % 32 rows takes the first rows of the
+        # step's work arrays
+        batch_size = 32
+    elif kind == "divisor":
         batch_size = draw(st.sampled_from(divisors))
     else:
         batch_size = draw(st.integers(1, n + 3).filter(lambda b: n % b != 0))

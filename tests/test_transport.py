@@ -189,7 +189,17 @@ def _bundle_client(bundle, client_id, client_cls=FlClient):
         ParticipantMetadata, json.loads((bundle / f"{client_id}.metadata.json").read_text())
     )
     task = netproto.from_doc(FlTask, json.loads((bundle / f"{client_id}.task.json").read_text()))
-    return client_cls(client_id, dataset, metadata), task
+    # what a device knows of its own battery and neighbors
+    resources = ResourceSpec(**json.loads((bundle / f"{client_id}.resources.json").read_text()))
+    client = client_cls(
+        client_id,
+        dataset,
+        metadata,
+        battery=resources.battery,
+        neighbors=resources.neighbors,
+        trusted_neighbors=resources.trusted,
+    )
+    return client, task
 
 
 def _start_socket_run(tmp_path, spec, drop_client=None):
@@ -206,11 +216,6 @@ def _start_socket_run(tmp_path, spec, drop_client=None):
 
     def client_main(client_id):
         client, task = _bundle_client(bundle, client_id)
-        # what a device knows of its own battery and neighbors
-        resources = spec.resources.get(client_id, ResourceSpec())
-        client.battery = resources.battery
-        client.neighbors = list(resources.neighbors)
-        client.trusted_neighbors = frozenset(resources.trusted)
         if client_id == drop_client:
             # register and submit, then vanish before serving any round
             sock = socket.create_connection((host, port), timeout=5.0)
